@@ -257,10 +257,9 @@ class CTAContext:
         self._completion = None
         batch = self._batch_size
         self.tasks_done += batch
-        grid = self.grid
         # inlined from TaskPool.finish: this batch was claimed whole at
         # _begin_next_batch, so batch <= outstanding by construction
-        pool = grid.pool
+        pool = self.grid.pool
         pool._outstanding -= batch
         pool._done += batch
         if self._is_persistent:
@@ -281,7 +280,6 @@ class CTAContext:
                     prof.on_batch(batch, polls)
             self._since_poll = (since + batch) % L
         self._batch_size = 0
-        grid.notify_progress()
         self._begin_next_batch()
 
     def _finish(self, now: float) -> None:

@@ -16,7 +16,6 @@ the unfinished tasks run again.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from typing import Callable, List, Optional, Set
 
@@ -28,6 +27,7 @@ from .kernel import (
     KernelMode,
     LaunchConfig,
     TaskPool,
+    guided_claim,
 )
 from .macro import MacroCohort
 from .memory import PinnedFlag, should_yield
@@ -229,27 +229,13 @@ class Grid:
         size = self._batch_plans.get(key)
         if size is not None:
             return size
-        # guided self-scheduling, inlined from kernel.guided_batch
-        # (same math.ceil expression, so sizes are identical)
         if remaining <= 0:
             size = 0
         else:
-            size = math.ceil(remaining / (2 * width))
-            if size < 1:
-                size = 1
-            if size > remaining:
-                size = remaining
-            if self._persistent:
-                # Persistent: batches stay multiples of L so poll
-                # boundaries are exact, except near the tail where
-                # sub-L batches are allowed — real CTAs pull one task
-                # at a time, so work distribution is task-granular even
-                # though polls are L-spaced.
-                L = self._amortize_l
-                if size > L:
-                    size = (size // L) * L
-                if size > remaining:
-                    size = remaining
+            size = guided_claim(
+                remaining, 2 * width,
+                self._amortize_l if self._persistent else 0,
+            )
         self._batch_plans[key] = size
         return size
 
@@ -307,9 +293,6 @@ class Grid:
         if total != pool._workers:
             return False
         return MacroCohort.absorb(self, trigger, now)
-
-    def notify_progress(self) -> None:
-        """Called by contexts when tasks complete (hook for the runtime)."""
 
     def context_done(self, ctx: CTAContext) -> None:
         self.finished_contexts += 1

@@ -307,3 +307,25 @@ def guided_batch(remaining: int, contexts: int, minimum: int = 1) -> int:
     size = math.ceil(remaining / (2 * contexts))
     size = max(minimum, size)
     return min(size, remaining)
+
+
+def guided_claim(remaining: int, width2: int, L_grid: int) -> int:
+    """The simulator's guided claim: ``ceil(remaining / width2)`` tasks
+    (``width2`` = 2 * claiming width) for ``remaining > 0``, clamped to
+    ``[1, remaining]``. A persistent grid passes its ``L`` as
+    ``L_grid``: batches stay multiples of L so poll boundaries are
+    exact, except near the tail where sub-L batches are allowed — real
+    CTAs pull one task at a time, so work distribution is task-granular
+    even though polls are L-spaced. ``L_grid`` 0 (a non-persistent
+    grid) skips that clamp. :meth:`Grid.next_batch_size` and the macro
+    replay both size claims here, so their sizes are identical."""
+    size = math.ceil(remaining / width2)
+    if size < 1:
+        size = 1
+    if size > remaining:
+        size = remaining
+    if L_grid and size > L_grid:
+        size = (size // L_grid) * L_grid
+    if size > remaining:
+        size = remaining
+    return size

@@ -1,40 +1,49 @@
 """Macro-event fast-forward for persistent-grid batch chains.
 
-The per-batch event loop (one ``batch`` event per claimed batch, ~98% of
-all events in the bench profile) is the simulator's ceiling. When a
-persistent grid reaches steady state — every CTA placed, the preemption
-flag quiescent, the task pool drained only by this grid's contexts — the
-entire remaining claim/complete interleaving is a *closed* deterministic
-system: batch sizes depend only on ``(remaining, width)`` at each claim
-instant, completion times are ``t + polls*poll_cost + batch*per_task``
-chains, and the global event loop would simply replay that interleaving
-one heap pop at a time.
+Without it every claimed batch costs one ``batch`` event in the global
+loop, and those events dominate every steady kernel's run. When the grids
+draining a task pool reach steady state — every CTA placed, the
+preemption flag quiescent, the pool drained only by those grids'
+contexts — the remaining claim/complete interleaving is a *closed*
+deterministic system: batch sizes depend only on ``(remaining, width)``
+at each claim instant, completion times are ``t + polls*poll_cost +
+batch*per_task`` chains, and the global event loop would simply replay
+that interleaving one heap pop at a time.
 
-:class:`MacroCohort` replays it eagerly instead, on a private mini-heap
-ordered exactly like the engine's ``(time, seq)`` heap, and converts the
-whole chain into
+:class:`MacroCohort` solves it in numpy *windows* instead. The cohort
+keeps its contexts' pending completions as arrays sorted by ``(time,
+order)`` — exactly the engine's ``(time, seq)`` heap order, one entry per
+context — and replays them a window at a time:
 
-* a list of *steps* — (complete previous batch, claim next batch) pairs
-  with precomputed times — committed **lazily** to the real pool and
-  contexts as simulated time passes them, and
-* one real wake-up event per context at its *final* batch completion
-  (the first externally visible consequence: the context observes the
-  empty pool, finishes, and releases its SM).
+* a window takes the next pending completions (at most one per
+  context), completes each batch, claims the next guided batch and
+  computes its completion time, all as array operations;
+* it keeps the longest prefix whose new completions cannot overtake the
+  window's later pops (the *prefix rule*, see :meth:`_window`) and
+  merges the new completions back into the pending order;
+* the claims land in an array-backed plan that :meth:`sync` commits
+  **lazily** to the real pool as simulated time passes them, with one
+  ``searchsorted`` and sums; the contexts themselves are written once
+  each, from their last committed claim, just before one of them can
+  next act (:meth:`_flush`);
+* once the pool is virtually exhausted, each context gets one real
+  wake-up event at its *final* batch completion (the first externally
+  visible consequence: the context observes the empty pool, finishes,
+  and releases its SM).
 
 Identity contract (DESIGN.md §15): kernel-level timelines, preemption
 points and completion orders stay bit-identical to the per-batch
 reference loop. Three rules make that hold:
 
-1. **Identical float-op order.** Claim sizes use the same memo table and
-   the same ``ceil(remaining / (2*width))`` expression as
+1. **Identical float-op order.** Claim sizes come from the same
+   :func:`~repro.gpu.kernel.guided_claim` as
    :meth:`Grid.next_batch_size`; durations use the same
-   ``polls * poll_cost + batch * per_task`` expression (and share the
-   context's ``_plan_cache``); completion times are the same ``t + dur``
-   additions the reference loop performs.
-2. **Sync before observation.** The real pool/contexts lag behind the
-   precomputed plan; any external read of pool state
+   ``polls * poll_cost + batch * per_task`` expression; completion
+   times are the same ``t + dur`` additions, elementwise in float64.
+2. **Sync before observation.** The real pool and contexts lag behind
+   the precomputed plan; any external read of pool state
    (:class:`~repro.gpu.kernel.TaskPool` properties) first applies every
-   step with ``step_time <= now``. Step times never exceed the pool's
+   claim with ``claim_time <= now``. Claim times never exceed the pool's
    virtual-exhaustion time, which never exceeds any final-completion
    wake-up, so wake-ups always observe fully-synced state.
 3. **Dissolve on interference.** A host flag write, an external pool
@@ -48,22 +57,58 @@ reference loop. Three rules make that hold:
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List
+
+import numpy as np
 
 from .events import maybe_cancel
+from .kernel import guided_claim
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cta import CTAContext
     from .grid import Grid
 
 
-#: First replay chunk (in claims); each continuation grows it 4x, so a
-#: quiescent chain converges to full fast-forward in a handful of
-#: continuation events while an interference-heavy one wastes at most a
-#: few tens of virtual claims per absorb/dissolve cycle.
+#: First replay burst (in claims after the trigger's own); each
+#: continuation grows it 4x, so a quiescent chain converges to full
+#: fast-forward in a handful of continuation events while an
+#: interference-heavy one wastes at most a few tens of virtual claims
+#: per absorb/dissolve cycle.
 _CHUNK0 = 32
+
+# Plan rows. Float plan: claim time, completion time of the claimed
+# batch. Int plan: context index, batch completed at the claim instant,
+# poll offset after it, batch claimed.
+_T, _TN = 0, 1
+_CTX, _DONE, _POST, _B = range(4)
+
+
+def _polls(since, batch, L):
+    """Flag polls while running ``batch`` tasks from poll offset
+    ``since``: the boundaries at task indices ``(L - since) % L + m*L``
+    below ``batch``. Equal to ``CTAContext._polls_in_batch`` for every
+    ``0 <= since < L``, ``batch >= 0``; elementwise on arrays."""
+    return (batch + (since - 1) % L) // L
+
+
+# Sizes depend on nothing but these arguments and bursts are
+# deterministic, so the pools of one kernel at one width ask for the same
+# chunks; each entry holds at most one burst of sizes.
+@functools.lru_cache(maxsize=256)
+def _guided_chain(rem: int, width2: int, L_grid: int, need: int) -> np.ndarray:
+    """Sizes of the next ``need`` guided claims from ``rem`` unclaimed
+    tasks (fewer if the pool runs out first). The returned array is
+    shared through the cache, so it is read-only."""
+    out = []
+    while need > 0 and rem > 0:
+        b = guided_claim(rem, width2, L_grid)
+        out.append(b)
+        rem -= b
+        need -= 1
+    sizes = np.array(out, np.int64)
+    sizes.setflags(write=False)
+    return sizes
 
 
 class MacroCohort:
@@ -72,77 +117,67 @@ class MacroCohort:
     A cohort spans *every* grid draining the pool — a spatially-degraded
     grid's survivors plus its resume/top-up grids claim interleaved from
     one pool, and that interleaving is just as closed as the single-grid
-    case once each grid is fully placed and each flag steady."""
+    case once each grid is fully placed and each flag steady.
+
+    Contexts are indexed by their position in ``_ctxs``; per-context
+    state lives in arrays under that index."""
 
     __slots__ = (
-        "grid", "grids", "pool", "sim",
-        "_steps", "_idx", "_cur_complete", "_claim_order", "_dissolved",
-        "_heap", "_v_rem", "_vseq", "_chunk", "_cont",
+        "grids", "pool", "sim", "_dissolved", "_v_rem", "_chunk",
+        "_cont", "_ctxs", "_obs", "_prof", "_L", "_poll_cost", "_per_task",
+        "_pers", "_uniform", "_width2", "_L_grid", "_chain", "_cpos",
+        "_crem", "_since", "_batch", "_p_t", "_p_ctx", "_pf", "_pi", "_n",
+        "_idx", "_flushed", "_base", "_next_t", "_cur_complete",
+        "_claim_order",
     )
 
-    def __init__(self, grid: "Grid"):
-        self.grid = grid
+    def __init__(self, grid: "Grid", grids: List["Grid"], ctxs: list):
         #: every grid whose contexts the cohort absorbed
-        self.grids: List["Grid"] = []
+        self.grids = grids
+        self._ctxs = ctxs
         self.pool = grid.pool
         self.sim = grid.sim
-        #: precomputed (t, ctx, done_batch, polls, post_since, claim,
-        #: t_next) tuples, in global event order; applied lazily
-        self._steps: List[tuple] = []
-        #: first not-yet-applied step
-        self._idx = 0
-        #: ctx -> completion time of its currently in-flight batch, as
-        #: of the last applied step (dissolve reconstructs from this)
-        self._cur_complete: Dict["CTAContext", float] = {}
-        #: ctx -> global claim order of its in-flight batch: (0, seq)
-        #: for batches absorbed mid-flight, (1, step idx) once a virtual
-        #: claim is applied. Dissolve reschedules completions in this
-        #: order — the reference loop assigns event seqs at claim time,
-        #: so same-instant completions fire in claim order there.
-        self._claim_order: Dict["CTAContext", tuple] = {}
         self._dissolved = False
-        #: private replay heap of (time, order, ctx, state) pending
-        #: completions; ``state`` is the context's mutable replay record
-        #: [since_poll, batch, 2*width, grid L, ctx L, poll_cost,
-        #: per_task, plan_cache] carried with the entry so the hot loop
-        #: never touches a dict. (time, order) is unique, so the heap
-        #: never compares the trailing fields.
-        self._heap: List[tuple] = []
+        #: virtual tasks left unclaimed at the replay front
         self._v_rem = 0
-        self._vseq = 0
-        #: claims allowed in the next replay burst (grows 4x per burst)
-        self._chunk = _CHUNK0
+        #: claims allowed in the next continuation burst (grows 4x)
+        self._chunk = 4 * _CHUNK0
         #: pending continuation event while the replay is paused
         self._cont = None
+        #: plan: float rows (_T, _TN) and int rows (_CTX .. _B) of the
+        #: replayed claims; position p has claim order ``_base + p``.
+        #: [_idx, _n) is not committed yet; [_flushed, _idx) is committed
+        #: to the pool but not yet written into the contexts. None once
+        #: the plan is released.
+        self._pf = np.empty((2, 64))
+        self._pi = np.empty((4, 64), np.int64)
+        self._n = 0
+        self._idx = 0
+        self._flushed = 0
+        #: claim time of the first uncommitted claim (inf when none)
+        self._next_t = math.inf
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def absorb(cls, grid: "Grid", trigger: "CTAContext", now: float) -> bool:
+    def absorb(cls, grid: "Grid", trigger, now: float) -> bool:
         """Take over the pool's batch chain from ``trigger``'s claim at
         ``now``. Returns False (changing nothing) if any precondition
         fails; on True the trigger must not claim a batch itself.
 
         Preconditions checked by the caller (:meth:`Grid.try_macro`):
-        every grid draining the pool persistent and fully placed, every
-        flag steady, every pool worker one of those grids' contexts,
-        ``pool._remaining > 0``.
+        every flag steady, every pool worker a context of the pool's
+        grids, ``pool._remaining > 0``. A CTA placed later joins the
+        pool, which dissolves the cohort before its first claim.
         """
-        sim = grid.sim
         pool = grid.pool
-        cohort = cls(grid)
-        cur_complete = cohort._cur_complete
-
-        # Mini-heap entries are (time, order, ctx, state). Absorbed
-        # sibling events keep their real engine seq as the order key;
-        # virtual pushes use a strictly larger counter — exactly how
-        # the engine would order events scheduled later.
-        heap: List[tuple] = []
-        absorbed = []
-        trig_state = None
+        obs = trigger._obs
+        prof = trigger._prof
+        grids = []
+        ctxs = []
+        per_grid = []
         workers = pool._workers
-        grids = cohort.grids
         for g in pool._grids:
             grids.append(g)
             # each grid claims with its own guided width (the larger of
@@ -152,180 +187,252 @@ class MacroCohort:
             width = g._parallel_width
             if workers > width:
                 width = workers
-            width2 = 2 * width
             # L_grid == 0 marks a non-persistent grid: its guided plan
             # has no L-multiple clamp (Grid.next_batch_size), its
             # contexts never poll (L=1, poll_cost=0.0 make the duration
             # math degenerate to batch * per_task, bit-identically) and
             # its batches charge no observability counters
             pers = g._persistent
-            L_grid = g._amortize_l if pers else 0
-            for ctx in g.contexts:
-                state = [
-                    ctx._since_poll, ctx._batch_size, width2, L_grid,
-                    ctx._amortize, ctx._poll_cost, ctx._per_task,
-                    ctx._plan_cache, pers,
-                ]
-                if ctx is trigger:
-                    trig_state = state
-                    continue
-                ev = ctx._completion
-                if ev is None or ctx._yield_event is not None:
-                    return False
-                heap.append((ev.time, ev.seq, ctx, state))
-                cur_complete[ctx] = ev.time
-                cohort._claim_order[ctx] = (0, ev.seq)
-                absorbed.append((ctx, ev))
-        if trigger._yield_event is not None:
+            cs = g.contexts
+            any_ctx = next(iter(cs))
+            per_grid.append((
+                len(cs), any_ctx._amortize, any_ctx._poll_cost, pers,
+                2 * width, g._amortize_l if pers else 0,
+            ))
+            ctxs.extend(cs)
+        # every sibling has a pending completion and no yield; the
+        # trigger is between batches (no completion) and claims first,
+        # inside the current event: any still-pending sibling event at
+        # this instant has a larger seq (smaller ones already fired)
+        evs = [c._completion for c in ctxs]
+        if trigger._completion is not None or evs.count(None) != 1 or any(
+            c._yield_event is not None or c._obs is not obs
+            or c._prof is not prof  # sync charges one obs/prof pair
+            for c in ctxs
+        ):
             return False
-        heapq.heapify(heap)
-        for ctx, ev in absorbed:
-            ev.cancel()
-            ctx._completion = None
+        for ev in evs:
+            if ev is not None:
+                ev.cancel()
+        for c in ctxs:
+            c._completion = None
 
-        cohort._heap = heap
-        cohort._v_rem = pool._remaining
-        cohort._vseq = sim._seq  # larger than every absorbed seq
+        counts, L, poll_cost, pers, width2, L_grid = zip(*per_grid)
+        rep = np.repeat
+        cohort = cls(grid, grids, ctxs)
+        cohort._obs = obs
+        cohort._prof = prof
+        cohort._since = np.array([c._since_poll for c in ctxs], np.int64)
+        cohort._batch = np.array([c._batch_size for c in ctxs], np.int64)
+        cohort._per_task = np.array([c._per_task for c in ctxs])
+        cohort._L = rep(np.array(L, np.int64), counts)
+        cohort._poll_cost = rep(np.array(poll_cost), counts)
+        # None when every grid is persistent (the common case)
+        cohort._pers = None if all(pers) else rep(
+            np.array(pers, np.int64), counts
+        )
+        cohort._uniform = len(set(zip(width2, L_grid))) == 1
+        if cohort._uniform:
+            # one guided-size class (always for a single grid): sizes
+            # form one chain, memoized in chunks (_guided_chain)
+            cohort._width2 = width2[0]
+            cohort._L_grid = L_grid[0]
+        else:
+            # each claim sizes with its claimer's grid (_sizes)
+            cohort._width2 = rep(width2, counts).tolist()
+            cohort._L_grid = rep(L_grid, counts).tolist()
+        cohort._chain = np.empty(0, np.int64)
+        cohort._cpos = 0
+        cohort._crem = cohort._v_rem = pool._remaining
+        # Pending completions, sorted by (time, order): absorbed events
+        # by their engine seq, the trigger's claim first (order -1).
+        # Virtual claims order after all of them, in claim order — how
+        # the engine would order events scheduled later.
+        t = np.array([now if ev is None else ev.time for ev in evs])
+        order = np.array([-1 if ev is None else ev.seq for ev in evs])
+        perm = np.lexsort((order, t))
+        cohort._p_t = t[perm]
+        cohort._p_ctx = perm
+        # claim orders of virtual claims start above every engine seq
+        cohort._base = grid.sim._seq + 1
+        #: per context: the completion time and claim order of its
+        #: committed in-flight batch (dissolve reconstructs from these)
+        cohort._cur_complete = t
+        cohort._claim_order = order
 
-        # the trigger claims immediately, inside the current event —
-        # any still-pending sibling event at this exact time has a
-        # larger seq (smaller ones would already have fired).
-        # Inlined from Grid.next_batch_size — identical math.
-        width2 = trig_state[2]
-        L_grid = trig_state[3]
-        v_rem = cohort._v_rem
-        b = math.ceil(v_rem / width2)
-        if b < 1:
-            b = 1
-        if b > v_rem:
-            b = v_rem
-        if L_grid and b > L_grid:
-            b = (b // L_grid) * L_grid
-        if b > v_rem:
-            b = v_rem
-        since = trigger._since_poll
-        dkey = (b, since)
-        cache = trigger._plan_cache
-        dur = cache.get(dkey)
-        if dur is None:
-            L = trigger._amortize
-            first = (L - since) % L
-            p = 0 if first >= b else 1 + (b - 1 - first) // L
-            dur = cache[dkey] = (
-                p * trigger._poll_cost + b * trigger._per_task
-            )
-        t_next = now + dur
-        cohort._steps.append((now, trigger, 0, 0, since, b, t_next))
-        cohort._v_rem = v_rem - b
-        trig_state[0] = since
-        trig_state[1] = b
-        cohort._vseq += 1
-        heapq.heappush(heap, (t_next, cohort._vseq, trigger, trig_state))
-
-        cohort._replay()
+        cohort._replay(_CHUNK0 + 1)
         for g in grids:
             g._macro = cohort
         pool._cohort = cohort
         return True
 
     # ------------------------------------------------------------------
-    # chunked virtual replay
+    # windowed virtual replay
     # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        """Fast-forward up to ``_chunk`` more claims on the private heap.
+    def _replay(self, budget: int) -> None:
+        """Fast-forward up to ``budget`` more claims, a window at a time.
 
         The replay pauses (scheduling one real continuation event at the
         next virtual completion instant) rather than running the whole
         chain eagerly: a host flag write dissolves the cohort and throws
         the unreached plan away, so preemption-heavy workloads would pay
         the full O(remaining batches) replay only to discard it. The
-        chunk grows 4x per burst, so quiescent chains still collapse
-        with only O(log) continuation events.
+        burst grows 4x per continuation, so quiescent chains still
+        collapse with only O(log) continuation events.
         """
-        sim = self.sim
-        heap = self._heap
-        steps = self._steps
-        v_rem = self._v_rem
-        vseq = self._vseq
-        budget = self._chunk
-        self._chunk = budget * 4
         self._cont = None
-        push = heapq.heappush
-        pop = heapq.heappop
-        ceil = math.ceil
-        append = steps.append
-
-        while heap:
-            if budget <= 0 and v_rem > 0:
+        if self._uniform:
+            self._extend_chain(budget)
+        while self._v_rem > 0:
+            if budget <= 0:
                 # pause: resume at the next completion instant (purely
                 # internal — the plan extension is invisible until a
-                # step or final actually commits)
-                self._cont = sim.schedule_event(
-                    heap[0][0], self._continue, "macro-cont"
+                # claim or final actually commits)
+                self._cont = self.sim.schedule_event(
+                    float(self._p_t[0]), self._continue, "macro-cont"
                 )
-                break
-            t, _, ctx, st = pop(heap)
-            if v_rem <= 0:
-                # final batch: the context will observe the empty pool
-                # at this completion and finish — externally visible
-                # (SM release), so it stays a real event. Pops after
-                # exhaustion arrive in (time, claim-order), matching
-                # the seq order the reference loop would assign.
-                ctx._completion = sim.schedule_event(
-                    t, self._make_final(ctx), ctx._batch_label
-                )
-                continue
-            since, done_b, width2, L_grid, L, poll_cost, per_task, \
-                cache, pers = st
-            if pers:
-                first = (L - since) % L
-                polls = (
-                    0 if first >= done_b else 1 + (done_b - 1 - first) // L
-                )
-                since = (since + done_b) % L
-            else:
-                # non-persistent: no polls to charge (marked for sync),
-                # since stays 0
-                polls = -1
-            # claim the next batch — inlined from Grid.next_batch_size,
-            # identical integer math with the claimer's own width
-            b = ceil(v_rem / width2)
-            if b < 1:
-                b = 1
-            if b > v_rem:
-                b = v_rem
-            if L_grid and b > L_grid:
-                b = (b // L_grid) * L_grid
-            if b > v_rem:
-                b = v_rem
-            # duration via the context's shared plan cache — identical
-            # float-op order to _begin_next_batch's inline computation
-            dkey = (b, since)
-            dur = cache.get(dkey)
-            if dur is None:
-                first = (L - since) % L
-                p = 0 if first >= b else 1 + (b - 1 - first) // L
-                dur = cache[dkey] = p * poll_cost + b * per_task
-            t_next = t + dur
-            append((t, ctx, done_b, polls, since, b, t_next))
-            v_rem -= b
-            st[0] = since
-            st[1] = b
-            vseq += 1
-            push(heap, (t_next, vseq, ctx, st))
-            budget -= 1
-
-        self._v_rem = v_rem
-        self._vseq = vseq
+                return
+            budget -= self._window(budget)
+        # final batches: each context observes the empty pool at its
+        # pending completion and finishes — externally visible (SM
+        # release), so these stay real events, scheduled in (time,
+        # claim-order), matching the seq order of the reference loop
+        sim = self.sim
+        ctxs = self._ctxs
+        for t, c in zip(self._p_t.tolist(), self._p_ctx.tolist()):
+            ctx = ctxs[c]
+            ctx._completion = sim.schedule_event(
+                t, self._make_final(ctx), ctx._batch_label
+            )
+        self._p_t = self._p_ctx = self._chain = None
 
     def _continue(self) -> None:
         if not self._dissolved:
-            self._replay()
+            budget = self._chunk
+            self._chunk = budget * 4
+            self._replay(budget)
 
-    def _make_final(self, ctx: "CTAContext"):
+    def _extend_chain(self, budget: int) -> None:
+        """Extend the size chain to ``budget`` claims past the replay
+        front (or to exhaustion)."""
+        chain = self._chain
+        need = budget - (chain.shape[0] - self._cpos)
+        rem = self._crem
+        if need <= 0 or rem <= 0:
+            return
+        sizes = _guided_chain(rem, self._width2, self._L_grid, need)
+        self._crem = rem - int(sizes.sum())
+        self._chain = np.concatenate((chain[self._cpos:], sizes))
+        self._cpos = 0
+
+    def _sizes(self, ctx: np.ndarray) -> np.ndarray:
+        """Guided sizes of the next claims by ``ctx`` (claim order),
+        stopping at virtual exhaustion."""
+        if self._uniform:
+            pos = self._cpos
+            return self._chain[pos:pos + ctx.shape[0]]
+        # grids differ in width or L: each claim uses its claimer's
+        # plan, in claim order
+        width2 = self._width2
+        L_grid = self._L_grid
+        rem = self._v_rem
+        sizes = []
+        for c in ctx.tolist():
+            if rem <= 0:
+                break
+            b = guided_claim(rem, width2[c], L_grid[c])
+            sizes.append(b)
+            rem -= b
+        return np.array(sizes, np.int64)
+
+    def _window(self, budget: int) -> int:
+        """Replay the next window of claims; returns how many it kept.
+
+        The window is the next ``min(contexts, budget)`` pending
+        completions, one per context. Its k-th claim is only valid if no
+        earlier claim's new completion precedes the k-th pop: the window
+        keeps the longest prefix whose running minimum of new completion
+        times stays ``>=`` the next pop's time (ties go to the older
+        entry — new order keys are always larger)."""
+        n = self._p_t.shape[0]
+        ctx = self._p_ctx[:n if n < budget else budget]
+        b = self._sizes(ctx)
+        k = b.shape[0]
+        ctx = ctx[:k]
+        t = self._p_t[:k]
+        L = self._L[ctx]
+        s0 = self._since[ctx]
+        done = self._batch[ctx]
+        s1 = (s0 + done) % L
+        # the reference float-op order: polls*poll_cost + batch*per_task,
+        # then t + dur
+        tn = t + (
+            _polls(s1, b, L) * self._poll_cost[ctx] + b * self._per_task[ctx]
+        )
+        if k > 1:
+            # validity is a prefix property (the running minimum only
+            # falls, the pops only rise), so counting finds its length
+            kept = 1 + int(np.count_nonzero(
+                np.minimum.accumulate(tn[:-1]) >= t[1:]
+            ))
+            if kept < k:
+                k = kept
+                ctx, t, tn, done, s1, b = (
+                    ctx[:k], t[:k], tn[:k], done[:k], s1[:k], b[:k],
+                )
+        self._since[ctx] = s1  # a window's contexts are distinct
+        self._batch[ctx] = b
+        self._keep(ctx, t, tn, done, s1, b)
+        # merge the new completions back: the unreached pops are sorted
+        # and order before every new entry, and the new entries order
+        # among themselves in claim order — so a stable sort on time is
+        # the (time, order) sort
+        m_t = np.concatenate((self._p_t[k:], tn))
+        perm = np.argsort(m_t, kind="stable")
+        self._p_t = m_t[perm]
+        self._p_ctx = np.concatenate((self._p_ctx[k:], ctx))[perm]
+        return k
+
+    def _keep(self, ctx, t, tn, done, s1, b) -> None:
+        """Append replayed claims to the plan; advance the pool's replay
+        front (the caller advances the contexts')."""
+        k = ctx.shape[0]
+        self._v_rem -= int(b.sum())
+        if self._uniform:
+            self._cpos += k
+        n = self._n
+        if n + k > self._pf.shape[1]:
+            # drop the committed head, grow if still short
+            self._flush()
+            i = self._idx
+            live = n - i
+            cap = self._pf.shape[1]
+            while live + k > cap:
+                cap *= 2
+            pf = np.empty((2, cap))
+            pi = np.empty((4, cap), np.int64)
+            pf[:, :live] = self._pf[:, i:n]
+            pi[:, :live] = self._pi[:, i:n]
+            self._pf, self._pi = pf, pi
+            self._base += i
+            self._idx = self._flushed = 0
+            n = live
+        pf = self._pf
+        pi = self._pi
+        pf[_T, n:n + k] = t
+        pf[_TN, n:n + k] = tn
+        pi[_CTX, n:n + k] = ctx
+        pi[_DONE, n:n + k] = done
+        pi[_POST, n:n + k] = s1
+        pi[_B, n:n + k] = b
+        if self._idx == n:
+            self._next_t = float(t[0])
+        self._n = n + k
+
+    def _make_final(self, ctx):
         def fire() -> None:
-            # every step precedes every final completion (steps stop at
-            # pool exhaustion), so this sync commits the whole plan
+            # every claim precedes every final completion (claims stop
+            # at pool exhaustion), so this sync commits the whole plan
             if not self._dissolved:
                 self.sync(self.sim.clock._now)
             ctx._on_batch_complete()
@@ -335,60 +442,97 @@ class MacroCohort:
     # lazy commit
     # ------------------------------------------------------------------
     def sync(self, now: float) -> None:
-        """Apply every precomputed step with ``time <= now`` to the real
-        pool and contexts. Idempotent; called by wake-ups, by TaskPool
-        property reads, and by :meth:`dissolve`."""
-        steps = self._steps
-        i = self._idx
-        n = len(steps)
-        if i >= n or steps[i][0] > now:
+        """Apply every planned claim with ``time <= now`` to the real
+        pool. Idempotent; called by wake-ups, by TaskPool property reads,
+        and by :meth:`dissolve`. Only the context itself reads its batch
+        state, and only in a real event — a final completion or after a
+        dissolve — so contexts are written back at those points
+        (:meth:`_flush`), not here."""
+        if now < self._next_t:
             return
+        i = self._idx
+        n = self._n
+        pf = self._pf
+        pi = self._pi
+        j = i + int(np.searchsorted(pf[_T, i:n], now, "right"))
+        done = pi[_DONE, i:j]
+        # every counter below is purely additive (TaskPool.finish/take,
+        # the Observability counters, SimProfiler.on_batch), so charging
+        # the sums once is exactly equal to the reference loop's
+        # per-batch charges
+        sum_b = int(pi[_B, i:j].sum())
+        sum_done = int(done.sum())
         pool = self.pool
-        cur_complete = self._cur_complete
-        claim_order = self._claim_order
-        # aggregate over the committed range: every counter below is
-        # purely additive (TaskPool.finish/take, the Observability
-        # counters, SimProfiler.on_batch), so charging the sums once is
-        # exactly equal to the reference loop's per-batch charges.
-        # Steps with polls < 0 are non-persistent batches: the reference
-        # loop charges no obs/prof for those (and never moves their poll
-        # offset), so they contribute to pool accounting only.
-        sum_b = sum_done = collapsed = 0
-        chg_done = chg_polls = 0
-        obs = prof = aprof = None
-        while i < n and steps[i][0] <= now:
-            t, ctx, done_b, polls, post, b, t_next = steps[i]
-            claim_order[ctx] = (1, i)
-            i += 1
-            if done_b:
-                sum_done += done_b
-                collapsed += 1
-                ctx.tasks_done += done_b
-                aprof = ctx._prof
-                if polls >= 0:
-                    chg_done += done_b
-                    chg_polls += polls
-                    ctx._since_poll = post
-                    obs = ctx._obs
-                    prof = ctx._prof
-            sum_b += b
-            ctx._batch_start = t
-            ctx._batch_size = b
-            cur_complete[ctx] = t_next
-        self._idx = i
-        # inlined TaskPool.finish + TaskPool.take, summed
         pool._remaining -= sum_b
         pool._outstanding += sum_b - sum_done
         pool._done += sum_done
-        if collapsed:
+        obs = self._obs
+        prof = self._prof
+        if sum_done and (obs.enabled or prof.enabled):
+            # polls from the offset before each completed batch. Non-
+            # persistent batches charge pool accounting only, like the
+            # reference loop.
+            ctx = pi[_CTX, i:j]
+            L = self._L[ctx]
+            polls = _polls((pi[_POST, i:j] - done) % L, done, L)
+            pulls = done
+            pers = self._pers
+            if pers is not None:
+                pers = pers[ctx]
+                pulls = done * pers
+                polls = polls * pers
+            chg_done = int(pulls.sum())
+            chg_polls = int(polls.sum())
             if chg_done or chg_polls:
                 if obs.enabled:
                     obs.tasks_pulled(chg_done)
                     obs.flag_polled(chg_polls)
                 if prof.enabled:
                     prof.on_batch(chg_done, chg_polls)
-            if aprof.enabled:
-                aprof.on_macro_collapse(collapsed)
+            if prof.enabled:
+                # a claim that completed nothing is the trigger's; every
+                # other claim collapsed one batch event
+                prof.on_macro_collapse(int(np.count_nonzero(done)))
+        self._idx = j
+        if j < n:
+            self._next_t = float(pf[_T, j])
+        else:
+            self._next_t = math.inf
+            if self._v_rem <= 0:
+                # the whole chain is committed: the final completions
+                # read their contexts next, so write them and free the
+                # plan
+                self._flush()
+                self._pf = self._pi = None
+
+    def _flush(self) -> None:
+        """Write the committed, unwritten claims into their contexts:
+        one write per context, from its last claim."""
+        f = self._flushed
+        i = self._idx
+        if f == i:
+            return
+        self._flushed = i
+        pf = self._pf
+        pi = self._pi
+        ctx = pi[_CTX, f:i]
+        uniq, rev = np.unique(ctx[::-1], return_index=True)
+        last = (i - 1) - rev
+        self._cur_complete[uniq] = pf[_TN, last]
+        self._claim_order[uniq] = self._base + last
+        ctxs = self._ctxs
+        for c, tasks, post, t, b in zip(
+            uniq.tolist(),
+            np.bincount(ctx, pi[_DONE, f:i])[uniq].tolist(),
+            pi[_POST, last].tolist(),
+            pf[_T, last].tolist(),
+            pi[_B, last].tolist(),
+        ):
+            cx = ctxs[c]
+            cx.tasks_done += int(tasks)
+            cx._since_poll = post
+            cx._batch_start = t
+            cx._batch_size = b
 
     # ------------------------------------------------------------------
     # dissolution
@@ -406,6 +550,7 @@ class MacroCohort:
         if self._dissolved:
             return
         self.sync(now)
+        self._flush()
         self._dissolved = True
         maybe_cancel(self._cont)
         self._cont = None
@@ -414,25 +559,27 @@ class MacroCohort:
                 g._macro = None
         if self.pool._cohort is self:
             self.pool._cohort = None
+        self._pf = self._pi = None
+        self._p_t = self._p_ctx = self._chain = None
+        self._next_t = math.inf
         sim = self.sim
-        cur_complete = self._cur_complete
-        claim_order = self._claim_order
+        ctxs = self._ctxs
+        cur_complete = self._cur_complete.tolist()
+        claim_order = self._claim_order.tolist()
         # A context whose chain reached exhaustion holds its *final*-
         # completion event; one still mid-plan (paused replay) holds
         # none. Replace/install a completion for each context's current
         # in-flight batch. Scheduling order decides event seq numbers,
         # and the reference loop assigns them at claim time — so
-        # reschedule in claim order, keeping same-instant completions
-        # firing exactly as they would there.
-        # a context placed after absorb (partially-placed grid: its
-        # start is what triggered this dissolve) was never absorbed and
-        # has no in-flight batch to reconstruct — skip it
-        live = [
-            c for g in self.grids for c in g.contexts if c in claim_order
-        ]
+        # reschedule in claim order (absorbed batches by engine seq,
+        # committed claims by their larger virtual order), keeping
+        # same-instant completions firing exactly as they would there.
+        # Contexts that already finished are skipped.
+        live = [c for c, ctx in enumerate(ctxs) if ctx in ctx.grid.contexts]
         live.sort(key=claim_order.__getitem__)
-        for ctx in live:
-            t = cur_complete[ctx]
+        for c in live:
+            ctx = ctxs[c]
+            t = cur_complete[c]
             maybe_cancel(ctx._completion)
             ctx._completion = sim.schedule_event(
                 t if t > now else now,

@@ -12,7 +12,7 @@ across both event-queue engines, and under fleet fault plans.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.device import small_test_gpu
@@ -164,12 +164,15 @@ def test_scenarios_are_deterministic_across_runs(name):
 
 
 # ---------------------------------------------------------------------------
-# property: fast-forward never skips a flag write the reference observes
+# properties: the macro loop matches the reference on generated grids
 # ---------------------------------------------------------------------------
-def _run_flagged_grid(use_reference, num_sms, slots, tasks, task_us, L,
-                      spatial, writes):
-    """One persistent grid driven through a host-write schedule; returns
-    everything externally observable."""
+def _run_grid(use_reference, num_sms, slots, tasks, task_us, L, writes, *,
+              spatial=True, jitter=0.0, persistent=True, spare=0,
+              top_up=None, seed=None):
+    """One grid (persistent or original) on a small GPU, driven through
+    a host-write schedule, with an optional top-up grid sharing its
+    pool; returns everything externally observable."""
+    capacity = num_sms * slots
     Simulator.use_reference_loop = use_reference
     prof = SimProfiler()
     try:
@@ -177,21 +180,47 @@ def _run_flagged_grid(use_reference, num_sms, slots, tasks, task_us, L,
             sim = Simulator()
             gpu = SimulatedGPU(sim, small_test_gpu(
                 num_sms=num_sms, max_ctas_per_sm=slots,
-            ))
-            kernel = KernelImage(
-                "K", ResourceUsage(threads_per_cta=64, regs_per_thread=8),
-                TaskModel(task_us), mode=KernelMode.PERSISTENT,
-                amortize_l=L, supports_spatial=spatial,
-            )
+            ), seed=seed)
+            # a bare device does not pick up the global profiler
+            gpu.prof = prof
+
+            def kernel(mode):
+                return KernelImage(
+                    "K", ResourceUsage(threads_per_cta=64, regs_per_thread=8),
+                    TaskModel(task_us, cta_jitter_frac=jitter), mode=mode,
+                    amortize_l=L,
+                    supports_spatial=spatial and mode is KernelMode.PERSISTENT,
+                )
+
             pool = TaskPool(tasks)
             flag = gpu.new_flag()
-            gpu.launch(
-                kernel,
-                LaunchConfig.persistent(tasks, num_sms * slots),
-                pool=pool, flag=flag,
-            )
-            for at, value in writes:
-                sim.schedule(at, lambda v=value: flag.host_write(v))
+            if persistent:
+                gpu.launch(
+                    kernel(KernelMode.PERSISTENT),
+                    LaunchConfig.persistent(tasks, max(1, capacity - spare)),
+                    pool=pool, flag=flag,
+                )
+                for at, value in writes:
+                    sim.schedule(at, lambda v=value: flag.host_write(v))
+            else:
+                gpu.launch(
+                    kernel(KernelMode.ORIGINAL), LaunchConfig.original(tasks),
+                    pool=pool,
+                )
+            if top_up is not None:
+                at, ctas, mode = top_up
+
+                def launch_top_up():
+                    # a resumed grid shares the pool, as runtime top-ups do
+                    if pool.remaining <= 0:
+                        return
+                    gpu.launch(
+                        kernel(mode), LaunchConfig(tasks, min(ctas, tasks)),
+                        pool=pool,
+                        flag=flag if mode is KernelMode.PERSISTENT else None,
+                    )
+
+                sim.schedule(at, launch_top_up)
             sim.run()
             end = sim.now
     finally:
@@ -234,9 +263,72 @@ def test_fast_forward_never_skips_a_flag_write(
     thresholds) the macro loop's wake-ups observe every poll boundary
     the reference loop does: yields land at the same instants, the same
     tasks complete, and the same number of flag polls is charged."""
-    args = (4, 2, tasks, task_us, L, spatial, writes)
-    fast = _run_flagged_grid(False, *args)
-    ref = _run_flagged_grid(True, *args)
+    args = (4, 2, tasks, task_us, L, writes)
+    fast = _run_grid(False, *args, spatial=spatial)
+    ref = _run_grid(True, *args, spatial=spatial)
+    assert fast == ref
+
+
+#: (SMs, CTA slots per SM): one lone context, a small grid, and a grid of
+#: 64 contexts whose replay windows span many claims
+_COHORT_SHAPES = {"lone": (1, 1), "small": (4, 2), "wide": (16, 4)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(_COHORT_SHAPES)),
+    tasks=st.integers(min_value=1, max_value=3_000),
+    task_us=st.floats(min_value=0.5, max_value=20.0,
+                      allow_nan=False, allow_infinity=False),
+    jitter=st.sampled_from([0.0, 0.3]),
+    L=st.integers(min_value=1, max_value=8),
+    persistent=st.booleans(),
+    spare=st.integers(min_value=0, max_value=8),
+    top_up=st.one_of(st.none(), st.tuples(
+        st.floats(min_value=0.0, max_value=1_500.0,
+                  allow_nan=False, allow_infinity=False),
+        st.integers(min_value=1, max_value=16),
+        st.sampled_from([KernelMode.PERSISTENT, KernelMode.ORIGINAL]),
+    )),
+    writes=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=3_000.0,
+                      allow_nan=False, allow_infinity=False),
+            st.integers(min_value=0, max_value=18),
+        ),
+        max_size=3,
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+# pinned shapes: a lone context's chain; 64 jittered contexts joined by a
+# persistent top-up (multi-grid cohort) or an original one (mixed grids,
+# per-grid sizes); host writes dissolving a cohort mid-plan; an original
+# grid joined by a persistent top-up
+@example("lone", 400, 3.0, 0.0, 4, True, 0, None, [], 1)
+@example("wide", 3000, 2.0, 0.3, 4, True, 8,
+         (10.0, 8, KernelMode.PERSISTENT), [], 7)
+@example("wide", 3000, 2.0, 0.3, 4, True, 8,
+         (10.0, 8, KernelMode.ORIGINAL), [], 7)
+@example("small", 2000, 2.0, 0.0, 3, True, 0, None,
+         [(300.0, 2), (600.0, 0)], 3)
+@example("wide", 3000, 5.0, 0.3, 4, False, 0,
+         (10.0, 16, KernelMode.PERSISTENT), [], 3)
+def test_windowed_replay_matches_reference_on_cohort_shapes(
+    shape, tasks, task_us, jitter, L, persistent, spare, top_up, writes,
+    seed,
+):
+    """The macro loop's windowed replay — a lone context's one-entry
+    windows, multi-claim windows over 64 contexts, per-context task times
+    (seeded jitter), non-persistent grids, multi-grid cohorts over a
+    shared pool (top-ups, mixed persistent/original) and host writes
+    that dissolve a cohort mid-plan — is bit-identical to the per-batch
+    reference loop: intervals, hash, pool counters, pulls and polls."""
+    num_sms, slots = _COHORT_SHAPES[shape]
+    args = (num_sms, slots, tasks, task_us, L, writes)
+    kwargs = dict(jitter=jitter, persistent=persistent, spare=spare,
+                  top_up=top_up, seed=seed)
+    fast = _run_grid(False, *args, **kwargs)
+    ref = _run_grid(True, *args, **kwargs)
     assert fast == ref
 
 

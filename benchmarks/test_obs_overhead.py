@@ -1,23 +1,20 @@
 """Observability overhead: the disabled (null-recorder) hot path.
 
-The instrumentation contract is that an unobserved system pays only a
-guard check (``if self.obs.enabled:``) per hook site. This bench times
-the guard directly, counts how often the hot sites actually fire in a
-representative co-run, and asserts the extrapolated guard cost stays
-under 5 % of the co-run's wall time. A second bench records the cost of
-running fully observed, for the report.
-
-The same contract holds for the self-profiler (``prof.enabled`` guards,
-see :mod:`repro.obs.profiler`): uninstalled runs pay ~0 % (one attribute
-check per site), and an installed-but-live profiler's plain-int hooks
-stay under 5 % of the co-run's wall time.
+The instrumentation contract is that an unobserved system pays only one
+guard check (``if obs.enabled:``) per hook site: the simulator event
+loop, SM admit/release, the CTA batch completion and the macro cohort
+sync each check exactly one hub. This bench times the guard directly,
+counts how often the hot sites actually fire in a representative
+co-run, and asserts the extrapolated guard cost stays under 2 % of the
+co-run's wall time. A second bench records the cost of running fully
+observed, for the report.
 """
 
 import time
 import timeit
 
 from repro.core.flep import FlepSystem
-from repro.obs import NULL_OBS, NULL_PROFILER, SimProfiler
+from repro.obs import NULL_OBS
 from repro.runtime.engine import RuntimeConfig
 
 
@@ -60,20 +57,23 @@ def _guarded_sites_fired(system) -> float:
     )
 
 
-def test_null_recorder_overhead_under_5_percent(benchmark):
-    # wall time of the scenario on the default (null-recorder) path
+def test_null_hub_guard_overhead_under_2_percent(benchmark):
+    """No hub installed: the extrapolated cost of the one guard per hot
+    site must stay under 2 % of the co-run (the true figure is ~0.5 %;
+    the timeit'd guard cost inflates on a loaded machine)."""
     benchmark.pedantic(_run_pair, rounds=3, iterations=1, warmup_rounds=1)
     t0 = time.perf_counter()
-    _run_pair()
+    system = _run_pair()
     null_wall_us = (time.perf_counter() - t0) * 1e6
+    assert system.obs is NULL_OBS and system.gpu.prof is NULL_OBS
 
     observed = _run_pair(observability=True)
     sites = _guarded_sites_fired(observed)
     guard_total_us = sites * _guard_cost_us()
 
     overhead = guard_total_us / null_wall_us
-    assert overhead < 0.05, (
-        f"null-recorder guards cost {guard_total_us:.0f}us over {sites:.0f} "
+    assert overhead < 0.02, (
+        f"null-hub guards cost {guard_total_us:.0f}us over {sites:.0f} "
         f"sites = {overhead:.2%} of the {null_wall_us:.0f}us co-run"
     )
 
@@ -86,100 +86,4 @@ def test_observed_run_records_everything(benchmark):
     assert system.obs.m_finished.total == 2
     assert system.obs.m_preempt_done.value(kind="temporal") == 1
     assert not system.obs.tracer.open_spans()
-
-
-# ---------------------------------------------------------------------------
-# self-profiler (repro.obs.profiler) overhead
-# ---------------------------------------------------------------------------
-def _prof_guard_cost_us() -> float:
-    """Measured cost of one ``prof.enabled`` guard check (µs)."""
-
-    class HotObject:
-        prof = NULL_PROFILER
-
-    hot = HotObject()
-    n = 200_000
-    total_s = timeit.timeit(lambda: hot.prof.enabled, number=n)
-    return total_s / n * 1e6
-
-
-def _prof_sites_fired(prof) -> float:
-    """Guard evaluations on the uninstalled path, counted from a
-    profiled run of the same scenario: one per simulator event, one per
-    completed batch (task-pull + flag-poll feed), two per CTA admission
-    (admit + release), plus the engine's preemption hooks."""
-    batches = prof.events_by_kind.get("batch", 0)
-    preempts = sum(prof.preempt_requested.values())
-    return (
-        prof.events_total
-        + batches
-        + 2 * prof.cta_admissions
-        + 2 * preempts
-        + 20  # launch / drain / top-up hooks, generously
-    )
-
-
-def test_uninstalled_profiler_overhead_is_negligible(benchmark):
-    """No profiler installed: the extrapolated guard cost must be ~0 %.
-    We assert <2 % — well under the 5 % obs budget; the true figure is
-    ~0.5 %, but the timeit'd guard cost inflates on a loaded machine."""
-    benchmark.pedantic(_run_pair, rounds=3, iterations=1, warmup_rounds=1)
-    t0 = time.perf_counter()
-    system = _run_pair()
-    null_wall_us = (time.perf_counter() - t0) * 1e6
-    assert system.prof is NULL_PROFILER
-
-    profiled_run = _run_pair(profiler=SimProfiler())
-    sites = _prof_sites_fired(profiled_run.prof)
-    guard_total_us = sites * _prof_guard_cost_us()
-
-    overhead = guard_total_us / null_wall_us
-    assert overhead < 0.02, (
-        f"uninstalled-profiler guards cost {guard_total_us:.0f}us over "
-        f"{sites:.0f} sites = {overhead:.2%} of the {null_wall_us:.0f}us "
-        f"co-run"
-    )
-
-
-def test_installed_profiler_overhead_under_5_percent(benchmark):
-    """A live profiler's counters are plain ints/dicts. Same methodology
-    as the null-recorder bench (wall-clock diffs of a ~60 ms co-run are
-    noisier than the budget on shared CI): time each hook directly,
-    multiply by how often it fired in the canonical co-run, and assert
-    the extrapolated hook cost stays under 5 % of the bare wall time."""
-    benchmark.pedantic(
-        lambda: _run_pair(profiler=SimProfiler()),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    t0 = time.perf_counter()
-    _run_pair()
-    bare_wall_us = (time.perf_counter() - t0) * 1e6
-
-    run = _run_pair(profiler=SimProfiler())
-    p = run.prof
-    assert p.events_total > 0
-    assert p.task_pulls > 0
-    assert p.latency["temporal"].count == 1
-
-    hot = SimProfiler()
-    n = 100_000
-    ev_us = timeit.timeit(
-        lambda: hot.on_event("k/ctx0/batch", 5), number=n
-    ) / n * 1e6
-    batch_us = timeit.timeit(lambda: hot.on_batch(64, 1), number=n) / n * 1e6
-    sm_us = timeit.timeit(lambda: hot.on_sm_admit(3, 4), number=n) / n * 1e6
-
-    batches = p.events_by_kind.get("batch", 0)
-    hook_total_us = (
-        p.events_total * ev_us
-        + batches * batch_us
-        + 2 * p.cta_admissions * sm_us
-    )
-    overhead = hook_total_us / bare_wall_us
-    assert overhead < 0.05, (
-        f"installed-profiler hooks cost {hook_total_us:.0f}us "
-        f"(event={ev_us:.3f}us x{p.events_total}, "
-        f"batch={batch_us:.3f}us x{batches}, sm={sm_us:.3f}us "
-        f"x{2 * p.cta_admissions}) = {overhead:.2%} of the "
-        f"{bare_wall_us:.0f}us co-run"
-    )
+    assert system.obs.task_pulls > 0 and system.obs.sm_samples

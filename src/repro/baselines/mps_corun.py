@@ -15,11 +15,11 @@ from typing import Callable, Dict, List, Optional
 from ..errors import ExperimentError
 from ..gpu.device import GPUDeviceSpec, tesla_k40
 from ..gpu.gpu import SimulatedGPU
-from ..obs.profiler import get_global_profiler
 from ..gpu.grid import Grid
 from ..gpu.kernel import LaunchConfig
 from ..gpu.mps import MPSServer
 from ..gpu.sim import Simulator
+from ..obs.recorder import get_global
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 
 
@@ -71,17 +71,17 @@ class MPSCoRun:
         suite: Optional[BenchmarkSuite] = None,
         seed: Optional[int] = None,
         with_jitter: bool = False,
-        queue: str = "heap",
     ):
         self.device = device or tesla_k40()
         self.suite = suite or standard_suite(self.device)
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
-        prof = get_global_profiler()
-        if prof is not None and prof.enabled:
-            prof.attach(self.sim)
-            self.sim.prof = prof
-            self.gpu.prof = prof
+        # a process-global hub observes baseline co-runs too
+        hub = get_global()
+        if hub is not None and hub.enabled:
+            hub.bind_clock(lambda: self.sim.now)
+            self.sim.obs = hub
+            self.gpu.obs = hub
         self.mps = MPSServer(self.gpu)
         self.with_jitter = with_jitter
         self._streams: Dict[str, object] = {}

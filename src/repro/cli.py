@@ -37,8 +37,8 @@ def _cmd_run(args) -> int:
     import json
 
     from .experiments import EXPERIMENTS
+    from .gpu.sim import EngineWindow
     from .gpu.trace import collected_schedule_hashes, combined_schedule_hash
-    from .obs import SimProfiler, profiled
 
     names: List[str] = args.experiments
     if names == ["all"]:
@@ -51,10 +51,9 @@ def _cmd_run(args) -> int:
     as_json = []
     for name in names:
         started = time.time()
-        prof = SimProfiler()
-        with collected_schedule_hashes() as scheds, profiled(prof):
+        with collected_schedule_hashes() as scheds, EngineWindow() as window:
             report = EXPERIMENTS[name].run()
-        engine = prof.engine_block()
+        engine = window.engine_block()
         if args.json:
             as_json.append({
                 **report.as_dict(),
@@ -101,7 +100,6 @@ def _cmd_trace(args) -> int:
 
     system = FlepSystem(
         policy=args.policy, trace=True, observability=bool(args.export),
-        profiler=bool(args.export),
     )
     system.submit_at(0.0, f"low_{args.low}", args.low, "large", priority=0)
     system.submit_at(
@@ -109,7 +107,7 @@ def _cmd_trace(args) -> int:
     )
     result = system.run()
     if args.export:
-        n = system.prof.export_to_tracer(system.obs.tracer)
+        n = system.obs.export_to_tracer(system.obs.tracer)
         print(f"[profiler: {n} queue/SM/stall records added to the trace]",
               file=sys.stderr)
         system.obs.tracer.write_chrome_trace(args.export)
@@ -121,7 +119,7 @@ def _cmd_trace(args) -> int:
     print("=== SM timeline (ASCII Gantt) ===")
     bucket = max(50.0, result.makespan_us / 120.0)
     print(system.timeline.render_ascii(
-        system.device.num_sms, bucket_us=bucket
+        system.device.num_sms, window_us=bucket
     ))
     print()
     for inv in result.invocations:
@@ -136,7 +134,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .experiments import EXPERIMENTS
-    from .obs import SimProfiler, observed, profiled
+    from .gpu.sim import EngineWindow
+    from .obs import observed
 
     names: List[str] = args.experiments or ["fig8"]
     if names == ["all"]:
@@ -146,8 +145,7 @@ def _cmd_stats(args) -> int:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         print(f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    prof = SimProfiler()
-    with observed() as hub, profiled(prof):
+    with observed() as hub, EngineWindow() as window:
         for name in names:
             started = time.time()
             EXPERIMENTS[name].run()
@@ -158,7 +156,7 @@ def _cmd_stats(args) -> int:
     else:
         text = hub.metrics.format_summary()
     if args.profile:
-        text += "\n\n" + prof.format_summary()
+        text += "\n\n" + hub.format_profile(window)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -171,8 +169,9 @@ def _cmd_stats(args) -> int:
 def _cmd_serve(args) -> int:
     import json as _json
 
+    from .gpu.sim import EngineWindow
     from .gpu.trace import collected_schedule_hashes, combined_schedule_hash
-    from .obs import Observability, SimProfiler, profiled
+    from .obs import Observability
     from .serving import (
         PoissonLoadGen,
         ServingConfig,
@@ -195,8 +194,7 @@ def _cmd_serve(args) -> int:
                 rate_limit_rps=args.rate_limit,
             ),
         ])
-        prof = SimProfiler()
-        with collected_schedule_hashes() as scheds, profiled(prof):
+        with collected_schedule_hashes() as scheds, EngineWindow() as window:
             server = ServingSystem(
                 tenants,
                 ServingConfig(
@@ -219,7 +217,7 @@ def _cmd_serve(args) -> int:
         if args.json:
             as_json.append({
                 "mode": mode, **report.as_dict(),
-                "engine": prof.engine_block(),
+                "engine": window.engine_block(),
                 "schedule_hash": combined_schedule_hash(
                     [s.hexdigest for s in scheds]
                 ),
@@ -303,7 +301,6 @@ def _cmd_fleet(args) -> int:
                 steal_interval_us=args.steal_interval,
                 steal_threshold_us=args.steal_threshold,
                 faults=faults,
-                queue=args.queue,
             ),
         )
         bundle = install_monitors(fleet, require_complete=True)
@@ -337,7 +334,6 @@ def _cmd_fleet(args) -> int:
                 "duration_ms": args.duration,
                 "seed": args.seed,
                 "steal": not args.no_steal,
-                "queue": args.queue,
                 "faults": faults.describe() if faults else None,
                 "fault_seed": args.fault_seed,
             },
@@ -386,11 +382,17 @@ def _cmd_bench(args) -> int:
     cmp = compare_reports(old, new, threshold=args.threshold)
     print()
     print(cmp.format())
-    if args.fail_on_drift and cmp.drifts:
+    if args.fail_on_drift and (cmp.drifts or cmp.unhashed):
         # schedule-hash drift is deterministic (never runner noise), so
-        # it hard-fails even under --warn-only
-        names = ", ".join(r["scenario"] for r in cmp.drifts)
-        print(f"schedule-hash drift in: {names}", file=sys.stderr)
+        # it hard-fails even under --warn-only; so does a baseline that
+        # leaves a schedule unchecked
+        if cmp.drifts:
+            names = ", ".join(r["scenario"] for r in cmp.drifts)
+            print(f"schedule-hash drift in: {names}", file=sys.stderr)
+        if cmp.unhashed:
+            names = ", ".join(r["scenario"] for r in cmp.unhashed)
+            print(f"no baseline schedule hash for: {names}",
+                  file=sys.stderr)
         return 3
     if not cmp.ok and not args.warn_only:
         return 3
@@ -534,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--fail-on-drift", action="store_true",
                          help="exit 3 when any scenario's schedule_hash "
                               "differs from the baseline's (a kernel-level "
-                              "timeline change), even with --warn-only")
+                              "timeline change) or the baseline has none, "
+                              "even with --warn-only")
     bench_p.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of a table")
     bench_p.set_defaults(fn=_cmd_bench)
@@ -631,10 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument("--fault-seed", type=int, default=None,
                          help="derive a random (but reproducible) fault "
                               "plan from this seed instead of --faults")
-    fleet_p.add_argument("--queue", default="heap",
-                         choices=["heap", "calendar"],
-                         help="event-queue engine for every node's "
-                              "simulator (default heap)")
     fleet_p.add_argument("--json", action="store_true",
                          help="emit the flep-fleet/1 JSON rollup")
     fleet_p.set_defaults(fn=_cmd_fleet)

@@ -22,7 +22,6 @@ from ..gpu.device import GPUDeviceSpec, tesla_k40
 from ..gpu.gpu import SimulatedGPU
 from ..gpu.host import HostProgram
 from ..gpu.sim import Simulator
-from ..obs.profiler import NULL_PROFILER, SimProfiler, get_global_profiler
 from ..obs.recorder import NULL_OBS, Observability, get_global
 from ..runtime.engine import FlepRuntime, KernelInvocation, RuntimeConfig
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
@@ -69,12 +68,10 @@ class FlepSystem:
         seed: Optional[int] = None,
         trace: bool = False,
         observability: Union[bool, Observability, None] = None,
-        profiler: Union[bool, SimProfiler, None] = None,
-        queue: str = "heap",
     ):
         self.device = device or tesla_k40()
         self.suite = suite or standard_suite(self.device)
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
         self.timeline = None
         if trace:
@@ -95,18 +92,6 @@ class FlepSystem:
             self.obs.bind_clock(lambda: self.sim.now)
             self.sim.obs = self.obs
             self.gpu.obs = self.obs
-        # Self-profiler: same resolution order as the obs hub — explicit
-        # instance > ``True`` (fresh) > process-global > null.
-        if isinstance(profiler, SimProfiler):
-            self.prof = profiler if profiler.enabled else NULL_PROFILER
-        elif profiler:
-            self.prof = SimProfiler()
-        else:
-            self.prof = get_global_profiler() or NULL_PROFILER
-        if self.prof.enabled:
-            self.prof.attach(self.sim)
-            self.sim.prof = self.prof
-            self.gpu.prof = self.prof
         if isinstance(policy, str):
             if policy not in POLICIES:
                 raise RuntimeEngineError(
@@ -116,7 +101,6 @@ class FlepSystem:
         self.policy = policy
         self.runtime = FlepRuntime(
             self.sim, self.gpu, self.suite, policy, config, obs=self.obs,
-            prof=self.prof,
         )
         self.processes: List[InterceptedProcess] = []
 

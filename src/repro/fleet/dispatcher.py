@@ -101,9 +101,6 @@ class FleetConfig:
     max_steals_per_tick: int = 2
     #: Injected faults (``None``/empty plan = every node is immortal).
     faults: Optional[FaultPlan] = None
-    #: Event-queue engine of every node's simulator
-    #: (``heap`` | ``calendar``) — rollups are engine-independent.
-    queue: str = "heap"
 
     def __post_init__(self):
         if not self.node_modes:
@@ -292,7 +289,6 @@ class FleetSystem:
                     oracle_model=self.config.oracle_model,
                     seed=(seed + i) if seed is not None else None,
                     max_inflight=self.config.max_inflight,
-                    queue=self.config.queue,
                 ),
                 tracker=self.tracker,
                 device=node_devices[i],

@@ -84,9 +84,6 @@ class NodeConfig:
     #: for requests that outrank everything in flight (preemptive
     #: dispatch — see ``_pump``).
     max_inflight: int = 4
-    #: Event-queue engine of the node's private simulator
-    #: (``heap`` | ``calendar``) — schedules are engine-independent.
-    queue: str = "heap"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -205,7 +202,7 @@ class FleetNode:
         if mode == "mps":
             self.backend = MPSCoRun(
                 device=self.device, suite=self.suite,
-                seed=self.config.seed, queue=self.config.queue,
+                seed=self.config.seed,
             )
             self.system: Optional[FlepSystem] = None
         else:
@@ -218,7 +215,6 @@ class FleetNode:
                     oracle_model=self.config.oracle_model,
                 ),
                 seed=self.config.seed,
-                queue=self.config.queue,
             )
             self.backend = self.system
         self.sim = self.backend.sim

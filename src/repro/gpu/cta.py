@@ -36,7 +36,6 @@ import math
 from typing import Optional, TYPE_CHECKING
 
 from ..errors import SchedulingError, SimulationError
-from ..obs.profiler import NULL_PROFILER
 from ..obs.recorder import NULL_OBS
 from .events import Event, maybe_cancel
 from .kernel import KernelMode
@@ -62,7 +61,7 @@ class CTAContext:
 
     __slots__ = (
         "grid", "ctx_id", "sm", "state", "tasks_done", "started_at",
-        "ended_at", "_obs", "_prof", "task_mult", "_is_persistent",
+        "ended_at", "_obs", "task_mult", "_is_persistent",
         "_task_time", "_per_task", "_poll_cost", "_amortize", "_spatial",
         "_batch_label", "_yield_label", "_plan_cache", "_batch_start",
         "_batch_size", "_completion", "_yield_event", "_started",
@@ -77,13 +76,12 @@ class CTAContext:
         self.tasks_done = 0
         self.started_at = grid.sim.now
         self.ended_at: Optional[float] = None
-        # Instrumentation handles, cached as plain attributes: the batch
-        # loop is the simulator's hottest path and must not pay property
-        # getters per batch. Hubs/profilers are installed on the device
-        # before launch, so context-creation-time capture is safe.
+        # Counting-hook sink, cached as a plain attribute: the batch loop
+        # is the simulator's hottest path and must not pay a property
+        # getter per batch. Hubs are installed on the device before
+        # launch, so context-creation-time capture is safe.
         device = grid.device
-        self._obs = device.obs if device is not None else NULL_OBS
-        self._prof = device.prof if device is not None else NULL_PROFILER
+        self._obs = device.prof if device is not None else NULL_OBS
         # Per-batch constants, frozen once (kernel/cost model/multiplier
         # are immutable for the context's lifetime).
         kernel = grid.kernel
@@ -266,18 +264,13 @@ class CTAContext:
             since = self._since_poll
             L = self._amortize
             obs = self._obs
-            prof = self._prof
-            if obs.enabled or prof.enabled:
+            if obs.enabled:
                 # charged at batch granularity so the instrumented hot
                 # path stays O(batches), not O(tasks); polls inlined
                 # from _polls_in_batch
                 first = (L - since) % L
                 polls = 0 if first >= batch else 1 + (batch - 1 - first) // L
-                if obs.enabled:
-                    obs.tasks_pulled(batch)
-                    obs.flag_polled(polls)
-                if prof.enabled:
-                    prof.on_batch(batch, polls)
+                obs.on_batch(batch, polls)
             self._since_poll = (since + batch) % L
         self._batch_size = 0
         self._begin_next_batch()
@@ -415,19 +408,14 @@ class CTAContext:
         self._yield_event = None
         pool = self.grid.pool
         obs = self._obs
-        prof = self._prof
-        if obs.enabled or prof.enabled:
+        if obs.enabled:
             # the polls performed up to (and including) the yielding poll
             polled = 1
             if self._batch_size:
                 polled += self._polls_in_batch(
                     min(finished_in_batch, self._batch_size)
                 )
-            if obs.enabled:
-                obs.flag_polled(polled)
-                obs.tasks_pulled(finished_in_batch)
-            if prof.enabled:
-                prof.on_batch(finished_in_batch, polled)
+            obs.on_batch(finished_in_batch, polled)
         if self._batch_size:
             if finished_in_batch > self._batch_size:
                 raise SimulationError("yield finished more tasks than batch")

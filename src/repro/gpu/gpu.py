@@ -15,7 +15,6 @@ import random
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError
-from ..obs.profiler import NULL_PROFILER, SimProfiler
 from ..obs.recorder import NULL_OBS, Observability
 from .device import GPUDeviceSpec, tesla_k40
 from .grid import Grid, GridState
@@ -57,29 +56,34 @@ class SimulatedGPU:
         self.sched = ScheduleHash()
         _maybe_collect_sched(self.sched)
         self._obs: Observability = NULL_OBS
-        self._prof: SimProfiler = NULL_PROFILER
+        self._prof = NULL_OBS
 
     @property
     def obs(self) -> Observability:
-        """Observability recorder; assigning one propagates to the SMs."""
+        """Observability hub; assigning one also makes it :attr:`prof`."""
         return self._obs
 
     @obs.setter
     def obs(self, hub: Observability) -> None:
         self._obs = hub
-        for sm in self.sms:
-            sm.obs = hub
+        self.prof = hub
 
     @property
-    def prof(self) -> SimProfiler:
-        """Self-profiler; assigning one propagates to the SMs."""
+    def prof(self):
+        """Where the device's hot counting hooks go — ``on_batch``,
+        ``on_macro_collapse``, ``on_sm_admit`` and ``on_sm_release``,
+        called by SMs, CTA contexts and macro cohorts behind one
+        ``enabled`` guard. The hub by default; any object with those
+        four methods and an ``enabled`` flag can count them alone.
+        Assigning one propagates to the SMs; contexts and cohorts read it
+        when they are created."""
         return self._prof
 
     @prof.setter
-    def prof(self, prof: SimProfiler) -> None:
-        self._prof = prof
+    def prof(self, sink) -> None:
+        self._prof = sink
         for sm in self.sms:
-            sm.prof = prof
+            sm.obs = sink
 
     # ------------------------------------------------------------------
     # public API

@@ -124,7 +124,7 @@ class MacroCohort:
 
     __slots__ = (
         "grids", "pool", "sim", "_dissolved", "_v_rem", "_chunk",
-        "_cont", "_ctxs", "_obs", "_prof", "_L", "_poll_cost", "_per_task",
+        "_cont", "_ctxs", "_obs", "_L", "_poll_cost", "_per_task",
         "_pers", "_uniform", "_width2", "_L_grid", "_chain", "_cpos",
         "_crem", "_since", "_batch", "_p_t", "_p_ctx", "_pf", "_pi", "_n",
         "_idx", "_flushed", "_base", "_next_t", "_cur_complete",
@@ -173,7 +173,6 @@ class MacroCohort:
         """
         pool = grid.pool
         obs = trigger._obs
-        prof = trigger._prof
         grids = []
         ctxs = []
         per_grid = []
@@ -206,8 +205,8 @@ class MacroCohort:
         # this instant has a larger seq (smaller ones already fired)
         evs = [c._completion for c in ctxs]
         if trigger._completion is not None or evs.count(None) != 1 or any(
-            c._yield_event is not None or c._obs is not obs
-            or c._prof is not prof  # sync charges one obs/prof pair
+            c._yield_event is not None
+            or c._obs is not obs  # sync charges one hook sink
             for c in ctxs
         ):
             return False
@@ -221,7 +220,6 @@ class MacroCohort:
         rep = np.repeat
         cohort = cls(grid, grids, ctxs)
         cohort._obs = obs
-        cohort._prof = prof
         cohort._since = np.array([c._since_poll for c in ctxs], np.int64)
         cohort._batch = np.array([c._batch_size for c in ctxs], np.int64)
         cohort._per_task = np.array([c._per_task for c in ctxs])
@@ -457,7 +455,7 @@ class MacroCohort:
         j = i + int(np.searchsorted(pf[_T, i:n], now, "right"))
         done = pi[_DONE, i:j]
         # every counter below is purely additive (TaskPool.finish/take,
-        # the Observability counters, SimProfiler.on_batch), so charging
+        # the hub's on_batch counters), so charging
         # the sums once is exactly equal to the reference loop's
         # per-batch charges
         sum_b = int(pi[_B, i:j].sum())
@@ -467,8 +465,7 @@ class MacroCohort:
         pool._outstanding += sum_b - sum_done
         pool._done += sum_done
         obs = self._obs
-        prof = self._prof
-        if sum_done and (obs.enabled or prof.enabled):
+        if sum_done and obs.enabled:
             # polls from the offset before each completed batch. Non-
             # persistent batches charge pool accounting only, like the
             # reference loop.
@@ -484,15 +481,10 @@ class MacroCohort:
             chg_done = int(pulls.sum())
             chg_polls = int(polls.sum())
             if chg_done or chg_polls:
-                if obs.enabled:
-                    obs.tasks_pulled(chg_done)
-                    obs.flag_polled(chg_polls)
-                if prof.enabled:
-                    prof.on_batch(chg_done, chg_polls)
-            if prof.enabled:
-                # a claim that completed nothing is the trigger's; every
-                # other claim collapsed one batch event
-                prof.on_macro_collapse(int(np.count_nonzero(done)))
+                obs.on_batch(chg_done, chg_polls)
+            # a claim that completed nothing is the trigger's; every
+            # other claim collapsed one batch event
+            obs.on_macro_collapse(int(np.count_nonzero(done)))
         self._idx = j
         if j < n:
             self._next_t = float(pf[_T, j])

@@ -1,8 +1,7 @@
 """Discrete-event simulation engine.
 
-A thin, deterministic event loop over a binary heap (or, optionally, a
-bucketed calendar queue — see :mod:`repro.gpu.calendar`). The engine is
-the single owner of simulated time; all GPU/host components schedule
+A thin, deterministic event loop over one binary heap. The engine is the
+single owner of simulated time; all GPU/host components schedule
 callbacks through it. Determinism matters because the experiment harness
 averages repeated runs that differ only by seeded RNG noise.
 
@@ -13,15 +12,20 @@ behind a single ``_hooked`` flag, and direct clock/counter stores
 instead of property and method calls. The semantically-equivalent
 reference loop (``use_reference_loop``) is kept for differential
 testing against the fast path.
+
+:class:`EngineWindow` is how reports read the engine: every simulator
+built inside the window is collected, and the run-summary ``engine``
+block (events, peak queue depth, simulated time) comes from their own
+:class:`EventLoopStats` plus the window's wall clock — no per-event hook.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import SimulationError
-from ..obs.profiler import NULL_PROFILER
 from ..obs.recorder import NULL_OBS
 from .clock import Clock
 from .events import Event, EventHandle
@@ -34,9 +38,9 @@ class EventLoopStats:
 
     A single instance per :class:`Simulator` is the shared source of
     truth for event accounting: the ``max_events`` exhaustion check, the
-    ``processed_events`` property, and the self-profiler
-    (:class:`repro.obs.profiler.SimProfiler`) all read the same fields,
-    so there is no double bookkeeping between diagnostics and profiling.
+    ``processed_events`` property, and the run-summary ``engine`` block
+    (:class:`EngineWindow`) all read the same fields, so there is no
+    double bookkeeping between diagnostics and reporting.
     """
 
     __slots__ = ("processed", "scheduled", "cancelled", "peak_pending")
@@ -58,13 +62,7 @@ class EventLoopStats:
 
 
 class Simulator:
-    """Deterministic discrete-event engine (time unit: microseconds).
-
-    ``queue`` selects the event-queue structure: ``"heap"`` (default,
-    one binary heap) or ``"calendar"`` (bucketed calendar queue, for
-    high-fanout scenarios with many far-future events). Both produce
-    bit-identical schedules; only wall-clock behaviour differs.
-    """
+    """Deterministic discrete-event engine (time unit: microseconds)."""
 
     #: When True, ``run()`` uses the step-by-step reference loop instead
     #: of the inlined fast path. The schedule-identity tests flip this to
@@ -85,29 +83,14 @@ class Simulator:
         self,
         start_time: float = 0.0,
         max_events: int = 50_000_000,
-        queue: str = "heap",
-        bucket_us: Optional[float] = None,
     ):
         self.clock = Clock(start_time)
+        self.start_time = self.clock._now
         #: heap of ``(time, priority, seq, Event)`` entries. The seq is
         #: unique per engine, so ties never reach the Event field and
         #: every comparison is a C-level tuple compare — no Python
         #: ``__lt__`` frames on the hot path.
         self._heap: List[tuple] = []
-        if queue == "heap":
-            if bucket_us is not None:
-                raise SimulationError("bucket_us only applies to queue='calendar'")
-            self._cal = None
-        elif queue == "calendar":
-            from .calendar import CalendarQueue
-
-            self._cal = (
-                CalendarQueue() if bucket_us is None else CalendarQueue(bucket_us)
-            )
-        else:
-            raise SimulationError(
-                f"unknown queue kind {queue!r} (have 'heap', 'calendar')"
-            )
         self._seq = 0
         #: cancelled-but-not-yet-popped events still in the queue; makes
         #: ``pending()`` O(1) (maintained by Event.cancel via ``_q``)
@@ -119,14 +102,13 @@ class Simulator:
         #: observability recorder (repro.obs); the shared null recorder
         #: keeps the per-event cost to one flag check when disabled
         self._obs = NULL_OBS
-        #: hot-path self-profiler (repro.obs.profiler); same null/guard
-        #: pattern as ``obs``
-        self._prof = NULL_PROFILER
         #: single is-anything-installed flag the run loop branches on;
-        #: refreshed whenever trace/obs/prof are (un)installed
+        #: refreshed whenever trace/obs are (un)installed
         self._hooked = _GLOBAL_TRACE is not None
         if _GLOBAL_TRACE is not None:
             self._trace = _GLOBAL_TRACE
+        if _COLLECT_SIMS is not None:
+            _COLLECT_SIMS.append(self)
 
     # ------------------------------------------------------------------
     # instrumentation wiring (rare: assignment refreshes the hot flag)
@@ -140,26 +122,13 @@ class Simulator:
         self._obs = hub
         self._refresh_hooked()
 
-    @property
-    def prof(self):
-        return self._prof
-
-    @prof.setter
-    def prof(self, prof) -> None:
-        self._prof = prof
-        self._refresh_hooked()
-
     def set_trace(self, fn: Optional[Callable[[Event], None]]) -> None:
         """Install a hook called with each event just before it fires."""
         self._trace = fn
         self._refresh_hooked()
 
     def _refresh_hooked(self) -> None:
-        self._hooked = (
-            self._trace is not None
-            or self._obs.enabled
-            or self._prof.enabled
-        )
+        self._hooked = self._trace is not None or self._obs.enabled
 
     # ------------------------------------------------------------------
     # scheduling API
@@ -234,13 +203,9 @@ class Simulator:
         ev.label = label
         ev.cancelled = False
         ev._q = self
-        cal = self._cal
-        if cal is None:
-            heapq.heappush(self._heap, (time, priority, seq, ev))
-            depth = len(self._heap)
-        else:
-            cal.push(time, priority, seq, ev)
-            depth = len(cal)
+        heap = self._heap
+        heapq.heappush(heap, (time, priority, seq, ev))
+        depth = len(heap)
         st = self.stats
         st.scheduled += 1
         if depth > st.peak_pending:
@@ -260,15 +225,13 @@ class Simulator:
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events. O(1): queue
         length minus the incrementally-maintained dead-event count."""
-        cal = self._cal
-        depth = len(self._heap) if cal is None else len(cal)
-        return depth - self._dead
+        return len(self._heap) - self._dead
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is idle."""
         self._drop_cancelled_head()
-        ev = self._peek_ev()
-        return ev.time if ev is not None else None
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Execute the next live event. Returns ``False`` when idle.
@@ -278,9 +241,10 @@ class Simulator:
         single-stepping and differential tests.
         """
         self._drop_cancelled_head()
-        ev = self._pop_ev()
-        if ev is None:
+        heap = self._heap
+        if not heap:
             return False
+        ev = heapq.heappop(heap)[3]
         ev._q = None
         self.clock.advance_to(ev.time)
         st = self.stats
@@ -301,7 +265,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if self._cal is not None or self.use_reference_loop:
+        if self.use_reference_loop:
             return self._run_reference(until)
         self._running = True
         # Fast path: locals for everything touched per iteration, one
@@ -316,7 +280,7 @@ class Simulator:
         max_events = self._max_events
         limit = float("inf") if until is None else until
         # processed count kept in a local; everything that reads it
-        # (profiler engine block, harness, diagnostics) runs after the
+        # (engine block, harness, diagnostics) runs after the
         # loop exits, and the finally below syncs it even on raise
         processed = st.processed
         try:
@@ -348,10 +312,7 @@ class Simulator:
                         trace(ev)
                     obs = self._obs
                     if obs.enabled:
-                        obs.sim_event(ev.label)
-                    prof = self._prof
-                    if prof.enabled:
-                        prof.on_event(ev.label, len(heap))
+                        obs.on_event(ev.label, len(heap))
                 ev.callback()
         finally:
             st.processed = processed
@@ -359,9 +320,9 @@ class Simulator:
         return clock._now
 
     def _run_reference(self, until: Optional[float]) -> float:
-        """Step-by-step loop: one peek + one step per event. Used for the
-        calendar queue and as the differential reference for the fast
-        heap loop (``use_reference_loop``)."""
+        """Step-by-step loop: one peek + one step per event; the
+        differential reference for the fast loop
+        (``use_reference_loop``)."""
         self._running = True
         try:
             while True:
@@ -384,44 +345,19 @@ class Simulator:
         if self._trace is not None:
             self._trace(ev)
         if self._obs.enabled:
-            self._obs.sim_event(ev.label)
-        if self._prof.enabled:
-            depth = len(self._heap) if self._cal is None else len(self._cal)
-            self._prof.on_event(ev.label, depth)
-
-    def _peek_ev(self) -> Optional[Event]:
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            return heap[0][3] if heap else None
-        return cal.peek()
-
-    def _pop_ev(self) -> Optional[Event]:
-        cal = self._cal
-        if cal is None:
-            heap = self._heap
-            return heapq.heappop(heap)[3] if heap else None
-        return cal.pop() if len(cal) else None
-
-    def _live_events_sorted(self, n: int) -> List[Event]:
-        """The ``n`` soonest live events (diagnostics only; O(pending))."""
-        if self._cal is None:
-            live = (en for en in self._heap if not en[3].cancelled)
-        else:
-            live = (
-                en
-                for bucket in (*self._cal._buckets.values(), self._cal._overflow)
-                for en in bucket
-                if not en[3].cancelled
-            )
-        return [en[3] for en in heapq.nsmallest(n, live)]
+            self._obs.on_event(ev.label, len(self._heap))
 
     def _exhaustion_diagnostics(self, current: Event) -> str:
         """Diagnostic message for a blown event budget: what was running,
         how much is still queued, and which events come next."""
         # filter cancelled *before* truncating so the preview really is
         # the next 5 live events, not fewer
-        live = self._live_events_sorted(5)
+        live = [
+            en[3]
+            for en in heapq.nsmallest(
+                5, (en for en in self._heap if not en[3].cancelled)
+            )
+        ]
         heads = ", ".join(
             f"{e.label or '<unlabelled>'}@{e.time:.3f}us" for e in live
         ) or "<none>"
@@ -436,21 +372,11 @@ class Simulator:
 
     def _drop_cancelled_head(self) -> None:
         st = self.stats
-        if self._cal is None:
-            heap = self._heap
-            while heap and heap[0][3].cancelled:
-                heapq.heappop(heap)[3]._q = None
-                self._dead -= 1
-                st.cancelled += 1
-        else:
-            cal = self._cal
-            while True:
-                ev = cal.peek()
-                if ev is None or not ev.cancelled:
-                    break
-                cal.pop()._q = None
-                self._dead -= 1
-                st.cancelled += 1
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)[3]._q = None
+            self._dead -= 1
+            st.cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -460,8 +386,8 @@ class Simulator:
 
 
 # ---------------------------------------------------------------------------
-# process-global trace hook (mirrors the global obs hub / profiler: lets
-# harnesses capture every simulator a scenario builds internally)
+# process-global trace hook (mirrors the global obs hub: lets harnesses
+# capture every simulator a scenario builds internally)
 # ---------------------------------------------------------------------------
 _GLOBAL_TRACE: Optional[Callable[[Event], None]] = None
 
@@ -473,3 +399,76 @@ def install_global_trace(fn: Optional[Callable[[Event], None]]) -> None:
     simulators that scenarios construct internally."""
     global _GLOBAL_TRACE
     _GLOBAL_TRACE = fn
+
+
+# ---------------------------------------------------------------------------
+# engine window: the run-summary ``engine`` block, read from the engines
+# ---------------------------------------------------------------------------
+_COLLECT_SIMS: Optional[List[Simulator]] = None
+
+
+class EngineWindow:
+    """Collect every :class:`Simulator` built inside a ``with`` block and
+    time the block on the wall clock::
+
+        with EngineWindow() as window:
+            EXPERIMENTS["fig8"].run()
+        print(window.engine_block())
+
+    Counts come from each engine's own :class:`EventLoopStats`, so the
+    window adds nothing to the event loop — the run it measures is the
+    hook-free one. Windows do not nest: an inner window collects the
+    simulators built inside it, the outer one does not see them.
+    """
+
+    def __init__(self):
+        self.sims: List[Simulator] = []
+        self.wall_s = 0.0
+        self._prev: Optional[List[Simulator]] = None
+        self._started: Optional[float] = None
+
+    def __enter__(self) -> "EngineWindow":
+        global _COLLECT_SIMS
+        self._prev = _COLLECT_SIMS
+        _COLLECT_SIMS = self.sims
+        self._started = perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _COLLECT_SIMS
+        self.wall_s += perf_counter() - self._started
+        _COLLECT_SIMS = self._prev
+
+    @property
+    def events(self) -> int:
+        """Events executed across the collected simulators."""
+        return sum(s.stats.processed for s in self.sims)
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events pushed onto the collected simulators' heaps."""
+        return sum(s.stats.scheduled for s in self.sims)
+
+    @property
+    def peak_queue_depth(self) -> int:
+        """Highest heap length any collected simulator reached."""
+        return max((s.stats.peak_pending for s in self.sims), default=0)
+
+    @property
+    def sim_us(self) -> float:
+        """Simulated µs advanced across the collected simulators."""
+        return sum(s.now - s.start_time for s in self.sims)
+
+    def engine_block(self) -> Dict[str, object]:
+        """The compact ``engine`` dict that ``flep run --json``, ``flep
+        serve --json`` and ``flep bench`` report."""
+        wall = self.wall_s
+        return {
+            "events": self.events,
+            "events_per_sec": self.events / wall if wall > 0 else 0.0,
+            "wall_s": wall,
+            "peak_queue_depth": self.peak_queue_depth,
+            "sim_us": self.sim_us,
+            "sim_us_per_wall_s": self.sim_us / wall if wall > 0 else 0.0,
+            "sims": len(self.sims),
+        }

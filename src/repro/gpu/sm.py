@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import List, Set
 
 from ..errors import ResourceError
-from ..obs.profiler import NULL_PROFILER
 from ..obs.recorder import NULL_OBS
 from .device import GPUDeviceSpec
 from .kernel import ResourceUsage
@@ -63,7 +62,7 @@ class SM:
     """One streaming multiprocessor: its resident set plus a view into
     the device's :class:`SMBank` slot."""
 
-    __slots__ = ("sm_id", "spec", "resident", "bank", "obs", "prof")
+    __slots__ = ("sm_id", "spec", "resident", "bank", "obs")
 
     def __init__(
         self, sm_id: int, spec: GPUDeviceSpec, bank: SMBank = None
@@ -75,10 +74,8 @@ class SM:
         #: tests) gets a private single-entry bank, indexed by sm_id = 0
         #: — device-built SMs are indexed by their sm_id
         self.bank = bank if bank is not None else SMBank(spec, sm_id + 1)
-        #: observability recorder; set by the owning device
+        #: counting-hook sink; set by the owning device (its ``prof``)
         self.obs = NULL_OBS
-        #: hot-path self-profiler; set by the owning device
-        self.prof = NULL_PROFILER
 
     # -- bank views (diagnostics/monitors; the hot path reads the bank) --
     @property
@@ -145,10 +142,9 @@ class SM:
         bank.warps[i] += warps
         bank.regs[i] += regs
         bank.smem[i] += smem
-        if self.obs.enabled:
-            self.obs.sm_admitted(self.sm_id, len(resident))
-        if self.prof.enabled:
-            self.prof.on_sm_admit(self.sm_id, len(resident))
+        obs = self.obs
+        if obs.enabled:
+            obs.on_sm_admit(self.sm_id, len(resident))
 
     def release(self, context, usage: ResourceUsage) -> None:
         """Remove a CTA context, returning its resources."""
@@ -174,10 +170,9 @@ class SM:
             raise ResourceError(
                 f"SM {self.sm_id} resource accounting went negative"
             )
-        if self.obs.enabled:
-            self.obs.sm_released(self.sm_id, len(resident))
-        if self.prof.enabled:
-            self.prof.on_sm_release(self.sm_id, len(resident))
+        obs = self.obs
+        if obs.enabled:
+            obs.on_sm_release(self.sm_id, len(resident))
 
     @property
     def idle(self) -> bool:

@@ -130,17 +130,17 @@ class Timeline:
         )
 
     def occupancy_series(
-        self, sm_id: int, bucket_us: float, t0: float = 0.0,
+        self, sm_id: int, window_us: float, t0: float = 0.0,
         t1: Optional[float] = None,
     ) -> List[Dict[str, float]]:
         """Per-bucket busy fraction of one SM, split by kernel."""
-        if bucket_us <= 0:
+        if window_us <= 0:
             raise SimulationError("bucket width must be positive")
         t1 = t1 if t1 is not None else self.horizon_us
         series = []
         t = t0
         while t < t1:
-            end = min(t + bucket_us, t1)
+            end = min(t + window_us, t1)
             shares: Dict[str, float] = {}
             for iv in self.intervals:
                 if iv.sm_id != sm_id:
@@ -166,7 +166,7 @@ class Timeline:
     def render_ascii(
         self,
         num_sms: int,
-        bucket_us: float,
+        window_us: float,
         t0: float = 0.0,
         t1: Optional[float] = None,
         symbols: Optional[Dict[str, str]] = None,
@@ -187,7 +187,7 @@ class Timeline:
                     symbols[k] = "?"
         lines = []
         for sm in range(num_sms):
-            series = self.occupancy_series(sm, bucket_us, t0, t1)
+            series = self.occupancy_series(sm, window_us, t0, t1)
             row = []
             for shares in series:
                 if not shares:
@@ -198,7 +198,7 @@ class Timeline:
             lines.append(f"SM{sm:<2d} |" + "".join(row) + "|")
         legend = "  ".join(f"{v}={k}" for k, v in symbols.items())
         scale = (
-            f"      {t0:.0f}us .. {t1:.0f}us, one column = {bucket_us:.0f}us"
+            f"      {t0:.0f}us .. {t1:.0f}us, one column = {window_us:.0f}us"
         )
         return "\n".join(lines + [scale, "      " + legend])
 

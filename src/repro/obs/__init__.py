@@ -35,17 +35,8 @@ from .metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from .profiler import (
-    LatencyStat,
-    NULL_PROFILER,
-    NullSimProfiler,
-    SimProfiler,
-    get_global_profiler,
-    install_global_profiler,
-    profiled,
-    uninstall_global_profiler,
-)
 from .recorder import (
+    LatencyStat,
     NULL_OBS,
     NullObservability,
     Observability,
@@ -72,25 +63,18 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "NULL_OBS",
-    "NULL_PROFILER",
     "NullObservability",
-    "NullSimProfiler",
     "Observability",
     "SCENARIOS",
-    "SimProfiler",
     "Span",
     "SpanTracer",
     "compare_reports",
     "default_bench_filename",
     "get_global",
-    "get_global_profiler",
     "install_global",
-    "install_global_profiler",
     "load_bench_report",
     "observed",
     "parse_prometheus",
-    "profiled",
     "run_bench",
     "uninstall_global",
-    "uninstall_global_profiler",
 ]

@@ -2,13 +2,23 @@
 
 FLEP's argument is about overhead, so the reproduction must be able to
 measure *itself*: this module runs a fixed set of simulator workloads
-under the :mod:`~repro.obs.profiler` and reports the two headline
-numbers every ROADMAP speed item is judged by — **events/sec** (how fast
-the discrete-event core turns) and **simulated-seconds per wall-second**
-(how much GPU time one CPU second buys). Results are written as
-schema-versioned ``BENCH_<date>_<git-sha>.json`` files, forming the
-repo's tracked performance trajectory; ``flep bench --compare OLD.json``
-diffs two snapshots and exits nonzero on a >15 % regression.
+and reports, per scenario, the kernel-level ``schedule_hash``, the
+engine block — events, **simulated-seconds per wall-second** (how much
+GPU time one CPU second buys), peak queue depth — and the hot-loop
+counts of the self-profile.
+
+Each scenario runs twice. The first run is observed (a global
+:class:`~repro.obs.recorder.Observability` hub takes the ``profile``
+counts) and untimed; it also warms imports and memo caches. The second
+run is the timed one: hook-free, with only an
+:class:`~repro.gpu.sim.EngineWindow` reading the simulators' own
+counters, so its wall time measures the path users run. Results are
+written as schema-versioned ``BENCH_<date>_<git-sha>.json`` files,
+forming the repo's tracked performance trajectory; ``flep bench
+--compare OLD.json`` diffs two snapshots and exits nonzero on a >15 %
+drop in sim-µs per wall-second. ``events_per_sec`` is still reported
+but not gated: macro cohorts collapse events, so event rates of two
+engine versions measure different work.
 
 Scenarios (all seeded, so the simulated *workload* — event counts, task
 pulls, preemptions — is bit-identical between runs; only wall time
@@ -42,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ObservabilityError
-from .profiler import SimProfiler, profiled
+from .recorder import observed
 
 #: Current report schema. v2 added the per-scenario ``schedule_hash``
 #: (crc32 over the kernel-level timeline, combined across devices) and
@@ -60,7 +70,7 @@ BUDGETS: Dict[str, float] = {"small": 0.5, "default": 1.0, "large": 3.0}
 DEFAULT_REGRESSION_THRESHOLD = 0.15
 
 #: Metrics compared between reports; all are higher-is-better rates.
-GATED_METRICS = ("events_per_sec", "sim_us_per_wall_s")
+GATED_METRICS = ("sim_us_per_wall_s",)
 
 
 # ---------------------------------------------------------------------------
@@ -369,21 +379,18 @@ def run_bench(
     only: Optional[Sequence[str]] = None,
     scenarios: Optional[Dict[str, BenchScenario]] = None,
     on_progress: Optional[Callable[[str, Dict[str, object]], None]] = None,
-    warmup: bool = True,
 ) -> BenchReport:
-    """Execute the suite under a fresh profiler per scenario.
+    """Execute the suite: per scenario, one observed run for the
+    ``profile`` counts, then one hook-free timed run.
 
     ``only`` selects a subset by name; ``scenarios`` swaps the whole
     table (the tests inject tiny synthetic workloads this way).
 
-    ``warmup`` (default on) executes each scenario once, unmeasured, at
-    the CI-smoke scale before the profiled run: scenario functions
-    import their subsystems lazily, and in a cold process that one-time
-    import/bytecode cost lands inside the first timed window, deflating
-    ``events_per_sec`` by a large factor on the smaller scenarios. The
-    metric is meant to track the *engine*, so imports and the
-    process-wide memo caches are warmed outside the timed window.
-    Schedules are unaffected (runs are bit-deterministic at a budget).
+    The observed run comes first and doubles as the warm-up: scenario
+    functions import their subsystems lazily, and in a cold process that
+    one-time import/bytecode cost would otherwise land inside the timed
+    window. Schedules are unaffected (runs are bit-deterministic at a
+    budget, observed or not).
     """
     if budget not in BUDGETS:
         raise ObservabilityError(
@@ -403,18 +410,17 @@ def run_bench(
         git_sha=git_sha(),
         python=platform.python_version(),
     )
-    warm_scale = min(scale, BUDGETS["small"])
     # lazy: keep repro.obs importable without dragging in repro.gpu
+    from ..gpu.sim import EngineWindow
     from ..gpu.trace import collected_schedule_hashes, combined_schedule_hash
 
     for name in names:
-        if warmup:
-            table[name].run(warm_scale)
-        prof = SimProfiler()
+        with observed() as hub:
+            table[name].run(scale)
         # every device built by the scenario registers its always-on
-        # O(1)-memory digest here; hashing adds nothing to the timed
-        # window beyond the fold the device performs anyway
-        with collected_schedule_hashes() as scheds, profiled(prof):
+        # O(1)-memory digest here, and every simulator its event-loop
+        # counters; neither adds a hook to the timed window
+        with collected_schedule_hashes() as scheds, EngineWindow() as window:
             extras = table[name].run(scale) or {}
         row: Dict[str, object] = {
             "name": name,
@@ -422,22 +428,9 @@ def run_bench(
             "schedule_hash": combined_schedule_hash(
                 [s.hexdigest for s in scheds]
             ),
-            **prof.engine_block(),
+            **window.engine_block(),
             "extras": dict(extras),
-            "profile": {
-                "events_by_kind": dict(sorted(prof.events_by_kind.items())),
-                "task_pulls": prof.task_pulls,
-                "flag_polls": prof.flag_polls,
-                "cta_admissions": prof.cta_admissions,
-                "preempt_requested": dict(
-                    sorted(prof.preempt_requested.items())
-                ),
-                "preempt_latency_us": {
-                    kind: stat.as_dict()
-                    for kind, stat in sorted(prof.latency.items())
-                    if stat.count
-                },
-            },
+            "profile": hub.profile_block(),
         }
         report.scenarios.append(row)
         if on_progress is not None:
@@ -470,6 +463,15 @@ class CompareResult:
         (macro fast-forward collapses them); they compare as ``changed``,
         never ``drift``."""
         return [r for r in self.rows if r["status"] == "drift"]
+
+    @property
+    def unhashed(self) -> List[Dict[str, object]]:
+        """``schedule_hash`` rows with no hash on one side (a
+        ``flep-bench/1`` baseline): schedules that were not compared."""
+        return [
+            r for r in self.rows
+            if r["metric"] == "schedule_hash" and r["status"] == "no-baseline"
+        ]
 
     @property
     def ok(self) -> bool:
@@ -511,17 +513,15 @@ def compare_reports(
 ) -> CompareResult:
     """Diff two bench reports scenario by scenario.
 
-    Gated metrics (events/sec, sim-µs per wall-second) are
-    higher-is-better rates: a relative drop beyond ``threshold`` marks
-    the row ``regression``. Identity is gated on ``schedule_hash``: a
-    mismatch means the kernel-level timeline changed (``drift``), which
-    the identity contract forbids across engine rework. A baseline
-    without hashes (a ``flep-bench/1`` file) yields ``no-baseline``.
-    The ``events`` count is engine-internal — macro fast-forward
+    The gated metric (sim-µs per wall-second) is a higher-is-better
+    rate: a relative drop beyond ``threshold`` marks the row
+    ``regression``. Identity is gated on ``schedule_hash``: a mismatch
+    means the kernel-level timeline changed (``drift``), which the
+    identity contract forbids across engine rework. A baseline without
+    hashes (a ``flep-bench/1`` file) yields ``no-baseline``. The
+    ``events`` count is engine-internal — macro fast-forward
     legitimately collapses it — so a mismatch is reported as the
-    informational ``changed``, never ``drift``; when the counts differ,
-    ``events_per_sec`` measures a different workload decomposition and
-    is likewise reported as ``changed`` instead of being gated.
+    informational ``changed``, never ``drift``.
     """
     if threshold <= 0:
         raise ObservabilityError("threshold must be positive")
@@ -564,12 +564,6 @@ def compare_reports(
             new_v = float(new_row.get(metric) or 0.0)
             if old_v <= 0.0:
                 delta, status = None, "no-baseline"
-            elif metric == "events_per_sec" and old_events != new_events:
-                # a different event count means the rate measures a
-                # different workload decomposition (macro fast-forward
-                # collapses events); the comparison is informational
-                delta = new_v / old_v - 1.0
-                status = "changed"
             else:
                 delta = new_v / old_v - 1.0
                 if delta < -threshold:

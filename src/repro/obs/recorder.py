@@ -1,19 +1,33 @@
 """The observability hub: one facade the instrumented layers talk to.
 
-Instrumentation sites (simulator, device, SMs, CTA contexts, runtime
-engine) never touch metric families or spans directly — they call the
-typed hooks on an :class:`Observability` hub, which maintains the
-metrics catalog and the span model in one place. Uninstrumented runs use
-the module-level :data:`NULL_OBS` singleton, a :class:`NullObservability`
-whose hooks are all no-ops; hot paths additionally guard with the
-``enabled`` class attribute so a disabled run pays a single attribute
-check per site (asserted <5% end-to-end by
-``benchmarks/test_obs_overhead.py``).
+Instrumentation sites (simulator, device, SMs, CTA contexts, macro
+cohorts, runtime engine) never touch metric families or spans directly —
+they call the typed hooks on an :class:`Observability` hub, which
+maintains the metrics catalog, the span model and the simulator's
+self-profile in one place. Uninstrumented runs use the module-level
+:data:`NULL_OBS` singleton, a :class:`NullObservability` whose hooks are
+all no-ops; every hot site guards with the one ``enabled`` class
+attribute, so a disabled run pays a single attribute check per site
+(asserted <2% end-to-end by ``benchmarks/test_obs_overhead.py``).
 
-A hub can also be installed process-globally (``install_global``):
-:class:`~repro.core.flep.FlepSystem` picks the global hub up by default,
-which is how ``flep stats`` aggregates metrics across every simulation
-an experiment runs without threading a registry through the harness.
+A hub can also be installed process-globally (``install_global`` /
+``observed``): :class:`~repro.core.flep.FlepSystem` and
+:class:`~repro.baselines.mps_corun.MPSCoRun` pick the global hub up by
+default, which is how ``flep stats`` and ``flep bench`` aggregate across
+every simulation an experiment runs without threading a hub through the
+harness.
+
+Hot hooks (one per simulator event, per retired batch, per CTA
+admission) bump plain ints and a raw-label dict; the registry families
+they feed (``flep_sim_events_total``, ``flep_task_pulls_total``, ...)
+are built from those counters when read. The self-profile answers "how
+fast is the simulator itself?": events by kind, batches collapsed by
+macro cohorts, preemption-stall latency per mechanism, and three bounded
+timelines — event-queue depth, per-SM residency and drain stalls — that
+:meth:`Observability.export_to_tracer` renders next to the span tracks.
+The engine's own counters (events, peak queue depth, simulated time)
+are not hooked at all: :class:`repro.gpu.sim.EngineWindow` reads them
+from the simulators.
 
 Span model (exported via ``tracer.chrome_trace()``):
 
@@ -31,7 +45,7 @@ Span model (exported via ``tracer.chrome_trace()``):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .tracer import Span, SpanTracer
@@ -42,27 +56,126 @@ TURNAROUND_US_BUCKETS: Tuple[float, ...] = (
     100_000.0, 500_000.0, 1_000_000.0, 5_000_000.0,
 )
 
+#: Fixed preemption-latency buckets (µs) of the self-profile: FLEP drains
+#: span tens of µs (trivial inputs) to tens of ms (Table 1's worst cases).
+LATENCY_US_BUCKETS: Tuple[float, ...] = (
+    10.0, 50.0, 100.0, 500.0, 1_000.0, 5_000.0,
+    10_000.0, 50_000.0, 100_000.0, 500_000.0,
+)
+
+
+class LatencyStat:
+    """A tiny fixed-bucket histogram (no labels, no registry)."""
+
+    __slots__ = ("bucket_counts", "count", "sum", "min", "max")
+
+    def __init__(self):
+        self.bucket_counts = [0] * (len(LATENCY_US_BUCKETS) + 1)
+        self.count = 0
+        self.sum = 0.0
+        self.min = float("inf")
+        self.max = 0.0
+
+    def observe(self, value_us: float) -> None:
+        """Record one latency sample (µs)."""
+        idx = len(LATENCY_US_BUCKETS)
+        for i, bound in enumerate(LATENCY_US_BUCKETS):
+            if value_us <= bound:
+                idx = i
+                break
+        self.bucket_counts[idx] += 1
+        self.count += 1
+        self.sum += value_us
+        if value_us < self.min:
+            self.min = value_us
+        if value_us > self.max:
+            self.max = value_us
+
+    @property
+    def mean(self) -> float:
+        """Mean of the recorded samples (0 when empty)."""
+        return self.sum / self.count if self.count else 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """Plain-data snapshot (buckets are upper bounds, +Inf last)."""
+        return {
+            "buckets_us": list(LATENCY_US_BUCKETS),
+            "bucket_counts": list(self.bucket_counts),
+            "count": self.count,
+            "sum_us": self.sum,
+            "mean_us": self.mean,
+            "min_us": self.min if self.count else 0.0,
+            "max_us": self.max,
+        }
+
+
+def _event_kind(label: str) -> str:
+    """Collapse an event label to a bounded-cardinality class:
+    ``"NN__flep/ctx3/batch" -> "batch"``, ``"launch:NN" -> "launch"``."""
+    if not label:
+        return "unlabelled"
+    return label.rsplit("/", 1)[-1].split(":", 1)[0]
+
+
+def _synced(attr: str) -> property:
+    """A registry family fed by plain hot-hook counters: reading it folds
+    the counters in first."""
+
+    def get(self):
+        self._sync()
+        return getattr(self, attr)
+
+    return property(get)
+
 
 class Observability:
-    """Live hub: a metrics registry plus a span tracer."""
+    """Live hub: a metrics registry, a span tracer and the self-profile."""
 
     #: Hot paths check this before calling any hook.
     enabled = True
+    #: Events between two queue-depth samples.
+    sample_every = 64
+    #: Cap on each timeline; the overflow is counted in
+    #: ``dropped_samples``, so truncation is never silent.
+    max_samples = 20_000
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self.metrics = MetricsRegistry()
+        self._metrics = MetricsRegistry()
         self.tracer = SpanTracer(clock if clock is not None else lambda: 0.0)
         self._register_catalog()
         #: per-invocation open spans: inv_id -> {"inv": .., "seg": ..,
         #: "drain": .., "spatial": ..}
         self._inv_spans: Dict[int, Dict[str, Span]] = {}
         self._resident_ctas = 0
+        # hot counters: plain ints and a raw-label dict, folded into their
+        # registry families on read (_sync)
+        self._by_label: Dict[str, int] = {}
+        self._sm_resident: Dict[int, int] = {}
+        self.task_pulls = 0
+        self.flag_polls = 0
+        self.cta_admissions = 0
+        #: batches retired inside macro cohorts (no per-batch event fired
+        #: for them); surfaced as the ``macro-batch`` kind
+        self.batches_collapsed = 0
+        # bounded timelines: (t, depth), (t, sm, resident) and
+        # (kind, inv_id, start, end)
+        self._since_sample = 0
+        self.queue_samples: List[Tuple[float, int]] = []
+        self.sm_samples: List[Tuple[float, int, int]] = []
+        self.drain_stalls: List[Tuple[str, int, float, float]] = []
+        self.dropped_samples = 0
+        self._open_stalls: Dict[Tuple[str, int], float] = {}
+        #: request-to-done preemption latency per mechanism
+        self.latency: Dict[str, LatencyStat] = {
+            "temporal": LatencyStat(),
+            "spatial": LatencyStat(),
+        }
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the span tracer at a (new) simulation clock.
 
         A hub installed globally before any system exists starts on a
-        zero clock; each FlepSystem that adopts it re-binds the tracer to
+        zero clock; each system that adopts it re-binds the tracer to
         its own simulator so span timestamps are meaningful."""
         self.tracer._clock = clock
 
@@ -70,8 +183,8 @@ class Observability:
     # catalog
     # ------------------------------------------------------------------
     def _register_catalog(self) -> None:
-        m = self.metrics
-        self.m_sim_events = m.counter(
+        m = self._metrics
+        self._m_sim_events = m.counter(
             "flep_sim_events_total",
             "discrete events executed by the simulator, by event kind",
             ("kind",),
@@ -87,11 +200,11 @@ class Observability:
             "preemption, or top-up after a spatial guest left)",
             ("reason",),
         )
-        self.m_cta_admissions = m.counter(
+        self._m_cta_admissions = m.counter(
             "flep_cta_admissions_total",
             "CTA contexts admitted onto SMs",
         )
-        self.m_sm_resident = m.gauge(
+        self._m_sm_resident = m.gauge(
             "flep_sm_resident_ctas",
             "CTA contexts currently resident, per SM",
             ("sm",),
@@ -100,13 +213,18 @@ class Observability:
             "flep_hw_queue_depth",
             "grids in the device-wide hardware FIFO",
         )
-        self.m_task_pulls = m.counter(
+        self._m_task_pulls = m.counter(
             "flep_task_pulls_total",
             "tasks pulled from persistent-kernel task pools",
         )
-        self.m_flag_polls = m.counter(
+        self._m_flag_polls = m.counter(
             "flep_flag_polls_total",
             "pinned-memory preemption-flag polls performed by CTAs",
+        )
+        self._m_batches_collapsed = m.counter(
+            "flep_batches_collapsed_total",
+            "persistent-kernel batches retired inside macro cohorts, "
+            "with no per-batch event fired",
         )
         self.m_preempt_req = m.counter(
             "flep_preemptions_requested_total",
@@ -153,19 +271,82 @@ class Observability:
             buckets=TURNAROUND_US_BUCKETS,
         )
 
+    metrics = _synced("_metrics")
+    m_sim_events = _synced("_m_sim_events")
+    m_cta_admissions = _synced("_m_cta_admissions")
+    m_sm_resident = _synced("_m_sm_resident")
+    m_task_pulls = _synced("_m_task_pulls")
+    m_flag_polls = _synced("_m_flag_polls")
+    m_batches_collapsed = _synced("_m_batches_collapsed")
+
+    def _sync(self) -> None:
+        """Rebuild the hot-fed registry families from the plain counters
+        (idempotent: each read recomputes them)."""
+        kinds: Dict[Tuple[str, ...], float] = {}
+        for label, n in self._by_label.items():
+            key = (_event_kind(label),)
+            kinds[key] = kinds.get(key, 0.0) + n
+        self._m_sim_events._values = kinds
+        self._m_sm_resident._values = {
+            (str(sm),): float(n) for sm, n in self._sm_resident.items()
+        }
+        for fam, n in (
+            (self._m_cta_admissions, self.cta_admissions),
+            (self._m_task_pulls, self.task_pulls),
+            (self._m_flag_polls, self.flag_polls),
+            (self._m_batches_collapsed, self.batches_collapsed),
+        ):
+            fam._values = {(): float(n)} if n else {}
+
     # ------------------------------------------------------------------
     # simulator / device hooks (hot paths: call only when ``enabled``)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _event_kind(label: str) -> str:
-        """Collapse event labels to a bounded-cardinality kind:
-        ``"NN__flep/ctx3/batch" -> "batch"``, ``"launch:NN" -> "launch"``."""
-        if not label:
-            return "unlabelled"
-        return label.rsplit("/", 1)[-1].split(":", 1)[0]
+    def on_event(self, label: str, queue_depth: int) -> None:
+        """One simulator event fired; ``queue_depth`` is the heap length
+        after the pop. One dict increment plus a decimation count."""
+        by_label = self._by_label
+        by_label[label] = by_label.get(label, 0) + 1
+        self._since_sample += 1
+        if self._since_sample >= self.sample_every:
+            self._since_sample = 0
+            self._sample(self.queue_samples, (self.tracer.now, queue_depth))
 
-    def sim_event(self, label: str) -> None:
-        self.m_sim_events.inc(kind=self._event_kind(label))
+    def on_batch(self, tasks: int, polls: int) -> None:
+        """Persistent-kernel work retired: ``tasks`` pulled from a task
+        pool, ``polls`` preemption-flag polls."""
+        self.task_pulls += tasks
+        self.flag_polls += polls
+
+    def on_macro_collapse(self, batches: int) -> None:
+        """``batches`` per-batch events were collapsed into a macro
+        cohort's commit (:mod:`repro.gpu.macro`); their tasks and polls
+        were charged through :meth:`on_batch`."""
+        self.batches_collapsed += batches
+
+    def on_sm_admit(self, sm_id: int, resident: int) -> None:
+        """A CTA context was admitted onto ``sm_id``."""
+        self.cta_admissions += 1
+        self._sm_resident[sm_id] = resident
+        self._resident_ctas += 1
+        self.tracer.counter(
+            "resident_ctas", process="device", ctas=self._resident_ctas
+        )
+        self._sample(self.sm_samples, (self.tracer.now, sm_id, resident))
+
+    def on_sm_release(self, sm_id: int, resident: int) -> None:
+        """A CTA context left ``sm_id``."""
+        self._sm_resident[sm_id] = resident
+        self._resident_ctas -= 1
+        self.tracer.counter(
+            "resident_ctas", process="device", ctas=self._resident_ctas
+        )
+        self._sample(self.sm_samples, (self.tracer.now, sm_id, resident))
+
+    def _sample(self, timeline: list, sample: tuple) -> None:
+        if len(timeline) < self.max_samples:
+            timeline.append(sample)
+        else:
+            self.dropped_samples += 1
 
     def kernel_launched(self, kernel_name: str) -> None:
         self.m_launches.inc(kernel=kernel_name)
@@ -176,28 +357,6 @@ class Observability:
     def hw_queue_depth(self, depth: int) -> None:
         self.m_hw_queue.set(depth)
         self.tracer.counter("hw_queue_depth", process="device", grids=depth)
-
-    def sm_admitted(self, sm_id: int, resident: int) -> None:
-        self.m_cta_admissions.inc()
-        self.m_sm_resident.set(resident, sm=str(sm_id))
-        self._resident_ctas += 1
-        self.tracer.counter(
-            "resident_ctas", process="device", ctas=self._resident_ctas
-        )
-
-    def sm_released(self, sm_id: int, resident: int) -> None:
-        self.m_sm_resident.set(resident, sm=str(sm_id))
-        self._resident_ctas -= 1
-        self.tracer.counter(
-            "resident_ctas", process="device", ctas=self._resident_ctas
-        )
-
-    def tasks_pulled(self, n: int) -> None:
-        self.m_task_pulls.inc(n)
-
-    def flag_polled(self, n: int = 1) -> None:
-        if n:
-            self.m_flag_polls.inc(n)
 
     # ------------------------------------------------------------------
     # runtime-engine hooks (invocation lifecycle -> spans + metrics)
@@ -236,6 +395,8 @@ class Observability:
 
     def inv_preempt_requested(self, inv, kind: str, yield_sms: int) -> None:
         self.m_preempt_req.inc(kind=kind)
+        # a repeated request restarts the stall clock
+        self._open_stalls[(kind, inv.inv_id)] = self.tracer.now
         self.tracer.instant(
             f"preempt_{kind}",
             cat="preempt",
@@ -262,8 +423,10 @@ class Observability:
                 yield_sms=yield_sms,
             )
 
-    def inv_drained(self, inv, latency_us: Optional[float]) -> None:
+    def inv_drained(self, inv) -> None:
+        """A temporally preempted invocation is fully off the GPU."""
         self.m_preempt_done.inc(kind="temporal")
+        latency_us = self._close_stall("temporal", inv.inv_id)
         if latency_us is not None:
             self.m_drain.observe(latency_us)
         state = self._state(inv.inv_id)
@@ -278,6 +441,7 @@ class Observability:
     def inv_topped_up(self, inv) -> None:
         """A spatial guest left; the victim reclaimed its SMs."""
         self.m_preempt_done.inc(kind="spatial")
+        self._close_stall("spatial", inv.inv_id)
         self.kernel_relaunched("top_up")
         state = self._state(inv.inv_id)
         spatial = state.pop("spatial", None)
@@ -312,6 +476,17 @@ class Observability:
             "policy_queue_depth", process="scheduler", waiting=depth
         )
 
+    def _close_stall(self, kind: str, inv_id: int) -> Optional[float]:
+        """End the stall opened by the preemption request; returns its
+        latency (µs), or None when no request was open."""
+        started = self._open_stalls.pop((kind, inv_id), None)
+        if started is None:
+            return None
+        now = self.tracer.now
+        self.latency[kind].observe(now - started)
+        self._sample(self.drain_stalls, (kind, inv_id, started, now))
+        return now - started
+
     def _end_segment(self, state: Dict[str, Span]) -> None:
         seg = state.pop("seg", None)
         if seg is not None:
@@ -323,6 +498,113 @@ class Observability:
         self._inv_spans.clear()
         self.tracer.close_open()
 
+    # ------------------------------------------------------------------
+    # self-profile readings
+    # ------------------------------------------------------------------
+    @property
+    def events_by_kind(self) -> Dict[str, int]:
+        """Fired events per kind, plus the ``macro-batch`` events macro
+        cohorts avoided firing."""
+        out: Dict[str, int] = {}
+        for label, n in self._by_label.items():
+            kind = _event_kind(label)
+            out[kind] = out.get(kind, 0) + n
+        if self.batches_collapsed:
+            out["macro-batch"] = (
+                out.get("macro-batch", 0) + self.batches_collapsed
+            )
+        return out
+
+    @property
+    def preempt_requested(self) -> Dict[str, int]:
+        """Preemption requests per kind."""
+        return {
+            key[0]: int(n) for key, n in self.m_preempt_req._values.items()
+        }
+
+    def profile_block(self) -> Dict[str, object]:
+        """The hot-loop counts of a ``flep bench`` report row."""
+        return {
+            "events_by_kind": dict(sorted(self.events_by_kind.items())),
+            "task_pulls": self.task_pulls,
+            "flag_polls": self.flag_polls,
+            "cta_admissions": self.cta_admissions,
+            "preempt_requested": dict(sorted(self.preempt_requested.items())),
+            "preempt_latency_us": {
+                kind: stat.as_dict()
+                for kind, stat in sorted(self.latency.items())
+                if stat.count
+            },
+        }
+
+    def format_profile(self, window) -> str:
+        """Human-readable self-profile (``flep stats --profile``); the
+        engine lines come from ``window``, a
+        :class:`repro.gpu.sim.EngineWindow` around the same runs."""
+        engine = window.engine_block()
+        lines = [
+            "== simulator self-profile ==",
+            f"events          {engine['events']}"
+            f" ({engine['events_per_sec']:,.0f}/s over"
+            f" {engine['wall_s']:.3f}s wall, {engine['sims']} sim(s))",
+            f"simulated time  {engine['sim_us'] / 1e6:.6f}s"
+            f" ({engine['sim_us_per_wall_s'] / 1e6:.3f} sim-s per wall-s)",
+            f"queue depth     peak {engine['peak_queue_depth']}"
+            f" (scheduled {window.events_scheduled})",
+            f"hot loop        task_pulls={self.task_pulls}"
+            f" flag_polls={self.flag_polls}"
+            f" cta_admissions={self.cta_admissions}"
+            f" batches_collapsed={self.batches_collapsed}",
+        ]
+        by_kind = self.events_by_kind
+        for kind in sorted(by_kind):
+            lines.append(f"  event[{kind:<12s}] {by_kind[kind]}")
+        requested = self.preempt_requested
+        for kind, stat in sorted(self.latency.items()):
+            if not stat.count:
+                continue
+            lines.append(
+                f"preempt[{kind}] requested={requested.get(kind, 0)} "
+                f"completed={stat.count} "
+                f"latency mean={stat.mean:.0f}us "
+                f"min={stat.min:.0f}us max={stat.max:.0f}us"
+            )
+        if self.dropped_samples:
+            lines.append(
+                f"(timelines truncated: {self.dropped_samples} samples "
+                f"dropped beyond max_samples={self.max_samples})"
+            )
+        return "\n".join(lines)
+
+    def export_to_tracer(self, tracer: SpanTracer) -> int:
+        """Render the self-profile timelines into ``tracer`` as a
+        ``profiler`` process: event-queue depth and per-SM residency as
+        counter tracks, drain stalls as retrospective spans. Returns the
+        number of trace records added."""
+        for at_us, depth in self.queue_samples:
+            tracer.counter_at(
+                "event_queue_depth", at_us, process="profiler", depth=depth
+            )
+        for at_us, sm_id, resident in self.sm_samples:
+            tracer.counter_at(
+                f"sm{sm_id}_resident", at_us, process="profiler",
+                ctas=resident,
+            )
+        for kind, inv_id, start_us, end_us in self.drain_stalls:
+            tracer.complete(
+                f"{kind}_stall inv#{inv_id}",
+                start_us,
+                end_us,
+                cat="profiler",
+                process="profiler",
+                track=0,
+                latency_us=end_us - start_us,
+            )
+        return (
+            len(self.queue_samples) + len(self.sm_samples)
+            + len(self.drain_stalls)
+        )
+
 
 class NullObservability(Observability):
     """The default recorder: every hook is a no-op.
@@ -333,7 +615,19 @@ class NullObservability(Observability):
 
     enabled = False
 
-    def sim_event(self, label):  # noqa: D102 - no-op hooks
+    def on_event(self, label, queue_depth):  # noqa: D102 - no-op hooks
+        pass
+
+    def on_batch(self, tasks, polls):
+        pass
+
+    def on_macro_collapse(self, batches):
+        pass
+
+    def on_sm_admit(self, sm_id, resident):
+        pass
+
+    def on_sm_release(self, sm_id, resident):
         pass
 
     def kernel_launched(self, kernel_name):
@@ -345,18 +639,6 @@ class NullObservability(Observability):
     def hw_queue_depth(self, depth):
         pass
 
-    def sm_admitted(self, sm_id, resident):
-        pass
-
-    def sm_released(self, sm_id, resident):
-        pass
-
-    def tasks_pulled(self, n):
-        pass
-
-    def flag_polled(self, n=1):
-        pass
-
     def inv_arrived(self, inv):
         pass
 
@@ -366,7 +648,7 @@ class NullObservability(Observability):
     def inv_preempt_requested(self, inv, kind, yield_sms):
         pass
 
-    def inv_drained(self, inv, latency_us):
+    def inv_drained(self, inv):
         pass
 
     def inv_topped_up(self, inv):
@@ -389,13 +671,14 @@ class NullObservability(Observability):
 NULL_OBS = NullObservability()
 
 # ---------------------------------------------------------------------------
-# process-global hub (how `flep stats` observes whole experiments)
+# process-global hub (how `flep stats` and `flep bench` observe whole
+# experiments)
 # ---------------------------------------------------------------------------
 _GLOBAL: Optional[Observability] = None
 
 
 def install_global(hub: Observability) -> Observability:
-    """Make ``hub`` the default recorder for new FlepSystem instances."""
+    """Make ``hub`` the default recorder for new systems."""
     global _GLOBAL
     _GLOBAL = hub
     return hub

@@ -24,7 +24,6 @@ from ..gpu.kernel import LaunchConfig, TaskPool
 from ..gpu.memory import PinnedFlag
 from ..gpu.occupancy import active_slots, sms_needed
 from ..gpu.sim import Simulator
-from ..obs.profiler import NULL_PROFILER, SimProfiler
 from ..obs.recorder import NULL_OBS, Observability
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.specs import InputSpec, KernelSpec
@@ -153,12 +152,10 @@ class FlepRuntime:
         policy,
         config: Optional[RuntimeConfig] = None,
         obs: Optional[Observability] = None,
-        prof: Optional[SimProfiler] = None,
     ):
         self.sim = sim
         self.gpu = gpu
         self.obs = obs if obs is not None else NULL_OBS
-        self.prof = prof if prof is not None else NULL_PROFILER
         self.device: GPUDeviceSpec = gpu.spec
         self.suite = suite
         self.config = config or RuntimeConfig()
@@ -297,8 +294,6 @@ class FlepRuntime:
             )
             if self.obs.enabled:
                 self.obs.inv_preempt_requested(inv, "temporal", value)
-            if self.prof.enabled:
-                self.prof.on_preempt_requested("temporal", inv.inv_id)
             # Update the engine's view *before* the flag write: a grid
             # with no hosted contexts drains synchronously inside
             # host_write, and the policy's drained-handler must already
@@ -314,8 +309,6 @@ class FlepRuntime:
             )
             if self.obs.enabled:
                 self.obs.inv_preempt_requested(inv, "spatial", value)
-            if self.prof.enabled:
-                self.prof.on_preempt_requested("spatial", inv.inv_id)
             inv.yielded_sms = value
             inv.flag.host_write(value)
             # spatially preempted: stays RUNNING on the remaining SMs
@@ -403,9 +396,7 @@ class FlepRuntime:
                 detail=f"T_r={inv.record.remaining_us:.0f}us",
             )
             if self.obs.enabled:
-                self.obs.inv_drained(inv, grid.preemption_latency_us)
-            if self.prof.enabled:
-                self.prof.on_drained(inv.inv_id)
+                self.obs.inv_drained(inv)
             self.policy.on_preemption_drained(inv)
 
     def _promote_guest(self) -> None:
@@ -421,8 +412,6 @@ class FlepRuntime:
         victim.yielded_sms = 0
         if self.obs.enabled:
             self.obs.inv_topped_up(victim)
-        if self.prof.enabled:
-            self.prof.on_spatial_reclaimed(victim.inv_id)
         slots = active_slots(self.device, victim.kspec.resources)
         missing = min(
             victim.pool.remaining, slots - victim.active_contexts

@@ -148,10 +148,11 @@ class TestBenchCommand:
         assert main(["bench", "--compare", str(old), "--against",
                      str(fewer), "--warn-only", "--fail-on-drift"]) == 0
 
-    def test_v1_baseline_compares_without_drift(
-        self, tiny_scenarios, tmp_path
+    def test_v1_baseline_fails_the_drift_gate(
+        self, tiny_scenarios, tmp_path, capsys
     ):
-        """CI's seed baseline predates hashes; it must not hard-fail."""
+        """A baseline without hashes checks no schedule, so the drift
+        gate must not pass on it: every hash row is ``no-baseline``."""
         new = tmp_path / "new.json"
         v1 = tmp_path / "v1.json"
         assert main(["bench", "--budget", "small", "-o", str(new)]) == 0
@@ -160,8 +161,29 @@ class TestBenchCommand:
         for s in data["scenarios"]:
             del s["schedule_hash"]
         v1.write_text(json.dumps(data))
+        # without the gate a v1 baseline still compares (rates only)...
         assert main(["bench", "--compare", str(v1), "--against",
-                     str(new), "--warn-only", "--fail-on-drift"]) == 0
+                     str(new), "--warn-only"]) == 0
+        # ...with it, the unchecked schedules fail the run
+        assert main(["bench", "--compare", str(v1), "--against",
+                     str(new), "--warn-only", "--fail-on-drift"]) == 3
+        assert "no baseline schedule hash for: tiny" in capsys.readouterr().err
+
+    def test_ci_baseline_pins_every_scenario_hash(self):
+        """The baseline CI's bench-smoke gates on carries a schedule hash
+        for every scenario of the suite, so --fail-on-drift checks them
+        all."""
+        from pathlib import Path
+
+        from repro.obs import SCENARIOS, load_bench_report
+
+        path = (Path(__file__).resolve().parents[2]
+                / "benchmarks" / "baseline" / "BENCH_seed.json")
+        baseline = load_bench_report(str(path))
+        assert baseline.schema == BENCH_SCHEMA
+        assert baseline.budget == "small"
+        assert {s["name"] for s in baseline.scenarios} == set(SCENARIOS)
+        assert all(s.get("schedule_hash") for s in baseline.scenarios)
 
     def test_scenario_filter(self, tiny_scenarios, tmp_path, capsys):
         out = tmp_path / "b.json"

@@ -107,17 +107,6 @@ class TestFleetDeviceAndQueueFlags:
         assert doc["config"]["node_devices"] == ["k40", "p100"]
         assert [n["device"] for n in doc["nodes"]] == ["k40", "p100"]
 
-    def test_queue_engines_agree(self, capsys):
-        def run_with(queue):
-            assert main(["fleet", *FAST, "--queue", queue, "--json"]) == 0
-            return json.loads(capsys.readouterr().out)
-
-        heap, cal = run_with("heap"), run_with("calendar")
-        assert heap["config"]["queue"] == "heap"
-        assert cal["config"]["queue"] == "calendar"
-        del heap["config"]["queue"], cal["config"]["queue"]
-        assert heap == cal
-
 
 class TestFuzzFleetBudget:
     def test_fleet_budget_extends_the_campaign(self, capsys):

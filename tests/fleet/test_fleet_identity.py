@@ -1,6 +1,6 @@
 """Fleet golden-trace determinism: same seed + same fault plan ⇒
-byte-identical rollups, across repeated runs and across event-queue
-engines (mirrors ``tests/gpu/test_schedule_identity.py`` one layer up).
+byte-identical rollups across repeated runs (mirrors
+``tests/gpu/test_schedule_identity.py`` one layer up).
 
 The conservative co-simulation's reproducibility claim is the
 foundation the chaos layer stands on: a fault run that cannot be
@@ -29,14 +29,14 @@ def tenants():
     ]
 
 
-def build_fleet(suite, queue="heap", faults=None, routing="deadline",
+def build_fleet(suite, faults=None, routing="deadline",
                 seed=9, duration_ms=25.0):
     fleet = FleetSystem(
         tenants(),
         FleetConfig(
             node_modes=("flep-spatial", "flep-temporal", "mps"),
             routing=routing, seed=seed, oracle_model=True,
-            faults=faults, queue=queue,
+            faults=faults,
         ),
         device=suite.device, suite=suite,
     )
@@ -92,32 +92,6 @@ class TestRunToRunIdentity:
             a = rollup_bytes(build_fleet(suite, faults=plan_a).run())
             b = rollup_bytes(build_fleet(suite, faults=plan_b).run())
             assert a == b, f"fault seed {fault_seed} diverged"
-
-
-class TestEngineIdentity:
-    """heap vs calendar event queues must agree bit-for-bit: the fleet
-    inherits the simulator's engine-independence guarantee."""
-
-    def test_fault_free_heap_equals_calendar(self, suite):
-        a = rollup_bytes(build_fleet(suite, queue="heap").run())
-        b = rollup_bytes(build_fleet(suite, queue="calendar").run())
-        assert a == b
-
-    def test_faulted_heap_equals_calendar(self, suite):
-        plan = parse_fault_spec(FULL_PLAN)
-        a = rollup_bytes(build_fleet(suite, queue="heap",
-                                     faults=plan).run())
-        b = rollup_bytes(build_fleet(suite, queue="calendar",
-                                     faults=plan).run())
-        assert a == b
-
-    def test_random_plan_heap_equals_calendar(self, suite):
-        plan = random_plan(23, 3, 25_000.0)
-        a = rollup_bytes(build_fleet(suite, queue="heap",
-                                     faults=plan).run())
-        b = rollup_bytes(build_fleet(suite, queue="calendar",
-                                     faults=plan).run())
-        assert a == b
 
 
 class TestSensitivity:

@@ -8,8 +8,13 @@ is asserted one level up (DESIGN.md §15): **kernel-level timelines** —
 every CTA residency interval (SM id, start, end, kernel), their order,
 and the crc32 ``schedule_hash`` over them — plus the aggregate
 task-pull / flag-poll accounting, must be bit-identical between loops,
-across both event-queue engines, and under fleet fault plans.
+and under fleet fault plans.
+
+Those checks are relative: a change that moved both loops the same way
+would pass them. The pins below make them absolute.
 """
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,55 +31,69 @@ from repro.gpu.kernel import (
     TaskPool,
 )
 from repro.gpu.sim import Simulator, install_global_trace
-from repro.gpu.trace import collected_timelines
+from repro.gpu.trace import collected_timelines, combined_schedule_hash
+from repro.obs import Observability, observed
 from repro.obs.bench import BUDGETS, SCENARIOS
-from repro.obs.profiler import SimProfiler, profiled
 
 #: CI-smoke scale; big enough that every scenario exercises dispatch,
 #: preemption, cancellations and the batch loop.
 SCALE = BUDGETS["small"]
 
+#: Each bench scenario's ``combined_schedule_hash`` at the small budget —
+#: the hashes CI's bench baseline (``benchmarks/baseline/BENCH_seed.json``)
+#: holds. A change that moves a schedule must update the pin and say why.
+PINNED_SCENARIO_HASHES = {
+    "serving_sweep": "e813aab5",
+    "fig8_mix": "760f6575",
+    "preempt_storm": "373065b2",
+    "fuzz_stress": "7fac2e32",
+    "fleet_sweep": "0b75f927",
+}
 
-def _run_golden(name: str, use_reference: bool, queue: str = "heap"):
-    """Run one bench scenario, returning its kernel-level golden trace:
-    per-device interval tuples + schedule hashes, and the profiler's
-    aggregate hot-loop accounting.
+#: Per-device schedule hashes of :func:`_run_faulted_fleet` (two nodes,
+#: then node 0's rejoined device).
+PINNED_FAULTED_FLEET_HASHES = ["f74465c3", "9e339fb6", "ede84cce"]
 
-    Scenarios construct their simulators internally, so timelines are
-    captured with the process-global collection window and the queue
-    engine is forced by wrapping ``Simulator.__init__``.
-    """
-    original_init = Simulator.__init__
 
-    def forcing_init(self, *args, **kwargs):
-        kwargs["queue"] = queue
-        kwargs.pop("bucket_us", None)
-        original_init(self, *args, **kwargs)
-
-    Simulator.__init__ = forcing_init
-    Simulator.use_reference_loop = use_reference
-    prof = SimProfiler()
-    try:
-        with collected_timelines() as timelines, profiled(prof):
-            SCENARIOS[name].run(SCALE)
-    finally:
-        Simulator.__init__ = original_init
-        Simulator.use_reference_loop = False
-    traces = [
+def _intervals(timelines):
+    return [
         [
             (iv.sm_id, iv.start_us, iv.end_us, iv.kernel, iv.tag)
             for iv in tl.intervals
         ]
         for tl in timelines
     ]
-    hashes = [tl.schedule_hash() for tl in timelines]
-    return traces, hashes, {
-        "task_pulls": prof.task_pulls,
-        "flag_polls": prof.flag_polls,
-        "cta_admissions": prof.cta_admissions,
-        "preempt_requested": dict(prof.preempt_requested),
-        "preempt_completed": dict(prof.preempt_completed),
+
+
+def _run_golden(name: str, use_reference: bool):
+    """Run one bench scenario, returning its kernel-level golden trace:
+    per-device interval tuples + schedule hashes, and the observability
+    hub's aggregate hot-loop accounting.
+
+    Scenarios construct their simulators internally, so timelines are
+    captured with the process-global collection window and counts with a
+    process-global hub.
+    """
+    Simulator.use_reference_loop = use_reference
+    try:
+        with collected_timelines() as timelines, observed() as hub:
+            SCENARIOS[name].run(SCALE)
+    finally:
+        Simulator.use_reference_loop = False
+    return _intervals(timelines), [tl.schedule_hash() for tl in timelines], {
+        "task_pulls": hub.task_pulls,
+        "flag_polls": hub.flag_polls,
+        "cta_admissions": hub.cta_admissions,
+        "preempt_requested": hub.preempt_requested,
+        "preempt_completed": {
+            kind: stat.count for kind, stat in hub.latency.items()
+        },
     }
+
+
+#: one run per (scenario, loop) per session: the identity, pin and
+#: determinism tests share them
+_golden = lru_cache(maxsize=None)(_run_golden)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -82,8 +101,8 @@ def test_macro_loop_replays_reference_timelines(name):
     """Kernel-level timelines, schedule hashes and aggregate hot-loop
     accounting are bit-identical between the macro-event loop and the
     per-batch reference loop, for every bench scenario."""
-    fast_traces, fast_hashes, fast_totals = _run_golden(name, False)
-    ref_traces, ref_hashes, ref_totals = _run_golden(name, True)
+    fast_traces, fast_hashes, fast_totals = _golden(name, False)
+    ref_traces, ref_hashes, ref_totals = _golden(name, True)
     assert fast_traces, f"scenario {name} recorded no timelines"
     assert any(fast_traces), f"scenario {name} recorded empty timelines"
     assert fast_traces == ref_traces
@@ -91,21 +110,15 @@ def test_macro_loop_replays_reference_timelines(name):
     assert fast_totals == ref_totals
 
 
-@pytest.mark.parametrize("name", ["fig8_mix", "fleet_sweep"])
-def test_macro_loop_identity_on_calendar_queue(name):
-    """The identity contract holds on the calendar queue engine too —
-    and heap vs calendar agree with each other."""
-    fast, fast_hashes, fast_totals = _run_golden(name, False, queue="calendar")
-    ref, ref_hashes, ref_totals = _run_golden(name, True, queue="calendar")
-    assert fast == ref
-    assert fast_hashes == ref_hashes
-    assert fast_totals == ref_totals
-    heap, heap_hashes, _ = _run_golden(name, False, queue="heap")
-    assert fast == heap
-    assert fast_hashes == heap_hashes
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_schedule_hashes_are_pinned(name):
+    """The absolute small-budget schedule hash of every bench scenario,
+    on the run the identity test above already made."""
+    _, hashes, _ = _golden(name, False)
+    assert combined_schedule_hash(hashes) == PINNED_SCENARIO_HASHES[name]
 
 
-def _run_faulted_fleet(use_reference: bool, queue: str):
+def _run_faulted_fleet(use_reference: bool):
     """A faulted fleet plan (crash + rejoin mid-run) under either loop."""
     from repro.fleet import FleetConfig, FleetSystem, parse_fault_spec
     from repro.serving import PoissonLoadGen, Tenant
@@ -121,7 +134,6 @@ def _run_faulted_fleet(use_reference: bool, queue: str):
                 FleetConfig(
                     node_modes=("flep-temporal", "flep-spatial"),
                     routing="deadline", oracle_model=True, seed=5,
-                    queue=queue,
                     faults=parse_fault_spec("crash@2000:n0,rejoin@5000:n0"),
                 ),
             )
@@ -134,33 +146,32 @@ def _run_faulted_fleet(use_reference: bool, queue: str):
             fleet.run()
     finally:
         Simulator.use_reference_loop = False
-    return [
-        [
-            (iv.sm_id, iv.start_us, iv.end_us, iv.kernel, iv.tag)
-            for iv in tl.intervals
-        ]
-        for tl in timelines
-    ], [tl.schedule_hash() for tl in timelines]
+    return _intervals(timelines), [tl.schedule_hash() for tl in timelines]
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_macro_loop_identity_under_fleet_faults(queue):
+_faulted_fleet = lru_cache(maxsize=None)(_run_faulted_fleet)
+
+
+def test_macro_loop_identity_under_fleet_faults():
     """Node loss and rejoin mid-run (re-routing, give-backs) cannot
     perturb the macro loop's timelines either."""
-    fast, fast_hashes = _run_faulted_fleet(False, queue)
-    ref, ref_hashes = _run_faulted_fleet(True, queue)
+    fast, fast_hashes = _faulted_fleet(False)
+    ref, ref_hashes = _faulted_fleet(True)
     assert any(fast), "faulted fleet recorded empty timelines"
     assert fast == ref
     assert fast_hashes == ref_hashes
+
+
+def test_faulted_fleet_schedule_hashes_are_pinned():
+    _, hashes = _faulted_fleet(False)
+    assert hashes == PINNED_FAULTED_FLEET_HASHES
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenarios_are_deterministic_across_runs(name):
     """A scenario replayed twice on the same loop is bit-identical —
     the property the drift gate in ``flep bench --compare`` relies on."""
-    first = _run_golden(name, use_reference=False)
-    second = _run_golden(name, use_reference=False)
-    assert first == second
+    assert _golden(name, False) == _run_golden(name, use_reference=False)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +185,14 @@ def _run_grid(use_reference, num_sms, slots, tasks, task_us, L, writes, *,
     pool; returns everything externally observable."""
     capacity = num_sms * slots
     Simulator.use_reference_loop = use_reference
-    prof = SimProfiler()
+    hub = Observability()
     try:
-        with collected_timelines() as timelines, profiled(prof):
+        with collected_timelines() as timelines:
             sim = Simulator()
             gpu = SimulatedGPU(sim, small_test_gpu(
                 num_sms=num_sms, max_ctas_per_sm=slots,
             ), seed=seed)
-            # a bare device does not pick up the global profiler
-            gpu.prof = prof
+            gpu.obs = hub
 
             def kernel(mode):
                 return KernelImage(
@@ -234,8 +244,8 @@ def _run_grid(use_reference, num_sms, slots, tasks, task_us, L, writes, *,
         "done": pool.done,
         "remaining": pool.remaining,
         "outstanding": pool.outstanding,
-        "task_pulls": prof.task_pulls,
-        "flag_polls": prof.flag_polls,
+        "task_pulls": hub.task_pulls,
+        "flag_polls": hub.flag_polls,
         "end": end,
     }
 

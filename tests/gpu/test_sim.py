@@ -93,6 +93,15 @@ class TestCancellation:
         h.cancel()
         assert sim.peek_time() == 5.0
 
+    def test_pending_accounts_for_cancellations(self, sim):
+        sim.schedule(5.0, lambda: None)
+        sim.schedule(6.0, lambda: None).cancel()
+        assert sim.pending() == 1
+        sim.run()
+        assert sim.pending() == 0
+        assert sim.stats.processed == 1
+        assert sim.stats.cancelled == 1
+
 
 class TestRun:
     def test_run_until_stops_early(self, sim):

@@ -73,14 +73,14 @@ class TestTimelineRecording:
 
     def test_occupancy_series_sums(self, make_kernel):
         sim, tracer = self._run_one(make_kernel, tasks=8)
-        series = tracer.occupancy_series(0, bucket_us=10.0)
+        series = tracer.occupancy_series(0, window_us=10.0)
         for shares in series:
             # 2 slots per SM: occupancy can reach 2.0
             assert sum(shares.values()) <= 2.0 + 1e-9
 
     def test_render_ascii_shape(self, make_kernel):
         sim, tracer = self._run_one(make_kernel, tasks=8)
-        art = tracer.render_ascii(num_sms=2, bucket_us=10.0)
+        art = tracer.render_ascii(num_sms=2, window_us=10.0)
         lines = art.splitlines()
         assert lines[0].startswith("SM0 ")
         assert lines[1].startswith("SM1 ")

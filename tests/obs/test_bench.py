@@ -220,10 +220,10 @@ class TestCompare:
         assert cmp.ok
         assert cmp.drifts == []
         changed = {r["metric"] for r in cmp.rows if r["status"] == "changed"}
-        # the rate over a different event count measures a different
-        # workload decomposition, so it is informational too — only
-        # sim_us_per_wall_s stays gated across a count change
-        assert changed == {"events", "events_per_sec"}
+        assert changed == {"events"}
+        # events_per_sec is reported, never compared: an event count
+        # change makes it measure a different workload decomposition
+        assert "events_per_sec" not in {r["metric"] for r in cmp.rows}
 
     def test_v1_baseline_without_hashes_is_no_baseline_not_drift(self):
         old = _report()
@@ -238,6 +238,8 @@ class TestCompare:
         assert hash_rows and all(
             r["status"] == "no-baseline" for r in hash_rows
         )
+        # the unhashed property is the other half of --fail-on-drift
+        assert cmp.unhashed == hash_rows
 
     def test_no_drift_on_identical_counts(self):
         old = _report()
@@ -256,7 +258,7 @@ class TestCompare:
         old = _report()
         data = old.as_dict()
         for s in data["scenarios"]:
-            s["events_per_sec"] = 0.0
+            s["sim_us_per_wall_s"] = 0.0
         cmp = compare_reports(BenchReport.from_dict(data), old)
         assert any(r["status"] == "no-baseline" for r in cmp.rows)
         assert cmp.ok

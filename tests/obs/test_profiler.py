@@ -1,34 +1,36 @@
-"""Self-profiler tests: null path, shared event accounting, hot-loop
-counters on a hand-built schedule, trace export, global installation."""
+"""Self-profile tests: the observability hub's hot-loop counters and
+timelines, and the engine window's shared event accounting — null path,
+a hand-built schedule, trace export, global installation."""
 
 import pytest
 
 from repro.baselines.mps_corun import MPSCoRun
 from repro.core.flep import FlepSystem
-from repro.errors import ObservabilityError, SimulationError
-from repro.gpu.sim import Simulator
+from repro.errors import SimulationError
+from repro.gpu.sim import EngineWindow, Simulator
 from repro.obs import (
-    NULL_PROFILER,
-    NullSimProfiler,
-    SimProfiler,
+    NULL_OBS,
+    LatencyStat,
+    NullObservability,
+    Observability,
     SpanTracer,
-    get_global_profiler,
-    install_global_profiler,
-    profiled,
-    uninstall_global_profiler,
+    get_global,
+    install_global,
+    observed,
+    uninstall_global,
 )
-from repro.obs.profiler import LatencyStat, _event_kind
+from repro.obs.recorder import _event_kind
 from repro.runtime.engine import RuntimeConfig
 
 
-def _three_kernel_run(prof):
+def _three_kernel_run(hub):
     """The hand-built schedule the counter assertions run against: a
     long low-priority NN, a high-priority SPMV arriving mid-flight (one
     guaranteed temporal preemption under hpf), and a trailing MM."""
     system = FlepSystem(
         policy="hpf",
         config=RuntimeConfig(oracle_model=True, spatial_enabled=False),
-        profiler=prof,
+        observability=hub,
     )
     system.submit_at(0.0, "batch", "NN", "large", priority=0)
     system.submit_at(200.0, "rt", "SPMV", "trivial", priority=1)
@@ -44,32 +46,29 @@ def _three_kernel_run(prof):
 class TestNullProfiler:
     def test_default_system_uses_null_profiler(self):
         system = FlepSystem(policy="hpf")
-        assert system.prof is NULL_PROFILER
-        assert system.sim.prof is NULL_PROFILER
-        assert not system.prof.enabled
+        assert system.obs is NULL_OBS
+        assert system.sim.obs is NULL_OBS
+        assert system.gpu.prof is NULL_OBS
+        assert not system.obs.enabled
 
     def test_null_hooks_record_nothing(self):
-        null = NullSimProfiler()
+        null = NullObservability()
         null.on_event("x/batch", 3)
         null.on_sm_admit(0, 1)
-        null.on_tasks_pulled(100)
-        null.on_flag_polls(5)
-        null.on_preempt_requested("temporal", 1)
-        null.on_drained(1)
-        null.start()
+        null.on_batch(100, 5)
+        null.on_macro_collapse(7)
         assert null.events_by_kind == {}
         assert null.task_pulls == 0 and null.flag_polls == 0
-        assert null.wall_s == 0.0
-        assert null.events_total == 0
+        assert null.batches_collapsed == 0
+        assert not null.queue_samples and not null.sm_samples
 
     def test_explicit_null_instance_stays_null(self):
-        system = FlepSystem(policy="hpf", profiler=NULL_PROFILER)
-        assert system.prof is NULL_PROFILER
+        system = FlepSystem(policy="hpf", observability=NULL_OBS)
+        assert system.obs is NULL_OBS
 
     def test_run_results_identical_with_and_without_profiler(self):
         bare = _three_kernel_run(None)
-        prof = SimProfiler()
-        inst = _three_kernel_run(prof)
+        inst = _three_kernel_run(Observability())
         assert bare.sim.now == inst.sim.now
         assert bare.sim.stats.processed == inst.sim.stats.processed
         assert bare.sim.stats.peak_pending == inst.sim.stats.peak_pending
@@ -80,58 +79,60 @@ class TestNullProfiler:
 # ---------------------------------------------------------------------------
 class TestSharedCounter:
     def test_profiler_reads_the_simulators_own_counter(self):
-        prof = SimProfiler()
-        system = _three_kernel_run(prof)
-        assert prof.events_total == system.sim.stats.processed
-        assert prof.events_total > 0
+        hub = Observability()
+        with EngineWindow() as window:
+            system = _three_kernel_run(hub)
+        assert window.events == system.sim.stats.processed
+        assert window.events > 0
         # 'macro-batch' counts per-batch events the fast-forward engine
         # *avoided* firing — the only synthetic kind in the breakdown
-        by_kind = dict(prof.events_by_kind)
+        by_kind = dict(hub.events_by_kind)
         collapsed = by_kind.pop("macro-batch", 0)
-        assert collapsed == prof.batches_collapsed
-        assert sum(by_kind.values()) == prof.events_total
-        assert prof.peak_queue_depth == system.sim.stats.peak_pending
-        assert prof.events_scheduled == system.sim.stats.scheduled
+        assert collapsed == hub.batches_collapsed
+        assert sum(by_kind.values()) == window.events
+        assert window.peak_queue_depth == system.sim.stats.peak_pending
+        assert window.events_scheduled == system.sim.stats.scheduled
 
     def test_attach_baselines_prior_activity(self):
-        sim = Simulator()
+        """Only simulators built inside the window are counted: earlier
+        activity never leaks into a report."""
+        before = Simulator()
         for i in range(5):
-            sim.schedule_at(float(i), lambda: None, label="warmup")
-        sim.run()
-        assert sim.stats.processed == 5
-        prof = SimProfiler()
-        prof.attach(sim)
-        sim.prof = prof
-        assert prof.events_total == 0
-        sim.schedule_at(10.0, lambda: None, label="counted")
-        sim.run()
-        assert prof.events_total == 1
-        assert sim.stats.processed == 6
+            before.schedule_at(float(i), lambda: None, label="warmup")
+        before.run()
+        with EngineWindow() as window:
+            sim = Simulator()
+            sim.schedule_at(10.0, lambda: None, label="counted")
+            sim.run()
+            before.schedule_at(20.0, lambda: None, label="outside")
+            before.run()
+        assert window.sims == [sim]
+        assert window.events == 1
+        assert window.sim_us == 10.0
 
     def test_max_events_exhaustion_uses_the_same_counter(self):
-        sim = Simulator(max_events=10)
-        prof = SimProfiler()
-        prof.attach(sim)
-        sim.prof = prof
+        with EngineWindow() as window:
+            sim = Simulator(max_events=10)
 
-        def rearm():
-            sim.schedule(1.0, rearm, label="loop")
+            def rearm():
+                sim.schedule(1.0, rearm, label="loop")
 
-        rearm()
-        with pytest.raises(SimulationError, match="event budget exceeded"):
-            sim.run()
+            rearm()
+            with pytest.raises(SimulationError, match="event budget exceeded"):
+                sim.run()
         # both views agree even after the abort mid-loop
-        assert prof.events_total == sim.stats.processed
+        assert window.events == sim.stats.processed
 
     def test_multi_sim_aggregation(self):
-        prof = SimProfiler()
-        a = _three_kernel_run(prof)
-        b = _three_kernel_run(prof)
-        assert prof.num_sims == 2
-        assert prof.events_total == (
+        hub = Observability()
+        with EngineWindow() as window:
+            a = _three_kernel_run(hub)
+            b = _three_kernel_run(hub)
+        assert len(window.sims) == 2
+        assert window.events == (
             a.sim.stats.processed + b.sim.stats.processed
         )
-        assert prof.sim_elapsed_us == a.sim.now + b.sim.now
+        assert window.sim_us == a.sim.now + b.sim.now
 
 
 # ---------------------------------------------------------------------------
@@ -140,93 +141,107 @@ class TestSharedCounter:
 class TestCounters:
     @pytest.fixture(scope="class")
     def run(self):
-        prof = SimProfiler()
-        with prof:
-            system = _three_kernel_run(prof)
-        return prof, system
+        hub = Observability()
+        with EngineWindow() as window:
+            system = _three_kernel_run(hub)
+        return hub, window, system
 
     def test_hot_loop_counters_fire(self, run):
-        prof, _ = run
-        assert prof.task_pulls > 0
-        assert prof.flag_polls > 0
-        assert prof.cta_admissions > 0
+        hub, _, _ = run
+        assert hub.task_pulls > 0
+        assert hub.flag_polls > 0
+        assert hub.cta_admissions > 0
         # amortized polling: far fewer flag polls than task pulls
-        assert prof.flag_polls < prof.task_pulls
+        assert hub.flag_polls < hub.task_pulls
+        # the registry series are the same counters
+        assert hub.m_task_pulls.total == hub.task_pulls
+        assert hub.m_flag_polls.total == hub.flag_polls
+        assert hub.m_cta_admissions.total == hub.cta_admissions
+        assert hub.m_batches_collapsed.total == hub.batches_collapsed
 
     def test_event_kinds_are_bounded_classes(self, run):
-        prof, _ = run
-        assert "batch" in prof.events_by_kind
-        assert "submit" in prof.events_by_kind
+        hub, _, _ = run
+        assert "batch" in hub.events_by_kind
+        assert "submit" in hub.events_by_kind
         # no raw per-context labels leaked through
-        assert all("/" not in k and ":" not in k for k in prof.events_by_kind)
+        assert all("/" not in k and ":" not in k for k in hub.events_by_kind)
 
     def test_temporal_preemption_latency_recorded(self, run):
-        prof, _ = run
-        assert prof.preempt_requested.get("temporal", 0) >= 1
-        stat = prof.latency["temporal"]
+        hub, _, _ = run
+        assert hub.preempt_requested.get("temporal", 0) >= 1
+        stat = hub.latency["temporal"]
         assert stat.count >= 1
         assert 0.0 < stat.mean <= stat.max
-        assert stat.count == prof.preempt_completed["temporal"]
+        # one drain-latency measurement: the registry histogram sees the
+        # same samples
+        assert stat.count == hub.m_drain.count()
+        assert stat.sum == pytest.approx(hub.m_drain.sum())
 
     def test_queue_and_sm_timelines_sampled(self, run):
-        prof, _ = run
-        assert prof.sm_samples, "SM occupancy timeline is empty"
-        assert all(r >= 0 for _, _, r in prof.sm_samples)
+        hub, _, _ = run
+        assert hub.queue_samples, "event-queue timeline is empty"
+        assert hub.sm_samples, "SM occupancy timeline is empty"
+        assert all(r >= 0 for _, _, r in hub.sm_samples)
 
     def test_rates_need_a_wall_window(self, run):
-        prof, _ = run
-        assert prof.wall_s > 0.0
-        assert prof.events_per_sec > 0.0
-        assert prof.sim_us_per_wall_s > 0.0
+        _, window, _ = run
+        block = window.engine_block()
+        assert block["wall_s"] > 0.0
+        assert block["events_per_sec"] > 0.0
+        assert block["sim_us_per_wall_s"] > 0.0
 
     def test_engine_block_shape(self, run):
-        prof, _ = run
-        block = prof.engine_block()
+        _, window, system = run
+        block = window.engine_block()
         assert set(block) == {
             "events", "events_per_sec", "wall_s", "peak_queue_depth",
             "sim_us", "sim_us_per_wall_s", "sims",
         }
-        assert block["events"] == prof.events_total
+        assert block["events"] == system.sim.stats.processed
         assert block["sims"] == 1
 
     def test_snapshot_and_summary(self, run):
-        prof, _ = run
-        snap = prof.snapshot()
-        assert snap["task_pulls"] == prof.task_pulls
-        assert "temporal" in snap["preempt_latency_us"]
-        text = prof.format_summary()
+        hub, window, _ = run
+        block = hub.profile_block()
+        assert set(block) == {
+            "events_by_kind", "task_pulls", "flag_polls", "cta_admissions",
+            "preempt_requested", "preempt_latency_us",
+        }
+        assert block["task_pulls"] == hub.task_pulls
+        assert "temporal" in block["preempt_latency_us"]
+        text = hub.format_profile(window)
         assert "simulator self-profile" in text
         assert "preempt[temporal]" in text
+        assert f"batches_collapsed={hub.batches_collapsed}" in text
 
     def test_export_to_tracer(self, run):
-        prof, _ = run
+        hub, _, _ = run
         tracer = SpanTracer(clock=lambda: 0.0)
-        n = prof.export_to_tracer(tracer)
+        n = hub.export_to_tracer(tracer)
         assert n == (
-            len(prof.queue_samples) + len(prof.sm_samples)
-            + len(prof.drain_stalls)
+            len(hub.queue_samples) + len(hub.sm_samples)
+            + len(hub.drain_stalls)
         )
-        assert len(tracer.counters) >= len(prof.sm_samples)
+        assert len(tracer.counters) >= len(hub.sm_samples)
         stalls = [s for s in tracer.spans if "temporal_stall" in s.name]
-        assert len(stalls) == len(prof.drain_stalls)
+        assert len(stalls) == len(hub.drain_stalls)
 
 
 # ---------------------------------------------------------------------------
 # sampling bounds
 # ---------------------------------------------------------------------------
 class TestSamplingBounds:
-    def test_sample_every_must_be_positive(self):
-        with pytest.raises(ObservabilityError):
-            SimProfiler(sample_every=0)
-
     def test_timelines_are_bounded_and_truncation_is_counted(self):
-        prof = SimProfiler(sample_every=1, max_samples=10)
-        prof.attach(Simulator())
+        hub = Observability()
+        hub.sample_every = 1
+        hub.max_samples = 10
         for i in range(25):
-            prof.on_event("x", i)
-        assert len(prof.queue_samples) == 10
-        assert prof.dropped_samples == 15
-        assert "truncated" in prof.format_summary()
+            hub.on_event("x", i)
+        assert len(hub.queue_samples) == 10
+        assert hub.dropped_samples == 15
+        with EngineWindow() as window:
+            pass
+        assert "truncated" in hub.format_profile(window)
 
     def test_event_kind_collapse(self):
         assert _event_kind("NN__flep/ctx3/batch") == "batch"
@@ -251,40 +266,45 @@ class TestSamplingBounds:
 # ---------------------------------------------------------------------------
 class TestGlobalProfiler:
     def teardown_method(self):
-        uninstall_global_profiler()
+        uninstall_global()
 
     def test_install_and_uninstall(self):
-        prof = SimProfiler()
-        install_global_profiler(prof)
-        assert get_global_profiler() is prof
-        uninstall_global_profiler()
-        assert get_global_profiler() is None
+        hub = Observability()
+        install_global(hub)
+        assert get_global() is hub
+        uninstall_global()
+        assert get_global() is None
 
     def test_new_systems_pick_up_the_global(self):
-        with profiled() as prof:
+        with observed() as hub:
             system = FlepSystem(policy="hpf")
-            assert system.prof is prof
-            assert system.sim.prof is prof
-        assert get_global_profiler() is None
-        assert FlepSystem(policy="hpf").prof is NULL_PROFILER
+            assert system.obs is hub
+            assert system.sim.obs is hub
+            assert system.gpu.prof is hub
+        assert get_global() is None
+        assert FlepSystem(policy="hpf").obs is NULL_OBS
 
     def test_mps_baseline_picks_up_the_global(self):
-        with profiled() as prof:
+        with observed() as hub, EngineWindow() as window:
             corun = MPSCoRun()
             corun.submit_at(0.0, "solo", "VA", "trivial")
             corun.run()
-        assert prof.events_total == corun.sim.stats.processed
-        assert prof.events_total > 0
+        assert corun.sim.obs is hub and corun.gpu.prof is hub
+        assert sum(hub.events_by_kind.values()) == corun.sim.stats.processed
+        assert window.events == corun.sim.stats.processed > 0
+        assert hub.cta_admissions > 0
 
     def test_explicit_profiler_beats_the_global(self):
-        mine = SimProfiler()
-        with profiled():
-            system = FlepSystem(policy="hpf", profiler=mine)
-            assert system.prof is mine
+        mine = Observability()
+        with observed():
+            system = FlepSystem(policy="hpf", observability=mine)
+            assert system.obs is mine
 
     def test_profiled_runs_the_wall_clock(self):
-        with profiled() as prof:
+        with observed() as hub, EngineWindow() as window:
             _three_kernel_run(None)  # picked up globally
-        assert prof.wall_s > 0.0
-        assert prof.num_sims == 1
-        assert prof.events_per_sec > 0.0
+        block = window.engine_block()
+        assert block["wall_s"] > 0.0
+        assert block["sims"] == 1
+        assert block["events_per_sec"] > 0.0
+        assert hub.task_pulls > 0

@@ -41,9 +41,9 @@ class FakeInv:
 class TestDeviceHooks:
     def test_sim_event_kind_collapsing(self):
         hub = Observability()
-        hub.sim_event("NN__flep/ctx3/batch")
-        hub.sim_event("launch:NN")
-        hub.sim_event("")
+        hub.on_event("NN__flep/ctx3/batch", 0)
+        hub.on_event("launch:NN", 0)
+        hub.on_event("", 0)
         c = hub.m_sim_events
         assert c.value(kind="batch") == 1
         assert c.value(kind="launch") == 1
@@ -51,9 +51,9 @@ class TestDeviceHooks:
 
     def test_sm_residency_tracks_gauge_and_counter(self):
         hub = Observability()
-        hub.sm_admitted(0, 1)
-        hub.sm_admitted(0, 2)
-        hub.sm_released(0, 1)
+        hub.on_sm_admit(0, 1)
+        hub.on_sm_admit(0, 2)
+        hub.on_sm_release(0, 1)
         assert hub.m_cta_admissions.total == 2
         assert hub.m_sm_resident.value(sm="0") == 1
         ctas = [dict(s.values)["ctas"] for s in hub.tracer.counters]
@@ -61,11 +61,26 @@ class TestDeviceHooks:
 
     def test_task_pulls_and_polls_batched(self):
         hub = Observability()
-        hub.tasks_pulled(64)
-        hub.flag_polled(4)
-        hub.flag_polled(0)  # no-op batch
+        hub.on_batch(64, 4)
+        hub.on_batch(0, 0)  # no-op batch
         assert hub.m_task_pulls.total == 64
         assert hub.m_flag_polls.total == 4
+
+    def test_hot_series_are_built_when_read(self):
+        """Hot hooks bump plain counters; every read path (the family
+        attribute, the registry, the Prometheus text) sees them."""
+        hub = Observability()
+        text = hub.metrics.render_prometheus()
+        assert "flep_task_pulls_total 0" not in text
+        hub.on_batch(10, 1)
+        hub.on_macro_collapse(3)
+        hub.on_event("k/ctx0/batch", 0)
+        text = hub.metrics.render_prometheus()
+        assert "flep_task_pulls_total 10" in text
+        assert "flep_batches_collapsed_total 3" in text
+        assert 'flep_sim_events_total{kind="batch"} 1' in text
+        hub.on_batch(5, 0)
+        assert hub.metrics.get("flep_task_pulls_total").total == 15
 
 
 class TestInvocationLifecycle:
@@ -79,7 +94,7 @@ class TestInvocationLifecycle:
         t[0] = 50.0
         hub.inv_preempt_requested(inv, "temporal", 15)
         t[0] = 60.0
-        hub.inv_drained(inv, 10.0)
+        hub.inv_drained(inv)
         t[0] = 70.0
         hub.inv_scheduled(inv, resumed=True)
         t[0] = 200.0
@@ -128,15 +143,15 @@ class TestNullRecorder:
         null = NullObservability()
         assert null.enabled is False
         inv = FakeInv()
-        null.sim_event("x")
+        null.on_event("x", 0)
         null.kernel_launched("k")
-        null.sm_admitted(0, 1)
-        null.tasks_pulled(10)
-        null.flag_polled()
+        null.on_sm_admit(0, 1)
+        null.on_batch(10, 1)
+        null.on_macro_collapse(2)
         null.inv_arrived(inv)
         null.inv_scheduled(inv, resumed=False)
         null.inv_preempt_requested(inv, "temporal", 15)
-        null.inv_drained(inv, 5.0)
+        null.inv_drained(inv)
         null.inv_topped_up(inv)
         null.inv_finished(inv)
         null.queue_depth("hpf", 3)

@@ -7,6 +7,7 @@ guard it always had. This bench verifies the uninstalled path stays
 hook-free, times the guard directly, and records the monitored run's
 cost for the report."""
 
+import statistics
 import time
 import timeit
 
@@ -62,20 +63,30 @@ def test_uninstalled_monitors_leave_no_trace_hook(benchmark):
     )
 
 
-def test_monitored_run_cost_is_bounded(benchmark):
-    """Full monitor stack on the same co-run, for the report. The
-    monitors loop over every SM per event, so a multiple of the bare
-    run is expected — bound it loosely to catch pathological regressions."""
-    t0 = time.perf_counter()
-    _run_pair()
-    bare_s = time.perf_counter() - t0
+def _median_wall_s(run, rounds: int = 5) -> float:
+    walls = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        run()
+        walls.append(time.perf_counter() - t0)
+    return statistics.median(walls)
 
+
+def test_monitored_run_cost_is_bounded(benchmark):
+    """Full monitor stack on the same co-run. Each monitor re-checks
+    only what an event can change (the pools of queued grids, the CTAs
+    of grids whose flag is raised, one screen over the SM bank), so the
+    monitored run stays within a small multiple of the bare one: over
+    five runs each, the median monitored run takes under 3x the median
+    bare run."""
     system = benchmark.pedantic(
         lambda: _run_pair(monitored=True),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     assert system.sim._trace is None  # uninstall restored the bare hook
-    t0 = time.perf_counter()
-    _run_pair(monitored=True)
-    monitored_s = time.perf_counter() - t0
-    assert monitored_s < max(50 * bare_s, 5.0)
+    bare_s = _median_wall_s(_run_pair)
+    monitored_s = _median_wall_s(lambda: _run_pair(monitored=True))
+    assert monitored_s < 3 * bare_s, (
+        f"monitored co-run {monitored_s * 1e3:.1f}ms vs bare "
+        f"{bare_s * 1e3:.1f}ms ({monitored_s / bare_s:.2f}x)"
+    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..errors import ResourceError, SimulationError
 
@@ -217,6 +217,12 @@ class TaskPool:
     def complete(self) -> bool:
         self._sync_cohort()
         return self._done == self.total
+
+    def counts(self) -> Tuple[int, int, int]:
+        """``(done, outstanding, remaining)`` after one cohort sync — a
+        consistent snapshot for observers that read all three."""
+        self._sync_cohort()
+        return self._done, self._outstanding, self._remaining
 
     @property
     def workers(self) -> int:

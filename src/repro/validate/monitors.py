@@ -1,6 +1,6 @@
 """Online invariant monitors.
 
-A :class:`Monitor` re-checks one class of invariant after every simulated
+A :class:`Monitor` checks one class of invariant after every simulated
 event; a :class:`MonitorSet` owns a group of monitors and splices them
 into a :class:`~repro.gpu.sim.Simulator` through the existing
 ``set_trace`` hook (chaining with any trace function already installed,
@@ -8,32 +8,44 @@ so monitors compose with user tracing). Monitors are **zero-cost when
 not installed**: no hot path in the simulator, device or runtime knows
 this module exists.
 
-The invariant catalogue:
+Each monitor's per-event cost tracks what an event can change, not
+everything the run ever created; ``finalize`` re-checks what the
+per-event pass may have skipped. The invariant catalogue:
 
 ================  =====================================================
-Monitor           Invariant
+Monitor           Invariant (per event / at finalize)
 ================  =====================================================
 resource-budget   No SM ever exceeds its CTA-slot / thread / warp /
                   register / shared-memory budget; accounting never
-                  goes negative.
+                  goes negative. Per event: one ``max``/``min`` screen
+                  over the device's SM bank, a per-SM scan only on a
+                  miss.
 work-conservation Every task pool satisfies
-                  ``done + outstanding + remaining == total`` at every
-                  event; ``done`` is monotone (a task commits exactly
-                  once) and every pool drains (``outstanding == 0``) by
-                  the end of the run.
+                  ``done + outstanding + remaining == total`` and
+                  ``done`` is monotone (a task commits exactly once).
+                  Per event: the pools of queued grids, newly tracked
+                  pools, and pools whose grids just left the queue.
+                  Finalize: every pool ever tracked, then every pool
+                  must have drained (``outstanding == 0``).
 monotonic-time    Event timestamps never decrease, and never lag the
                   simulated clock.
 spatial-partition A persistent CTA resident on SM ``s`` while the
                   device-visible flag demands ``s < spa_P`` must leave
                   within one poll period (``L`` tasks + one pinned
                   read) — the ``%smid`` partition of Figure 4 (c).
+                  Per event: queued grids with a raised flag, each
+                  rescanned only when its contexts or flag change or a
+                  deadline passes. Finalize: overdue CTAs still
+                  resident.
 hpf-contract      While a lower-priority kernel runs, no
                   higher-priority invocation stays in the wait queues
-                  beyond the preemption-latency bound (Figure 6).
+                  beyond the preemption-latency bound (Figure 6). Per
+                  event: the unfinished invocations.
 ffs-contract      Over any window in which every active class has
                   continuous backlog, each class's GPU-time share
                   matches its weight share within
                   ``max_overhead`` (+ one-epoch granularity slack).
+                  Finalize only.
 ================  =====================================================
 """
 
@@ -43,8 +55,6 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import InvariantViolation, ValidationError
-from ..gpu.kernel import KernelMode
-from ..gpu.memory import should_yield
 from ..gpu.sim import Simulator
 from ..runtime.tracker import InvocationState
 
@@ -157,8 +167,12 @@ def off_by_one_spec(spec):
 class ResourceBudgetMonitor(Monitor):
     """Per-SM budgets are never exceeded; accounting never goes negative.
 
-    ``spec`` defaults to the device's own spec; passing a different one
-    (e.g. :func:`off_by_one_spec`) plants a violation for self-tests.
+    Per event, one C-level ``max``/``min`` over each of the device's
+    :class:`~repro.gpu.sm.SMBank` lists (and over the resident-set
+    sizes) screens every SM at once; only when the screen misses does
+    the per-SM scan run, so the error names the SM. ``spec`` defaults to
+    the device's own spec; passing a different one (e.g.
+    :func:`off_by_one_spec`) plants a violation for self-tests.
     """
 
     name = "resource-budget"
@@ -166,8 +180,24 @@ class ResourceBudgetMonitor(Monitor):
     def __init__(self, gpu, spec=None):
         self.gpu = gpu
         self.spec = spec if spec is not None else gpu.spec
+        self._residents = [sm.resident for sm in gpu.sms]
 
     def on_event(self, ev) -> None:
+        spec = self.spec
+        bank = self.gpu.bank
+        if (
+            max(map(len, self._residents)) <= spec.max_ctas_per_sm
+            and max(bank.threads) <= spec.max_threads_per_sm
+            and max(bank.warps) <= spec.max_warps_per_sm
+            and max(bank.regs) <= spec.registers_per_sm
+            and max(bank.smem) <= spec.shared_mem_per_sm
+            and min(min(bank.threads), min(bank.warps),
+                    min(bank.regs), min(bank.smem)) >= 0
+        ):
+            return
+        self._scan()
+
+    def _scan(self) -> None:
         spec = self.spec
         for sm in self.gpu.sms:
             if len(sm.resident) > spec.max_ctas_per_sm:
@@ -208,11 +238,31 @@ class WorkConservationMonitor(Monitor):
     """Task conservation: a launched task is executed at least once and
     committed exactly once.
 
-    Per event, for every discovered pool: ``done + outstanding +
-    remaining == total``, all components non-negative, and ``done`` is
-    monotone non-decreasing (re-execution after preemption returns tasks
-    to ``remaining`` — it never double-commits). At finalize, every pool
-    must be quiescent (``outstanding == 0``) and, when
+    The per-pool check: ``done + outstanding + remaining == total``, all
+    components non-negative, and ``done`` monotone non-decreasing
+    (re-execution after preemption returns tasks to ``remaining`` — it
+    never double-commits).
+
+    Only the CTA contexts of a grid in the device queue mutate a pool
+    (the batch loop of :mod:`repro.gpu.cta`, the cohort commits of
+    :mod:`repro.gpu.macro`, and the ``TaskPool.take``/``finish``/
+    ``give_back`` calls they make). A grid leaves the queue only when it
+    is terminal, and ``Grid._check_terminal`` requires its context set
+    to be empty. So per event the check runs on just:
+
+    * the pools of grids in ``gpu._queue`` (*live*);
+    * pools tracked since the last event — new completed grids and
+      runtime invocations, found through cursors over those append-only
+      lists, and :meth:`track` calls;
+    * pools live at the last event but not now: their final check, after
+      which they retire. A resumed grid sharing a retired pool brings it
+      back to life.
+
+    Per-event cost follows the queue, not the number of pools ever
+    created, and each check reads the pool once (:meth:`TaskPool.counts`).
+    :meth:`finalize` re-runs the full check on every pool ever tracked,
+    which catches a mutation of a retired pool, then demands that every
+    pool be quiescent (``outstanding == 0``) and, when
     ``require_complete``, fully committed (``done == total``).
     """
 
@@ -222,59 +272,94 @@ class WorkConservationMonitor(Monitor):
         self.gpu = gpu
         self.runtime = runtime
         self.require_complete = require_complete
-        #: id(pool) -> (pool, label, highest done seen)
-        self._pools: Dict[int, Tuple[object, str, int]] = {}
+        #: id(pool) -> [pool, label, highest done seen], tracking order
+        self._pools: Dict[int, list] = {}
+        #: pools tracked since the last event
+        self._fresh: Dict[int, list] = {}
+        #: pools live at the last event
+        self._live: Dict[int, list] = {}
+        #: cursors into gpu.completed_grids / runtime.invocations
+        self._grids_seen = 0
+        self._invs_seen = 0
 
-    def track(self, pool, label: str = "") -> None:
+    def track(self, pool, label: str = "") -> list:
         key = id(pool)
-        if key not in self._pools:
-            self._pools[key] = (pool, label or repr(pool), pool.done)
+        entry = self._pools.get(key)
+        if entry is None:
+            entry = [pool, label or repr(pool), pool.done]
+            self._pools[key] = self._fresh[key] = entry
+        return entry
 
-    def _discover(self) -> None:
+    def _discover(self) -> Dict[int, list]:
+        """Track every pool created since the last call; return the live
+        ones (the pools of queued grids)."""
+        live: Dict[int, list] = {}
         if self.gpu is not None:
+            pools = self._pools
             for grid in self.gpu._queue:
+                pool = grid.pool
+                key = id(pool)
+                live[key] = pools.get(key) or self.track(
+                    pool, grid.kernel.name
+                )
+            completed = self.gpu.completed_grids
+            for grid in completed[self._grids_seen:]:
                 self.track(grid.pool, grid.kernel.name)
-            for grid in self.gpu.completed_grids:
-                self.track(grid.pool, grid.kernel.name)
+            self._grids_seen = len(completed)
         if self.runtime is not None:
-            for inv in self.runtime.invocations:
+            invocations = self.runtime.invocations
+            for inv in invocations[self._invs_seen:]:
                 self.track(inv.pool, f"inv#{inv.inv_id}:{inv.kspec.name}")
+            self._invs_seen = len(invocations)
+        return live
+
+    def _check(self, entry: list) -> None:
+        """One pool's conservation check; advances its ``done``."""
+        pool, label, last_done = entry
+        done, outstanding, remaining = pool.counts()
+        if min(done, outstanding, remaining) < 0:
+            self.fail(
+                "task pool accounting went negative", pool=label,
+                done=done, outstanding=outstanding, remaining=remaining,
+            )
+        if done + outstanding + remaining != pool.total:
+            self.fail(
+                "task conservation broken", pool=label,
+                done=done, outstanding=outstanding,
+                remaining=remaining, total=pool.total,
+            )
+        if done < last_done:
+            self.fail(
+                "committed tasks decreased (double commit/rollback)",
+                pool=label, done=done, previously=last_done,
+            )
+        entry[2] = done
 
     def on_event(self, ev) -> None:
-        self._discover()
-        for key, (pool, label, last_done) in self._pools.items():
-            if min(pool.done, pool.outstanding, pool.remaining) < 0:
-                self.fail(
-                    "task pool accounting went negative", pool=label,
-                    done=pool.done, outstanding=pool.outstanding,
-                    remaining=pool.remaining,
-                )
-            if pool.done + pool.outstanding + pool.remaining != pool.total:
-                self.fail(
-                    "task conservation broken", pool=label,
-                    done=pool.done, outstanding=pool.outstanding,
-                    remaining=pool.remaining, total=pool.total,
-                )
-            if pool.done < last_done:
-                self.fail(
-                    "committed tasks decreased (double commit/rollback)",
-                    pool=label, done=pool.done, previously=last_done,
-                )
-            if pool.done > last_done:
-                self._pools[key] = (pool, label, pool.done)
+        live = self._discover()
+        due = self._fresh
+        due.update(live)
+        due.update(self._live)  # retiring: final check
+        self._fresh = {}
+        self._live = live
+        for entry in due.values():
+            self._check(entry)
 
     def finalize(self, now: float) -> None:
         self._discover()
+        for entry in self._pools.values():
+            self._check(entry)
         for pool, label, _ in self._pools.values():
-            if pool.outstanding != 0:
+            done, outstanding, _ = pool.counts()
+            if outstanding != 0:
                 self.fail(
                     "tasks still outstanding after the run drained",
-                    pool=label, outstanding=pool.outstanding, at=now,
+                    pool=label, outstanding=outstanding, at=now,
                 )
-            if self.require_complete and not pool.complete:
+            if self.require_complete and done != pool.total:
                 self.fail(
                     "pool did not commit every task (work lost)",
-                    pool=label, done=pool.done, total=pool.total, at=now,
+                    pool=label, done=done, total=pool.total, at=now,
                 )
 
 
@@ -312,6 +397,20 @@ class SpatialPartitionMonitor(Monitor):
     ``s`` must leave within one poll period — ``L`` tasks plus the
     pinned reads — of the demand becoming visible. A CTA overstaying
     that bound is a stuck worker the runtime would wait on forever.
+
+    A context's deadline is set at the first event where both the host
+    value and the device-visible value demand its yield: ``L·per_task +
+    2·poll + signal + slack`` later. Only a queued persistent grid whose
+    host flag value is non-zero (*raised*) can demand anything, and the
+    set of demanding contexts changes only when the grid's context set
+    changes, its flag is written, or a pending write becomes visible.
+    So per event the monitor walks the queue for raised grids and keeps
+    each one's deadlines with a key over (flag writes, placements,
+    retirements), the next pending write's visibility time and the
+    earliest deadline. A raised grid whose key is unchanged, with no
+    write turning visible and no deadline passed, costs O(1); otherwise
+    its contexts are rescanned. :meth:`finalize` fails for a context
+    past its deadline that is still resident.
     """
 
     name = "spatial-partition"
@@ -319,59 +418,92 @@ class SpatialPartitionMonitor(Monitor):
     def __init__(self, gpu, slack_us: float = 2.0):
         self.gpu = gpu
         self.slack_us = slack_us
-        #: ctx -> time by which it must have left its SM
-        self._deadlines: Dict[object, float] = {}
-
-    def _demands(self, grid, sm_id: int, now: float) -> bool:
-        """Both the device-visible and host-side values demand a yield
-        (the host check avoids flagging the clear-in-flight window)."""
-        spatial = grid.kernel.supports_spatial
-        return should_yield(
-            sm_id, grid.flag.device_read(now), spatial
-        ) and should_yield(sm_id, grid.flag.last_written, spatial)
+        #: raised grid -> (key, next visibility time, earliest deadline,
+        #: {demanding ctx: time by which it must have left its SM})
+        self._raised: Dict[object, tuple] = {}
 
     def on_event(self, ev) -> None:
         now = self.gpu.sim.now
-        live = {}
-        for sm in self.gpu.sms:
-            for ctx in sm.resident:
-                grid = ctx.grid
-                if (
-                    grid.kernel.mode is not KernelMode.PERSISTENT
-                    or grid.flag is None
-                ):
-                    continue
-                if not self._demands(grid, sm.sm_id, now):
-                    continue
-                deadline = self._deadlines.get(ctx)
-                if deadline is None:
-                    # one full poll period: L tasks (at this context's
-                    # jittered rate) + the reads around the boundary
-                    period = (
-                        ctx._amortize * ctx._per_task
-                        + 2.0 * ctx._poll_cost
-                        + self.gpu.spec.costs.preempt_signal_us
-                        + self.slack_us
-                    )
-                    deadline = now + period
-                elif now > deadline + 1e-9:
-                    self.fail(
-                        "CTA overstayed on a yielding SM",
-                        kernel=grid.kernel.name, sm=sm.sm_id,
-                        ctx=ctx.ctx_id, deadline=deadline, now=now,
-                        flag=grid.flag.last_written,
-                    )
-                live[ctx] = deadline
-        self._deadlines = live
+        previous = self._raised
+        raised = {}
+        late: Dict[object, float] = {}
+        for grid in self.gpu._queue:
+            flag = grid.flag
+            if flag is None or not grid._persistent:
+                continue
+            history = flag._history
+            if history[-1][1] <= 0:
+                continue  # host value 0: no context can demand a yield
+            key = (len(history), grid._placed, grid.finished_contexts,
+                   grid.yielded_contexts)
+            state = previous.get(grid)
+            if (
+                state is None or state[0] != key or now >= state[1]
+                or now > state[2] + 1e-9
+            ):
+                state = self._scan(grid, key, now, state, late)
+            raised[grid] = state
+        self._raised = raised
+        if late:
+            ctx = min(late, key=lambda c: (c.sm.sm_id, c.ctx_id))
+            self.fail(
+                "CTA overstayed on a yielding SM",
+                kernel=ctx.grid.kernel.name, sm=ctx.sm.sm_id,
+                ctx=ctx.ctx_id, deadline=late[ctx], now=now,
+                flag=ctx.grid.flag.last_written,
+            )
+
+    def _scan(self, grid, key, now: float, state, late: dict) -> tuple:
+        """Recompute ``grid``'s demanding contexts, keeping the deadline
+        of each one that already demanded; overdue ones go to ``late``."""
+        flag = grid.flag
+        visible = flag.device_read(now)
+        next_visible = float("inf")
+        for at, _ in reversed(flag._history):
+            if at <= now:
+                break
+            next_visible = at
+        # should_yield() of both values for every SM at once (the host
+        # value, non-zero here, keeps a clear in flight from counting):
+        # a demand covers the SMs below a bound, all of them for
+        # temporal-only kernels
+        if visible <= 0:
+            bound = 0
+        elif grid.kernel.supports_spatial:
+            bound = min(visible, flag.last_written)
+        else:
+            bound = float("inf")
+        known = state[3] if state is not None else {}
+        deadlines = {}
+        for ctx in grid.contexts:
+            if ctx.sm.sm_id >= bound:
+                continue
+            deadline = known.get(ctx)
+            if deadline is None:
+                # one full poll period: L tasks (at this context's
+                # jittered rate) + the reads around the boundary
+                period = (
+                    ctx._amortize * ctx._per_task
+                    + 2.0 * ctx._poll_cost
+                    + self.gpu.spec.costs.preempt_signal_us
+                    + self.slack_us
+                )
+                deadline = now + period
+            elif now > deadline + 1e-9:
+                late[ctx] = deadline
+            deadlines[ctx] = deadline
+        earliest = min(deadlines.values(), default=float("inf"))
+        return key, next_visible, earliest, deadlines
 
     def finalize(self, now: float) -> None:
-        for ctx, deadline in self._deadlines.items():
-            if now > deadline + 1e-9:
-                self.fail(
-                    "CTA still resident on a yielding SM at end of run",
-                    kernel=ctx.grid.kernel.name, sm=ctx.sm.sm_id,
-                    ctx=ctx.ctx_id, deadline=deadline, now=now,
-                )
+        for _, _, _, deadlines in self._raised.values():
+            for ctx, deadline in deadlines.items():
+                if now > deadline + 1e-9 and ctx in ctx.sm.resident:
+                    self.fail(
+                        "CTA still resident on a yielding SM at end of run",
+                        kernel=ctx.grid.kernel.name, sm=ctx.sm.sm_id,
+                        ctx=ctx.ctx_id, deadline=deadline, now=now,
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +517,10 @@ class HPFContractMonitor(Monitor):
     invocation with priority above the running kernel's may only be
     observed transiently (same-timestamp event cascades). The monitor
     tracks how long each such pair persists in *simulated* time and
-    fails once it outlives ``bound_us``.
+    fails once it outlives ``bound_us``. Only an unfinished invocation
+    can be waiting, so each event walks the runtime's live set
+    (``runtime._live``, in submission order), not every invocation ever
+    submitted.
     """
 
     name = "hpf-contract"
@@ -408,7 +543,7 @@ class HPFContractMonitor(Monitor):
         now = rt.sim.now
         on_gpu = {running.inv_id} | {g.inv_id for g in rt.guests}
         live = {}
-        for inv in rt.invocations:
+        for inv in rt._live.values():
             if (
                 inv.inv_id in on_gpu
                 or inv.record.state is not InvocationState.WAITING

@@ -10,6 +10,7 @@ from repro.core.flep import FlepSystem
 from repro.core.policies.edf import EDFPolicy
 from repro.core.policies.hpf import HPFPolicy
 from repro.errors import InvariantViolation, ValidationError
+from repro.fleet import FleetConfig, FleetSystem
 from repro.gpu.device import small_test_gpu
 from repro.gpu.gpu import SimulatedGPU
 from repro.gpu.kernel import (
@@ -20,10 +21,13 @@ from repro.gpu.kernel import (
     TaskPool,
 )
 from repro.runtime.engine import RuntimeConfig
+from repro.serving import PoissonLoadGen, Tenant
 from repro.validate import (
+    Monitor,
     MonitorSet,
     MonotonicTimeMonitor,
     ResourceBudgetMonitor,
+    SpatialPartitionMonitor,
     WorkConservationMonitor,
     install_invariant_checker,
     install_monitors,
@@ -33,6 +37,40 @@ from repro.validate.monitors import off_by_one_spec
 
 def light(name="k", task_us=10.0, threads=64):
     return KernelImage(name, ResourceUsage(threads, 8, 0), TaskModel(task_us))
+
+
+class EventCounter(Monitor):
+    """Counts the events the monitor set has seen."""
+
+    count = 0
+
+    def on_event(self, ev) -> None:
+        self.count += 1
+
+
+def monitored_fleet(suite, duration_ms):
+    """A three-node fleet (spatial, temporal, MPS) under a steady
+    Poisson load: its live queues stay the same size as it runs."""
+    fleet = FleetSystem(
+        [Tenant("web", priority=1, slo_us=3_000.0),
+         Tenant("batch", priority=0)],
+        FleetConfig(
+            node_modes=("flep-spatial", "flep-temporal", "mps"),
+            seed=5, oracle_model=True,
+        ),
+        device=suite.device, suite=suite,
+    )
+    fleet.add_generator(PoissonLoadGen(
+        tenant="web", kernels=("SPMV", "MM", "PL"), rate_per_ms=1.0,
+        duration_ms=duration_ms, seed=5, input_names=("trivial",),
+        priority=1,
+    ))
+    fleet.add_generator(PoissonLoadGen(
+        tenant="batch", kernels=("SPMV", "MM"), rate_per_ms=0.5,
+        duration_ms=duration_ms, seed=6, input_names=("small",),
+        priority=0,
+    ))
+    return fleet
 
 
 class TestMonitorSet:
@@ -124,6 +162,141 @@ class TestWorkConservation:
         monitor.track(pool, "stuck")
         with pytest.raises(InvariantViolation):
             monitor.finalize(0.0)
+
+    def test_planted_double_commit_on_live_pool_caught_at_next_event(
+        self, sim
+    ):
+        """A mid-run event commits one task twice on a queued grid's
+        pool; the check at the very next event catches it."""
+        gpu = SimulatedGPU(sim, small_test_gpu())
+        seen = EventCounter()
+        monitor = WorkConservationMonitor(gpu=gpu)
+        MonitorSet(sim, [seen, monitor]).install()
+        grid = gpu.launch(light(task_us=50.0), LaunchConfig.original(64))
+        planted_at = []
+
+        def double_commit():
+            assert grid in gpu._queue  # the pool is live
+            grid.pool._done += 1
+            planted_at.append(seen.count)
+
+        sim.schedule(120.0, double_commit)
+        with pytest.raises(InvariantViolation) as exc:
+            sim.run()
+        assert "task conservation broken" in str(exc.value)
+        assert seen.count == planted_at[0] + 1
+
+    def test_mutated_retired_pool_caught_by_finalize_at_latest(self, sim):
+        """A pool whose grid completed is no longer checked per event;
+        a later rollback of its commits still fails the run."""
+        gpu = SimulatedGPU(sim, small_test_gpu())
+        monitors = install_invariant_checker(sim, gpu)
+        short = gpu.launch(light("short"), LaunchConfig.original(2))
+        gpu.launch(light("long", task_us=400.0), LaunchConfig.original(8))
+
+        def rollback():
+            assert short.pool.complete and short not in gpu._queue
+            short.pool._done -= 1
+            short.pool._remaining += 1
+
+        sim.schedule(200.0, rollback)
+        with pytest.raises(InvariantViolation) as exc:
+            sim.run()
+            monitors.finalize()
+        assert "committed tasks decreased" in str(exc.value)
+        assert "pool=short" in str(exc.value)
+
+    def test_pool_checks_per_event_stay_flat_as_the_trace_grows(
+        self, suite, monkeypatch
+    ):
+        """Per-event work follows the live queue, not every pool ever
+        created: a 4x longer fleet trace costs the same number of pool
+        checks per processed event."""
+        checks = [0]
+        check = WorkConservationMonitor._check
+
+        def counted(self, entry):
+            checks[0] += 1
+            return check(self, entry)
+
+        monkeypatch.setattr(WorkConservationMonitor, "_check", counted)
+
+        def checks_per_event(duration_ms):
+            fleet = monitored_fleet(suite, duration_ms)
+            bundle = install_monitors(fleet, require_complete=True)
+            checks[0] = 0
+            fleet.run()
+            bundle.finalize()
+            events = sum(ms.sim.stats.processed for ms in bundle)
+            return checks[0] / events
+
+        short, long = checks_per_event(20.0), checks_per_event(80.0)
+        assert long / short <= 1.5, (short, long)
+
+
+class TestSpatialPartition:
+    @staticmethod
+    def spatial_corun(suite):
+        """VA preempted spatially by a trivial NN guest (flep-spatial)."""
+        system = FlepSystem(
+            policy="hpf", device=suite.device, suite=suite,
+            config=RuntimeConfig(oracle_model=True, spatial_enabled=True),
+        )
+        system.submit_at(0.0, "victim", "VA", "large", priority=0)
+        system.submit_at(500.0, "guest", "NN", "trivial", priority=1)
+        return system
+
+    def test_clean_spatial_preemption_passes(self, suite):
+        system = self.spatial_corun(suite)
+        monitors = MonitorSet(
+            system.sim, [SpatialPartitionMonitor(system.gpu)]
+        ).install()
+        result = system.run()
+        monitors.finalize()
+        assert result.by_process("victim")[0].record.preemptions == 0
+
+    def test_planted_short_deadline_is_caught(self, suite):
+        """The plant: a slack that cancels the ``L`` tasks of one poll
+        period, so the deadline is shorter than a correct drain. The
+        monitor must fire while the victim yields part of the GPU."""
+        system = self.spatial_corun(suite)
+        system.sim.run(until=400.0)
+        (victim,) = system.gpu._queue
+        poll_period = min(
+            ctx._amortize * ctx._per_task for ctx in victim.contexts
+        )
+        MonitorSet(system.sim, [
+            SpatialPartitionMonitor(system.gpu, slack_us=-poll_period)
+        ]).install()
+        with pytest.raises(InvariantViolation) as exc:
+            system.run()
+        context = exc.value.context
+        assert context["monitor"] == "spatial-partition"
+        assert context["kernel"] == victim.kernel.name
+        assert 0 < context["flag"] < system.gpu.spec.num_sms
+
+    def test_context_that_left_in_the_final_event_is_not_reported(
+        self, sim
+    ):
+        """The last processed event retires the last yielding CTA; a
+        ``run(until=...)`` then moves the clock past its deadline.
+        Finalize must not report the departed CTA as still resident."""
+        gpu = SimulatedGPU(sim, small_test_gpu())
+        kernel = light("p", task_us=5.0).transformed(2)
+        flag = gpu.new_flag()
+        grid = gpu.launch(
+            kernel, LaunchConfig.persistent(400, 4), flag=flag
+        )
+        monitors = MonitorSet(sim, [SpatialPartitionMonitor(gpu)]).install()
+        sim.schedule(80.0, lambda: flag.host_write(gpu.spec.num_sms))
+        sim.run(until=150.0)
+        assert grid.is_terminal and not grid.contexts
+        # far past any deadline (one poll period, a few microseconds);
+        # the pending event makes run(until=...) stop the clock there
+        sim.schedule(10_000.0, lambda: None)
+        sim.run(until=1_000.0)
+        assert sim.now == 1_000.0
+        monitors.finalize()
 
 
 class TestMonotonicTime:

@@ -19,7 +19,7 @@ from ..gpu.grid import Grid
 from ..gpu.kernel import LaunchConfig
 from ..gpu.mps import MPSServer
 from ..gpu.sim import Simulator
-from ..obs.recorder import get_global
+from ..obs.recorder import adopt_hub
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 
 
@@ -76,10 +76,9 @@ class MPSCoRun:
         self.suite = suite or standard_suite(self.device)
         self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
-        # a process-global hub observes baseline co-runs too
-        hub = get_global()
-        if hub is not None and hub.enabled:
-            hub.bind_clock(lambda: self.sim.now)
+        # only a process-global hub observes baseline co-runs
+        hub = adopt_hub(None, lambda: self.sim.now)
+        if hub.enabled:
             self.sim.obs = hub
             self.gpu.obs = hub
         self.mps = MPSServer(self.gpu)

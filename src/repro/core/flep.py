@@ -22,7 +22,7 @@ from ..gpu.device import GPUDeviceSpec, tesla_k40
 from ..gpu.gpu import SimulatedGPU
 from ..gpu.host import HostProgram
 from ..gpu.sim import Simulator
-from ..obs.recorder import NULL_OBS, Observability, get_global
+from ..obs.recorder import Observability, adopt_hub
 from ..runtime.engine import FlepRuntime, KernelInvocation, RuntimeConfig
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 from .interception import InterceptedProcess
@@ -79,17 +79,8 @@ class FlepSystem:
 
             self.timeline = Timeline()
             self.gpu.tracer = self.timeline
-        # Observability hub: an explicit instance wins; ``True`` builds a
-        # fresh hub on the simulator clock; the default (None/False) picks
-        # up a process-global hub when one is installed, else stays null.
-        if isinstance(observability, Observability):
-            self.obs = observability
-        elif observability:
-            self.obs = Observability(clock=lambda: self.sim.now)
-        else:
-            self.obs = get_global() or NULL_OBS
+        self.obs = adopt_hub(observability, lambda: self.sim.now)
         if self.obs.enabled:
-            self.obs.bind_clock(lambda: self.sim.now)
             self.sim.obs = self.obs
             self.gpu.obs = self.obs
         if isinstance(policy, str):

@@ -56,7 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FleetError
 from ..gpu.device import GPUDeviceSpec, device_from_spec, tesla_k40
-from ..obs.recorder import NULL_OBS, Observability, get_global
+from ..obs.recorder import Observability, adopt_hub
+from ..runtime.models import model_bank
 from ..serving.admission import TokenBucket
 from ..serving.loadgen import LoadGenerator, merge_traces
 from ..serving.slo import SLOTracker
@@ -238,14 +239,7 @@ class FleetSystem:
         self.config = config or FleetConfig()
         #: fleet time: the last control point every node was advanced to
         self._now = 0.0
-        if isinstance(observability, Observability):
-            self.obs = observability
-        elif observability:
-            self.obs = Observability(clock=lambda: self._now)
-        else:
-            self.obs = get_global() or NULL_OBS
-        if self.obs.enabled:
-            self.obs.bind_clock(lambda: self._now)
+        self.obs = adopt_hub(observability, lambda: self._now)
         # The reference device + calibrated suite: routing and admission
         # budget every request against this one predictor, whatever
         # hardware the request lands on (a fleet-canonical cost).
@@ -400,15 +394,10 @@ class FleetSystem:
         routing and every node's admission all budget with the same
         number, whatever backend the request lands on."""
         if self._models is None:
-            from ..runtime.models import ModelBank, OracleModelBank
-
-            if self.config.oracle_model:
-                self._models = OracleModelBank(self.suite, self.device)
-            else:
-                self._models = ModelBank(
-                    self.suite, seed=self.config.seed or 0,
-                    device=self.device,
-                )
+            self._models = model_bank(
+                self.suite, self.device, self.config.oracle_model,
+                seed=self.config.seed or 0,
+            )
         kspec = self.suite[kernel]
         return self._models.predict(kernel, kspec.input(input_name))
 

@@ -3,10 +3,13 @@ per-node queue manager.
 
 A :class:`FleetNode` wraps one per-GPU runtime — a
 :class:`~repro.core.flep.FlepSystem` (temporal- or spatial-preemption
-FLEP) or a plain :class:`~repro.baselines.mps_corun.MPSCoRun` — behind
-a small queue manager: routed requests wait in an explicit node queue,
-and at most ``max_inflight`` of them are dispatched into the backend
-runtime at a time — except that on preemption-capable (FLEP) nodes a
+FLEP) or a plain :class:`~repro.baselines.mps_corun.MPSCoRun`, built and
+fed by the serving layer's own front end
+(:func:`~repro.serving.server.build_backend`,
+:func:`~repro.serving.server.submit_request`) — behind a small queue
+manager: routed requests wait in an explicit node queue, and at most
+``max_inflight`` of them are dispatched into the backend runtime at a
+time — except that on preemption-capable (FLEP) nodes a
 queued request always bypasses a window full of strictly
 lower-priority work, because the backend can preempt that work out of
 its way (convoying it at the dispatch layer would silently undo the
@@ -37,10 +40,11 @@ complete (they are accounted ``lost``).
 Per-node SLO accounting reuses the serving layer unchanged: the node
 runs its requests through a (fleet-shared) SLO tracker and an
 :class:`~repro.serving.admission.AdmissionController` built over the
-same tenant set — admission budgets against *this node's* backlog, so
-an overloaded node sheds while an idle one accepts. Admission-delayed
-(``held``) requests count toward the backlog the routing policies and
-the work stealer observe: delayed work is still committed work.
+same tenant set — admission budgets against *this node's*
+:class:`~repro.serving.admission.BacklogLedger`, so an overloaded node
+sheds while an idle one accepts. Admission-delayed (``held``) requests
+count toward the backlog the routing policies and the work stealer
+observe: delayed work is still committed work.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import FleetError
-from ..serving.admission import AdmissionController, Decision
-from ..serving.server import MODES
+from ..core.flep import FlepSystem
+from ..serving.admission import AdmissionController, BacklogLedger, Decision
+from ..serving.server import MODES, ServingConfig, build_backend, submit_request
 from ..serving.slo import SLOTracker
 from ..serving.tenants import Tenant, TenantSet
 
@@ -67,18 +72,10 @@ NODE_STATES = ("up", "stalled", "draining", "drained", "down")
 
 
 @dataclass
-class NodeConfig:
-    """Knobs of one fleet node (mirrors ServingConfig where they meet)."""
+class NodeConfig(ServingConfig):
+    """Knobs of one fleet node: a serving front end's, plus the
+    dispatch window."""
 
-    mode: str = "flep-spatial"
-    #: Scheduling policy for the FLEP modes (EDF = deadline-aware).
-    policy: str = "edf"
-    #: Admission control on/off; ``None`` picks the mode's default
-    #: (on for FLEP, off for MPS — same rule as the serving layer).
-    admission: Optional[bool] = None
-    delay_headroom: float = 0.5
-    oracle_model: bool = False
-    seed: Optional[int] = None
     #: Requests dispatched into the backend runtime at once; the rest
     #: wait in the (stealable) node queue. FLEP nodes exceed the window
     #: for requests that outrank everything in flight (preemptive
@@ -90,12 +87,6 @@ class NodeConfig:
             raise FleetError(f"unknown node mode {self.mode!r} (have {MODES})")
         if self.max_inflight < 1:
             raise FleetError("max_inflight must be >= 1")
-
-    @property
-    def admission_enabled(self) -> bool:
-        if self.admission is not None:
-            return self.admission
-        return self.mode != "mps"
 
 
 @dataclass
@@ -148,7 +139,11 @@ class NodeStats:
 
 
 class FleetNode:
-    """One simulated GPU + queue manager inside the fleet."""
+    """One simulated GPU + queue manager inside the fleet.
+
+    The backend, its request submission and the backlog ledger are the
+    serving front end's (:mod:`repro.serving.server`); the node adds the
+    stealable queue, the dispatch window and the lifecycle."""
 
     def __init__(
         self,
@@ -184,7 +179,7 @@ class FleetNode:
         #: they count as backlog (delayed work is committed work).
         self.held: Dict[int, NodeRequest] = {}
         self.stats = NodeStats()
-        self._backlog_us: Dict[int, float] = {}
+        self.backlog = BacklogLedger(self.config.mode)
         #: Lifecycle (see NODE_STATES); faults drive the transitions.
         self.state: str = "up"
         self.down_at: Optional[float] = None
@@ -193,30 +188,14 @@ class FleetNode:
 
     def _build_backend(self) -> None:
         """(Re)create the backend runtime; also used by :meth:`rejoin`."""
-        # imported here so a rejoin rebuild never pays import cost twice
-        from ..baselines.mps_corun import MPSCoRun
-        from ..core.flep import FlepSystem
-        from ..runtime.engine import RuntimeConfig
-
-        mode = self.config.mode
-        if mode == "mps":
-            self.backend = MPSCoRun(
-                device=self.device, suite=self.suite,
-                seed=self.config.seed,
-            )
-            self.system: Optional[FlepSystem] = None
-        else:
-            self.system = FlepSystem(
-                policy=self.config.policy,
-                device=self.device,
-                suite=self.suite,
-                config=RuntimeConfig(
-                    spatial_enabled=(mode == "flep-spatial"),
-                    oracle_model=self.config.oracle_model,
-                ),
-                seed=self.config.seed,
-            )
-            self.backend = self.system
+        cfg = self.config
+        self.backend = build_backend(
+            cfg.mode, cfg.policy, device=self.device, suite=self.suite,
+            seed=cfg.seed, oracle_model=cfg.oracle_model,
+        )
+        self.system: Optional[FlepSystem] = (
+            self.backend if isinstance(self.backend, FlepSystem) else None
+        )
         self.sim = self.backend.sim
 
     # ------------------------------------------------------------------
@@ -293,7 +272,7 @@ class FleetNode:
             self._notify("on_lost", req, self.index)
             self._notify("on_resolve", req, self.index)
             lost.append(req)
-        self._backlog_us.clear()
+        self.backlog.clear()
         self.state = "down"
         self.down_at = now
         self.drain_deadline_us = None
@@ -324,7 +303,7 @@ class FleetNode:
         for req_id in sorted(self.held):
             shed.append(self.held.pop(req_id))
         for req in shed:
-            self._backlog_sub(req)
+            self.backlog.sub(req)
             req.state = "shed"
             req.shed_cause = "drain"
             req.node = self.index
@@ -370,47 +349,24 @@ class FleetNode:
     # ------------------------------------------------------------------
     # load introspection (read-only; the routing-policy contract)
     # ------------------------------------------------------------------
-    def queued_us(self) -> float:
-        return sum(r.predicted_us for r in self.queue)
-
-    def inflight_us(self) -> float:
-        return sum(r.predicted_us for r in self.inflight.values())
-
     def held_us(self) -> float:
         return sum(r.predicted_us for r in self.held.values())
 
     def load_us(self) -> float:
         """Admitted-but-unfinished predicted work on this node (µs),
         including admission-delayed (held) requests."""
-        return sum(self._backlog_us.values())
+        return self.backlog.total()
 
     def backlog_for(self, priority: int) -> float:
-        """Backlog served at or above ``priority`` — under FLEP lower
-        priority work is preempted out of the way; under MPS everything
-        queues FIFO, so the whole backlog counts (same rule as
-        :meth:`repro.serving.server.ServingSystem.backlog_us`). Held
-        (admission-delayed) requests count: they are committed work the
-        router and the stealer must see."""
-        if self.config.mode == "mps":
-            return sum(self._backlog_us.values())
-        return sum(us for p, us in self._backlog_us.items() if p >= priority)
+        """Backlog a request at ``priority`` waits behind
+        (:meth:`BacklogLedger.ahead_of`). Held (admission-delayed)
+        requests count: they are committed work the router and the
+        stealer must see."""
+        return self.backlog.ahead_of(priority)
 
     @property
     def queue_len(self) -> int:
         return len(self.queue)
-
-    # ------------------------------------------------------------------
-    # backlog bookkeeping
-    # ------------------------------------------------------------------
-    def _backlog_add(self, req: NodeRequest) -> None:
-        p = req.tenant.priority
-        self._backlog_us[p] = self._backlog_us.get(p, 0.0) + req.predicted_us
-
-    def _backlog_sub(self, req: NodeRequest) -> None:
-        p = req.tenant.priority
-        self._backlog_us[p] = max(
-            0.0, self._backlog_us.get(p, 0.0) - req.predicted_us
-        )
 
     # ------------------------------------------------------------------
     # request intake
@@ -444,7 +400,7 @@ class FleetNode:
         elif verdict.decision is Decision.DELAY:
             req.state = "held"
             self.held[req.req_id] = req
-            self._backlog_add(req)
+            self.backlog.add(req)
             self.stats.delayed += 1
             self.tracker.mark_delayed(req.req_id)
             self.sim.schedule(
@@ -467,7 +423,7 @@ class FleetNode:
         req.state = "queued"
         req.node = self.index
         if not from_held:
-            self._backlog_add(req)
+            self.backlog.add(req)
         self.queue.append(req)
         if len(self.queue) > self.stats.peak_queue:
             self.stats.peak_queue = len(self.queue)
@@ -503,7 +459,7 @@ class FleetNode:
             raise FleetError(
                 f"request #{req.req_id} is not queued on node {self.index}"
             ) from None
-        self._backlog_sub(req)
+        self.backlog.sub(req)
         req.state = "routed"
         req.node = None
         self.stats.stolen_out += 1
@@ -582,31 +538,16 @@ class FleetNode:
         self.inflight[req.req_id] = req
         self.stats.dispatched += 1
         self._notify("on_dispatch", req, self.index)
-        tenant = req.tenant
-        if self.system is not None:
-            self.system.runtime.submit(
-                process=tenant.name,
-                kernel=req.kernel,
-                input_name=req.input_name,
-                priority=tenant.priority,
-                tenant=tenant.name,
-                deadline_us=req.deadline_us,
-                on_finished=lambda inv, req=req: self._on_complete(req),
-            )
-        else:
-            self.backend.submit_at(
-                self.sim.now,
-                f"{tenant.name}#{req.req_id}",
-                req.kernel,
-                req.input_name,
-                on_done=lambda req=req: self._on_complete(req),
-            )
+        submit_request(
+            self.backend, req, req.deadline_us,
+            lambda: self._on_complete(req),
+        )
 
     def _on_complete(self, req: NodeRequest) -> None:
         req.state = "done"
         req.completed_node = self.index
         del self.inflight[req.req_id]
-        self._backlog_sub(req)
+        self.backlog.sub(req)
         self.stats.completed += 1
         self.tracker.mark_completed(req.req_id, self.sim.now)
         self._notify("on_resolve", req, self.index)

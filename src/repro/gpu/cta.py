@@ -205,8 +205,7 @@ class CTAContext:
         # cohort — see repro.gpu.macro. Non-persistent chains qualify
         # too: no polls, no flag response, same guided claims.
         if (
-            sim.macro_events
-            and grid._macro is None
+            grid._macro is None
             and not sim.use_reference_loop
             and grid.try_macro(self, now)
         ):

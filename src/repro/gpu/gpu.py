@@ -138,17 +138,6 @@ class SimulatedGPU:
         )
         return grid
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
-    def is_idle(self) -> bool:
-        return not self._queue and all(sm.idle for sm in self.sms)
-
-    def active_grids(self) -> List[Grid]:
-        return [g for g in self._queue if not g.is_terminal]
-
     def free_cta_slots(self) -> int:
         return sum(sm.free_cta_slots() for sm in self.sms)
 

@@ -67,17 +67,11 @@ class Simulator:
     #: When True, ``run()`` uses the step-by-step reference loop instead
     #: of the inlined fast path. The schedule-identity tests flip this to
     #: prove the fast loop preserves schedules exactly. It also disables
-    #: macro-event fast-forward, so the reference engine is the
-    #: one-event-per-batch loop the golden traces are checked against.
+    #: macro-event fast-forward (repro.gpu.macro), which otherwise
+    #: collapses a steady-state grid's batch chain into macro events, so
+    #: the reference engine is the one-event-per-batch loop the golden
+    #: traces are checked against.
     use_reference_loop = False
-
-    #: When True (default), persistent grids in steady state collapse
-    #: their batch chains into macro events (repro.gpu.macro): the
-    #: claim/complete interleaving is precomputed and only externally
-    #: visible transitions (context finish/yield, grid terminal) remain
-    #: real events. Kernel-level timelines stay bit-identical; raw
-    #: event counts legitimately shrink.
-    macro_events = True
 
     def __init__(
         self,

@@ -161,36 +161,16 @@ def _scenario_preempt_storm(scale: float) -> Dict[str, object]:
 def _scenario_fuzz_stress(scale: float) -> Dict[str, object]:
     """Seeded cases from the fuzzer's generator (mixed modes/policies),
     replayed without monitors or oracles — raw simulator churn."""
-    from ..baselines.mps_corun import MPSCoRun
-    from ..core.flep import FlepSystem
-    from ..runtime.engine import RuntimeConfig
-    from ..validate.fuzz import generate_case
+    from ..serving.server import build_backend
+    from ..validate.fuzz import generate_case, submit_jobs
 
     n_cases = max(4, round(12 * scale))
     invocations = 0
     for seed in range(n_cases):
         case = generate_case(seed)
-        if case.mode == "mps":
-            target = MPSCoRun()
-            for i, job in enumerate(case.jobs):
-                target.submit_at(
-                    job.arrival_us, f"job{i}", job.kernel, job.input_name
-                )
-        else:
-            target = FlepSystem(
-                policy=case.policy,
-                config=RuntimeConfig(
-                    oracle_model=True,
-                    spatial_enabled=(case.mode == "flep-spatial"),
-                ),
-            )
-            for i, job in enumerate(case.jobs):
-                target.submit_at(
-                    job.arrival_us, f"job{i}", job.kernel, job.input_name,
-                    priority=job.priority,
-                )
-        result = target.run()
-        invocations += len(result.invocations)
+        target = build_backend(case.mode, case.policy, oracle_model=True)
+        submit_jobs(target, case)
+        invocations += len(target.run().invocations)
     return {"cases": n_cases, "invocations": invocations}
 
 

@@ -45,7 +45,7 @@ Span model (exported via ``tracer.chrome_trace()``):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .metrics import MetricsRegistry
 from .tracer import Span, SpanTracer
@@ -693,6 +693,25 @@ def uninstall_global() -> None:
 def get_global() -> Optional[Observability]:
     """The currently installed process-global hub, if any."""
     return _GLOBAL
+
+
+def adopt_hub(
+    observability: Union[bool, Observability, None],
+    clock: Callable[[], float],
+) -> Observability:
+    """The hub a system records into: an explicit instance wins;
+    ``True`` builds a fresh hub; anything else picks up the
+    process-global hub when one is installed, else the null hub. An
+    enabled hub is bound to ``clock``."""
+    if isinstance(observability, Observability):
+        hub = observability
+    elif observability:
+        hub = Observability(clock=clock)
+    else:
+        hub = get_global() or NULL_OBS
+    if hub.enabled:
+        hub.bind_clock(clock)
+    return hub
 
 
 @contextmanager

@@ -28,7 +28,7 @@ from ..obs.recorder import NULL_OBS, Observability
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.specs import InputSpec, KernelSpec
 from .journal import DecisionJournal, DecisionKind
-from .models import ModelBank, OracleModelBank
+from .models import model_bank
 from .profiler import OverheadEstimates
 from .tracker import ExecutionRecord, InvocationState
 
@@ -159,12 +159,10 @@ class FlepRuntime:
         self.device: GPUDeviceSpec = gpu.spec
         self.suite = suite
         self.config = config or RuntimeConfig()
-        if self.config.oracle_model:
-            self.models = OracleModelBank(suite, self.device)
-        else:
-            self.models = ModelBank(
-                suite, seed=self.config.model_seed, device=self.device
-            )
+        self.models = model_bank(
+            suite, self.device, self.config.oracle_model,
+            seed=self.config.model_seed,
+        )
         self.overheads = OverheadEstimates(
             suite, self.device, profiled=self.config.profiled_overheads
         )

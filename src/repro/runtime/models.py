@@ -187,3 +187,13 @@ class OracleModelBank:
                 self._suite[kernel_name], inp, self._device
             )
         return cached
+
+
+def model_bank(
+    suite, device: Optional[GPUDeviceSpec], oracle: bool, seed: int = 0
+):
+    """The duration predictor over ``suite``: the oracle, else ridge
+    models trained with ``seed``."""
+    if oracle:
+        return OracleModelBank(suite, device)
+    return ModelBank(suite, seed=seed, device=device)

@@ -134,3 +134,37 @@ class AdmissionController:
         return Verdict(
             Decision.SHED, "predicted_slo_miss", predicted_finish_us=finish
         )
+
+
+class BacklogLedger:
+    """Admitted-but-unfinished predicted work (µs) per priority.
+
+    Under FLEP a request at priority *p* waits only for work at priority
+    ≥ *p* (lower-priority work gets preempted); under ``"mps"``
+    everything queues FIFO, so the whole backlog counts. Requests are
+    anything with ``tenant.priority`` and ``predicted_us``.
+    """
+
+    def __init__(self, mode: str):
+        self.fifo = mode == "mps"
+        self._us: Dict[int, float] = {}
+
+    def add(self, req) -> None:
+        p = req.tenant.priority
+        self._us[p] = self._us.get(p, 0.0) + req.predicted_us
+
+    def sub(self, req) -> None:
+        p = req.tenant.priority
+        self._us[p] = max(0.0, self._us.get(p, 0.0) - req.predicted_us)
+
+    def clear(self) -> None:
+        self._us.clear()
+
+    def total(self) -> float:
+        return sum(self._us.values())
+
+    def ahead_of(self, priority: int) -> float:
+        """The backlog a request at ``priority`` waits behind."""
+        if self.fifo:
+            return self.total()
+        return sum(us for p, us in self._us.items() if p >= priority)

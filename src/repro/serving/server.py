@@ -19,28 +19,77 @@ Three execution modes share the one front-end:
 Backlog accounting matches the mechanics: under FLEP, a request at
 priority *p* only waits for admitted work at priority ≥ *p* (lower
 priority work gets preempted); under MPS everything queues FIFO, so the
-whole backlog counts.
+whole backlog counts (:class:`~repro.serving.admission.BacklogLedger`).
+
+The fleet's nodes (:mod:`repro.fleet.node`) run the same front end:
+:func:`build_backend` maps a mode to its backend and
+:func:`submit_request` hands an admitted request to it, for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..baselines.mps_corun import MPSCoRun
 from ..core.flep import FlepSystem
 from ..errors import ServingError
 from ..gpu.device import GPUDeviceSpec
-from ..obs.recorder import NULL_OBS, Observability, get_global
+from ..obs.recorder import Observability, adopt_hub
 from ..runtime.engine import RuntimeConfig
+from ..runtime.models import model_bank
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.synthetic import Arrival, ArrivalTrace
-from .admission import AdmissionController, Decision
+from .admission import AdmissionController, BacklogLedger, Decision
 from .loadgen import ClosedLoopClient, LoadGenerator, merge_traces
 from .slo import ServingReport, SLOTracker
 from .tenants import Tenant, TenantSet
 
 MODES = ("mps", "flep-temporal", "flep-spatial")
+
+
+def build_backend(
+    mode: str, policy: str, *, device: Optional[GPUDeviceSpec] = None,
+    suite: Optional[BenchmarkSuite] = None, seed: Optional[int] = None,
+    oracle_model: bool = False,
+    observability: Union[bool, Observability, None] = None,
+) -> Union[MPSCoRun, FlepSystem]:
+    """The backend one of :data:`MODES` runs on: plain MPS co-runs, or
+    FLEP with spatial preemption in ``"flep-spatial"`` only. An MPS
+    backend takes no hub: it records only into a process-global one."""
+    if mode == "mps":
+        return MPSCoRun(device=device, suite=suite, seed=seed)
+    return FlepSystem(
+        policy=policy, device=device, suite=suite, seed=seed,
+        config=RuntimeConfig(
+            spatial_enabled=(mode == "flep-spatial"),
+            oracle_model=oracle_model,
+        ),
+        observability=observability,
+    )
+
+
+def submit_request(
+    backend: Union[MPSCoRun, FlepSystem],
+    req,
+    deadline_us: Optional[float],
+    on_done: Callable[[], None],
+) -> None:
+    """Hand one admitted request (``req_id``, ``tenant``, ``kernel``,
+    ``input_name``) to ``backend`` inside the calling event; ``on_done``
+    fires when it completes."""
+    tenant = req.tenant
+    if isinstance(backend, MPSCoRun):
+        backend.submit_at(
+            backend.sim.now, f"{tenant.name}#{req.req_id}", req.kernel,
+            req.input_name, on_done=on_done,
+        )
+    else:
+        backend.runtime.submit(
+            tenant.name, req.kernel, req.input_name, tenant.priority,
+            on_finished=lambda inv: on_done(), tenant=tenant.name,
+            deadline_us=deadline_us,
+        )
 
 
 @dataclass
@@ -100,44 +149,25 @@ class ServingSystem:
         self.tenants = (
             tenants if isinstance(tenants, TenantSet) else TenantSet(tenants)
         )
-        self.config = config or ServingConfig()
-        mode = self.config.mode
-        if mode == "mps":
-            self.backend = MPSCoRun(
-                device=device, suite=suite, seed=self.config.seed
-            )
-            self.system: Optional[FlepSystem] = None
-            self.sim = self.backend.sim
-            if isinstance(observability, Observability):
-                self.obs = observability
-            elif observability:
-                self.obs = Observability(clock=lambda: self.sim.now)
-            else:
-                self.obs = get_global() or NULL_OBS
-            if self.obs.enabled:
-                self.obs.bind_clock(lambda: self.sim.now)
-            self._models = None  # built lazily if admission needs it
-        else:
-            self.system = FlepSystem(
-                policy=self.config.policy,
-                device=device,
-                suite=suite,
-                config=RuntimeConfig(
-                    spatial_enabled=(mode == "flep-spatial"),
-                    oracle_model=self.config.oracle_model,
-                ),
-                seed=self.config.seed,
-                observability=observability,
-            )
-            self.backend = self.system
-            self.sim = self.system.sim
+        cfg = self.config = config or ServingConfig()
+        self.backend = build_backend(
+            cfg.mode, cfg.policy, device=device, suite=suite, seed=cfg.seed,
+            oracle_model=cfg.oracle_model, observability=observability,
+        )
+        self.sim = self.backend.sim
+        if isinstance(self.backend, FlepSystem):
+            self.system: Optional[FlepSystem] = self.backend
             self.obs = self.system.obs
+        else:
+            self.system = None
+            self.obs = adopt_hub(observability, lambda: self.sim.now)
+        self._models = None  # MPS only: built lazily if admission needs it
         self.admission = AdmissionController(
             self.tenants, delay_headroom=self.config.delay_headroom
         )
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
         self._next_req_id = 1
-        self._backlog_us: Dict[int, float] = {}
+        self.backlog = BacklogLedger(cfg.mode)
         self._traces: List[ArrivalTrace] = []
         self._clients: List[ClosedLoopClient] = []
         self._client_issued: Dict[int, int] = {}
@@ -180,24 +210,16 @@ class ServingSystem:
         if self.system is not None:
             return self.system.predicted_us(kernel, input_name)
         if self._models is None:
-            from ..runtime.models import ModelBank, OracleModelBank
-
-            suite = self.backend.suite
-            device = self.backend.device
-            if self.config.oracle_model:
-                self._models = OracleModelBank(suite, device)
-            else:
-                self._models = ModelBank(suite, seed=0, device=device)
+            self._models = model_bank(
+                self.backend.suite, self.backend.device,
+                self.config.oracle_model,
+            )
         kspec = self.backend.suite[kernel]
         return self._models.predict(kernel, kspec.input(input_name))
 
     def backlog_us(self, priority: int) -> float:
         """Admitted-but-unfinished predicted work ahead of ``priority``."""
-        if self.config.mode == "mps":
-            return sum(self._backlog_us.values())
-        return sum(
-            us for p, us in self._backlog_us.items() if p >= priority
-        )
+        return self.backlog.ahead_of(priority)
 
     # ------------------------------------------------------------------
     # request lifecycle
@@ -258,40 +280,19 @@ class ServingSystem:
 
     def _admit(self, req: _Request) -> None:
         """Hand an admitted request to the backend."""
-        tenant = req.tenant
-        self._backlog_us[tenant.priority] = (
-            self._backlog_us.get(tenant.priority, 0.0) + req.predicted_us
+        self.backlog.add(req)
+        deadline_rel = req.tenant.effective_deadline_us
+        deadline_us = (
+            req.arrived_us + deadline_rel if deadline_rel is not None else None
         )
-        deadline_rel = tenant.effective_deadline_us
-        if self.system is not None:
-            self.system.runtime.submit(
-                process=tenant.name,
-                kernel=req.kernel,
-                input_name=req.input_name,
-                priority=tenant.priority,
-                tenant=tenant.name,
-                deadline_us=(
-                    req.arrived_us + deadline_rel
-                    if deadline_rel is not None else None
-                ),
-                on_finished=lambda inv, req=req: self._on_complete(req),
-            )
-        else:
-            self.backend.submit_at(
-                self.sim.now,
-                f"{tenant.name}#{req.req_id}",
-                req.kernel,
-                req.input_name,
-                on_done=lambda req=req: self._on_complete(req),
-            )
+        submit_request(
+            self.backend, req, deadline_us, lambda: self._on_complete(req)
+        )
 
     def _on_complete(self, req: _Request) -> None:
         now = self.sim.now
         self.tracker.mark_completed(req.req_id, now)
-        p = req.tenant.priority
-        self._backlog_us[p] = max(
-            0.0, self._backlog_us.get(p, 0.0) - req.predicted_us
-        )
+        self.backlog.sub(req)
         if self.obs.enabled and req.span is not None:
             self.obs.tracer.end(req.span, outcome="completed")
             req.span = None

@@ -33,8 +33,6 @@ import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
-from ..baselines.mps_corun import MPSCoRun
-from ..core.flep import FlepSystem
 from ..errors import FleetError, ReproError, ValidationError
 from ..fleet import (
     FaultEvent,
@@ -45,7 +43,7 @@ from ..fleet import (
 )
 from ..fleet.routing import ROUTERS
 from ..gpu.device import GPUDeviceSpec, tesla_k40
-from ..runtime.engine import RuntimeConfig
+from ..serving.server import build_backend
 from ..serving.tenants import Tenant, TenantSet
 from ..workloads.benchmarks import BENCHMARK_NAMES, standard_suite
 from .monitors import install_monitors, off_by_one_spec
@@ -368,6 +366,15 @@ def _run_fleet_case(
     return FuzzResult(case=case, ok=True, checks=checks)
 
 
+def submit_jobs(target, case: FuzzCase) -> None:
+    """Submit a single-GPU case's jobs (an MPS backend has no priorities)."""
+    for i, job in enumerate(case.jobs):
+        extra = {} if case.mode == "mps" else {"priority": job.priority}
+        target.submit_at(
+            job.arrival_us, f"job{i}", job.kernel, job.input_name, **extra
+        )
+
+
 def run_case(
     case: FuzzCase, device: Optional[GPUDeviceSpec] = None
 ) -> FuzzResult:
@@ -378,16 +385,10 @@ def run_case(
     suite = _shared_suite(device)
     checks: List[str] = []
     try:
-        if case.mode == "mps":
-            target = MPSCoRun(device=device, suite=suite)
-        else:
-            target = FlepSystem(
-                policy=case.policy, device=device, suite=suite,
-                config=RuntimeConfig(
-                    oracle_model=True,
-                    spatial_enabled=(case.mode == "flep-spatial"),
-                ),
-            )
+        target = build_backend(
+            case.mode, case.policy, device=device, suite=suite,
+            oracle_model=True,
+        )
         target.sim.max_events = _CASE_MAX_EVENTS
         monitors = install_monitors(
             target,
@@ -395,16 +396,7 @@ def run_case(
             require_complete=True,
         )
         checks.append("monitors")
-        for i, job in enumerate(case.jobs):
-            if case.mode == "mps":
-                target.submit_at(
-                    job.arrival_us, f"job{i}", job.kernel, job.input_name
-                )
-            else:
-                target.submit_at(
-                    job.arrival_us, f"job{i}", job.kernel, job.input_name,
-                    priority=job.priority,
-                )
+        submit_jobs(target, case)
         result = target.run()
         monitors.finalize()
         if not result.all_finished:

@@ -128,11 +128,6 @@ class MonitorSet:
         for m in self.monitors:
             m.finalize(now)
 
-    def check_now(self) -> None:
-        """Run every per-event check once, outside the event loop."""
-        for m in self.monitors:
-            m.on_event(None)
-
     def __enter__(self) -> "MonitorSet":
         if not self._installed:
             self.install()
@@ -373,8 +368,6 @@ class MonotonicTimeMonitor(Monitor):
         self._last: Optional[float] = None
 
     def on_event(self, ev) -> None:
-        if ev is None:
-            return
         if self._last is not None and ev.time < self._last:
             self.fail(
                 "event time went backwards",

@@ -76,7 +76,7 @@ class MPSCoRun:
         self.suite = suite or standard_suite(self.device)
         self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
-        # only a process-global hub observes baseline co-runs
+        # only an open window's hub observes baseline co-runs
         hub = adopt_hub(None, lambda: self.sim.now)
         if hub.enabled:
             self.sim.obs = hub

@@ -37,8 +37,7 @@ def _cmd_run(args) -> int:
     import json
 
     from .experiments import EXPERIMENTS
-    from .gpu.sim import EngineWindow
-    from .gpu.trace import collected_schedule_hashes, combined_schedule_hash
+    from .obs import EngineWindow
 
     names: List[str] = args.experiments
     if names == ["all"]:
@@ -51,16 +50,14 @@ def _cmd_run(args) -> int:
     as_json = []
     for name in names:
         started = time.time()
-        with collected_schedule_hashes() as scheds, EngineWindow() as window:
+        with EngineWindow() as window:
             report = EXPERIMENTS[name].run()
         engine = window.engine_block()
         if args.json:
             as_json.append({
                 **report.as_dict(),
                 "engine": engine,
-                "schedule_hash": combined_schedule_hash(
-                    [s.hexdigest for s in scheds]
-                ),
+                "schedule_hash": window.schedule_hash(),
             })
         else:
             print(report.format())
@@ -134,8 +131,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .experiments import EXPERIMENTS
-    from .gpu.sim import EngineWindow
-    from .obs import observed
+    from .obs import EngineWindow
 
     names: List[str] = args.experiments or ["fig8"]
     if names == ["all"]:
@@ -145,12 +141,13 @@ def _cmd_stats(args) -> int:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
         print(f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    with observed() as hub, EngineWindow() as window:
+    with EngineWindow(hub=True) as window:
         for name in names:
             started = time.time()
             EXPERIMENTS[name].run()
             print(f"[{name} observed in {time.time() - started:.1f}s]",
                   file=sys.stderr)
+    hub = window.hub
     if args.prometheus:
         text = hub.metrics.render_prometheus()
     else:
@@ -169,9 +166,7 @@ def _cmd_stats(args) -> int:
 def _cmd_serve(args) -> int:
     import json as _json
 
-    from .gpu.sim import EngineWindow
-    from .gpu.trace import collected_schedule_hashes, combined_schedule_hash
-    from .obs import Observability
+    from .obs import EngineWindow, Observability
     from .serving import (
         PoissonLoadGen,
         ServingConfig,
@@ -194,7 +189,7 @@ def _cmd_serve(args) -> int:
                 rate_limit_rps=args.rate_limit,
             ),
         ])
-        with collected_schedule_hashes() as scheds, EngineWindow() as window:
+        with EngineWindow() as window:
             server = ServingSystem(
                 tenants,
                 ServingConfig(
@@ -218,9 +213,7 @@ def _cmd_serve(args) -> int:
             as_json.append({
                 "mode": mode, **report.as_dict(),
                 "engine": window.engine_block(),
-                "schedule_hash": combined_schedule_hash(
-                    [s.hexdigest for s in scheds]
-                ),
+                "schedule_hash": window.schedule_hash(),
             })
         else:
             print(f"=== {mode} (policy={args.policy}, "
@@ -260,7 +253,7 @@ def _cmd_fleet(args) -> int:
     import json as _json
 
     from .fleet import FleetConfig, FleetSystem, parse_fault_spec, random_plan
-    from .gpu.trace import collected_schedule_hashes, combined_schedule_hash
+    from .obs import EngineWindow
     from .serving import PoissonLoadGen
     from .validate import install_monitors
 
@@ -287,7 +280,7 @@ def _cmd_fleet(args) -> int:
     tenants = _build_fleet_tenants(args.tenants, args.slo)
     # the window spans construction AND run: fault rejoins build fresh
     # node devices mid-run, and their digests belong in the rollup too
-    with collected_schedule_hashes() as scheds:
+    with EngineWindow() as window:
         fleet = FleetSystem(
             tenants,
             FleetConfig(
@@ -320,9 +313,8 @@ def _cmd_fleet(args) -> int:
     if args.json:
         print(_json.dumps({
             "schema": "flep-fleet/1",
-            "schedule_hash": combined_schedule_hash(
-                [s.hexdigest for s in scheds]
-            ),
+            "schedule_hash": window.schedule_hash(),
+            "engine": window.engine_block(),
             "config": {
                 "gpus": args.gpus,
                 "node_modes": node_modes,

@@ -42,9 +42,6 @@ class KernelBuildInfo:
         default_factory=dict
     )
 
-    def transformed_name(self, kind: TransformKind) -> str:
-        return self.transformed[kind].name
-
 
 @dataclass
 class CompiledProgram:

@@ -1,8 +1,9 @@
 """The cluster front-end: route, rebalance, inject faults, roll up.
 
 :class:`FleetSystem` is the multi-GPU analogue of
-:class:`~repro.serving.server.ServingSystem` and mirrors its API
-(``add_trace`` / ``add_generator`` / ``submit_at`` / ``run``): tenants
+:class:`~repro.serving.server.ServingSystem` and shares its trace intake
+(:class:`~repro.serving.server.TraceIntake`: ``add_trace`` /
+``add_generator`` / ``submit_at``) and ``run`` API: tenants
 send requests to one front door, a pluggable :mod:`routing <.routing>`
 policy picks the node, each node (:mod:`.node`) runs its own
 independently-clocked FLEP or MPS GPU, and the run ends in a
@@ -59,11 +60,12 @@ from ..gpu.device import GPUDeviceSpec, device_from_spec, tesla_k40
 from ..obs.recorder import Observability, adopt_hub
 from ..runtime.models import model_bank
 from ..serving.admission import TokenBucket
-from ..serving.loadgen import LoadGenerator, merge_traces
+from ..serving.loadgen import merge_traces
+from ..serving.server import TraceIntake
 from ..serving.slo import SLOTracker
 from ..serving.tenants import Tenant, TenantSet
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
-from ..workloads.synthetic import Arrival, ArrivalTrace
+from ..workloads.synthetic import Arrival
 from .faults import FAULT_KINDS, FaultAction, FaultEvent, FaultPlan, expand_plan
 from .node import FleetNode, NodeConfig, NodeRequest
 from .routing import RoutingPolicy, make_router
@@ -222,8 +224,10 @@ class WorkStealer:
         return moves
 
 
-class FleetSystem:
+class FleetSystem(TraceIntake):
     """One multi-GPU serving run: route → execute → steal → roll up."""
+
+    error_type = FleetError
 
     def __init__(
         self,
@@ -233,9 +237,7 @@ class FleetSystem:
         suite: Optional[BenchmarkSuite] = None,
         observability: Union[bool, Observability, None] = None,
     ):
-        self.tenants = (
-            tenants if isinstance(tenants, TenantSet) else TenantSet(tenants)
-        )
+        super().__init__(tenants)
         self.config = config or FleetConfig()
         #: fleet time: the last control point every node was advanced to
         self._now = 0.0
@@ -314,7 +316,6 @@ class FleetSystem:
         #: (t_us, node, queue_len, load_us) samples from steal ticks —
         #: the rollup exports them as per-node Chrome counter tracks
         self.load_samples: List[Tuple[float, int, int, float]] = []
-        self._traces: List[ArrivalTrace] = []
         self._ran = False
         if self.obs.enabled:
             m = self.obs.metrics
@@ -362,29 +363,6 @@ class FleetSystem:
                 "requests shed at a node's drain deadline",
                 ("node",),
             )
-
-    # ------------------------------------------------------------------
-    # workload wiring (ServingSystem's API, verbatim)
-    # ------------------------------------------------------------------
-    def add_trace(self, trace: ArrivalTrace) -> None:
-        """Queue an open-loop arrival trace (tenants must be known)."""
-        for a in trace.arrivals:
-            if a.tenant not in self.tenants:
-                raise FleetError(f"trace names unknown tenant {a.tenant!r}")
-        self._traces.append(trace)
-
-    def add_generator(self, gen: LoadGenerator) -> None:
-        self.add_trace(gen.generate())
-
-    def submit_at(
-        self, at_us: float, tenant: str, kernel: str,
-        input_name: str = "large",
-    ) -> None:
-        """One explicit request at ``at_us`` (e.g. the long batch job)."""
-        self.add_trace(ArrivalTrace(arrivals=[
-            Arrival(at_us=at_us, kernel_name=kernel, input_name=input_name,
-                    tenant=tenant)
-        ]))
 
     # ------------------------------------------------------------------
     # predictions

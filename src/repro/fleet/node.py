@@ -134,9 +134,6 @@ class NodeStats:
     rejoins: int = 0
     peak_queue: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
 
 class FleetNode:
     """One simulated GPU + queue manager inside the fleet.
@@ -179,6 +176,8 @@ class FleetNode:
         #: they count as backlog (delayed work is committed work).
         self.held: Dict[int, NodeRequest] = {}
         self.stats = NodeStats()
+        #: (preemptions, overhead µs) of the runtimes rejoins replaced
+        self._retired_preemptions: Tuple[int, float] = (0, 0.0)
         self.backlog = BacklogLedger(self.config.mode)
         #: Lifecycle (see NODE_STATES); faults drive the transitions.
         self.state: str = "up"
@@ -340,11 +339,26 @@ class FleetNode:
             raise FleetError(
                 f"node {self.index} is {self.state}, only a down node rejoins"
             )
+        self._retired_preemptions = self.preemptions()
         self._build_backend()
         self.sim.clock.advance_to(now)
         self.state = "up"
         self.down_at = None
         self.stats.rejoins += 1
+
+    def preemptions(self) -> Tuple[int, float]:
+        """Preemptions this node's FLEP runtimes made and their total
+        modelled overhead (µs), across every backend a rejoin replaced
+        (preemptions of requests lost in a crash included)."""
+        count, overhead = self._retired_preemptions
+        if self.system is not None:
+            rt = self.system.runtime
+            for inv in rt.invocations:
+                n = inv.record.preemptions
+                if n:
+                    count += n
+                    overhead += n * rt.preemption_overhead_us(inv)
+        return count, overhead
 
     # ------------------------------------------------------------------
     # load introspection (read-only; the routing-policy contract)

@@ -269,14 +269,7 @@ def build_report(fleet) -> FleetReport:
             row.goodput_rps = good / horizon_s
         else:
             row.goodput_rps = row.completed / horizon_s
-        if node.system is not None:
-            rt = node.system.runtime
-            for inv in rt.invocations:
-                if inv.record.preemptions:
-                    row.preemptions += inv.record.preemptions
-                    row.preempt_overhead_us += (
-                        inv.record.preemptions * rt.preemption_overhead_us(inv)
-                    )
+        row.preemptions, row.preempt_overhead_us = node.preemptions()
         report.nodes.append(row)
     if fleet.obs.enabled:
         export_to_tracer(fleet, logs)

@@ -15,14 +15,14 @@ import random
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError
-from ..obs.recorder import NULL_OBS, Observability
+from ..obs.recorder import NULL_OBS, Observability, register_device
 from .device import GPUDeviceSpec, tesla_k40
 from .grid import Grid, GridState
 from .kernel import KernelImage, LaunchConfig, TaskPool
 from .memory import DeviceMemory, PinnedFlag
 from .sim import Simulator
 from .sm import SM, SMBank
-from .trace import ScheduleHash, _maybe_collect_sched, _maybe_collect_timeline
+from .trace import ScheduleHash
 
 
 class SimulatedGPU:
@@ -49,14 +49,14 @@ class SimulatedGPU:
         self._dispatch_again = False
         self.launch_count = 0
         self.completed_grids: List[Grid] = []
-        #: optional Timeline recorder (repro.gpu.trace); auto-attached
-        #: inside a collected_timelines() window (golden-trace tests)
-        self.tracer = _maybe_collect_timeline()
+        #: optional Timeline recorder (repro.gpu.trace); a window opened
+        #: with ``timelines=True`` attaches one (golden-trace tests)
+        self.tracer = None
         #: always-on O(1)-memory schedule digest (identity contract)
         self.sched = ScheduleHash()
-        _maybe_collect_sched(self.sched)
         self._obs: Observability = NULL_OBS
         self._prof = NULL_OBS
+        register_device(self)
 
     @property
     def obs(self) -> Observability:

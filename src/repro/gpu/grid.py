@@ -104,6 +104,8 @@ class Grid:
         # the batch-size planner consults them for every batch.
         self._persistent = kernel.mode is KernelMode.PERSISTENT
         self._amortize_l = kernel.amortize_l
+        # the expected (not momentary) CTA concurrency sizes guided
+        # batches, so early batches do not starve later contexts
         capacity = spec.num_sms * self.ctas_per_sm
         if self._persistent:
             self._parallel_width = max(1, min(capacity, config.grid_ctas))
@@ -202,14 +204,6 @@ class Grid:
     # ------------------------------------------------------------------
     # context callbacks
     # ------------------------------------------------------------------
-    @property
-    def parallel_width(self) -> int:
-        """Expected steady-state CTA concurrency of this grid, used to
-        size guided-scheduling batches. Using the *expected* width (not
-        the momentary context count) keeps early batches from starving
-        later contexts."""
-        return self._parallel_width
-
     def next_batch_size(self, ctx: CTAContext) -> int:
         """Size of the next task batch for ``ctx`` (guided scheduling).
 

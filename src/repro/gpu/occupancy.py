@@ -84,13 +84,6 @@ class OccupancyReport:
         }
         return min(limits, key=lambda k: limits[k])
 
-    @property
-    def occupancy_fraction(self) -> float:
-        """Achieved fraction of the SM's thread capacity."""
-        return self.ctas_per_sm * self.warps_per_cta / max(
-            1, self.limit_warps * self.warps_per_cta
-        )
-
 
 #: report cache keyed on (spec, usage) — both frozen dataclasses. Every
 #: Grid construction recomputes its occupancy; a workload launches many

@@ -13,20 +13,20 @@ instead of property and method calls. The semantically-equivalent
 reference loop (``use_reference_loop``) is kept for differential
 testing against the fast path.
 
-:class:`EngineWindow` is how reports read the engine: every simulator
-built inside the window is collected, and the run-summary ``engine``
-block (events, peak queue depth, simulated time) comes from their own
-:class:`EventLoopStats` plus the window's wall clock — no per-event hook.
+Every simulator registers with the open
+:class:`~repro.obs.recorder.EngineWindow`, if any, when it is built;
+the run-summary ``engine`` block (events, peak queue depth, simulated
+time) comes from their own :class:`EventLoopStats` plus the window's
+wall clock — no per-event hook.
 """
 
 from __future__ import annotations
 
 import heapq
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
-from ..obs.recorder import NULL_OBS
+from ..obs.recorder import NULL_OBS, register_simulator
 from .clock import Clock
 from .events import Event, EventHandle
 
@@ -39,8 +39,9 @@ class EventLoopStats:
     A single instance per :class:`Simulator` is the shared source of
     truth for event accounting: the ``max_events`` exhaustion check, the
     ``processed_events`` property, and the run-summary ``engine`` block
-    (:class:`EngineWindow`) all read the same fields, so there is no
-    double bookkeeping between diagnostics and reporting.
+    (:class:`~repro.obs.recorder.EngineWindow`) all read the same
+    fields, so there is no double bookkeeping between diagnostics and
+    reporting.
     """
 
     __slots__ = ("processed", "scheduled", "cancelled", "peak_pending")
@@ -50,15 +51,6 @@ class EventLoopStats:
         self.scheduled = 0       # events ever pushed onto the heap
         self.cancelled = 0       # cancelled events dropped at the head
         self.peak_pending = 0    # high-water mark of the heap length
-
-    def as_dict(self) -> dict:
-        """Plain-data snapshot for reports and the `engine` JSON block."""
-        return {
-            "processed": self.processed,
-            "scheduled": self.scheduled,
-            "cancelled": self.cancelled,
-            "peak_pending": self.peak_pending,
-        }
 
 
 class Simulator:
@@ -98,11 +90,8 @@ class Simulator:
         self._obs = NULL_OBS
         #: single is-anything-installed flag the run loop branches on;
         #: refreshed whenever trace/obs are (un)installed
-        self._hooked = _GLOBAL_TRACE is not None
-        if _GLOBAL_TRACE is not None:
-            self._trace = _GLOBAL_TRACE
-        if _COLLECT_SIMS is not None:
-            _COLLECT_SIMS.append(self)
+        self._hooked = False
+        register_simulator(self)
 
     # ------------------------------------------------------------------
     # instrumentation wiring (rare: assignment refreshes the hot flag)
@@ -377,92 +366,3 @@ class Simulator:
             f"Simulator(now={self.now:.3f}us, pending={self.pending()}, "
             f"processed={self.stats.processed})"
         )
-
-
-# ---------------------------------------------------------------------------
-# process-global trace hook (mirrors the global obs hub: lets harnesses
-# capture every simulator a scenario builds internally)
-# ---------------------------------------------------------------------------
-_GLOBAL_TRACE: Optional[Callable[[Event], None]] = None
-
-
-def install_global_trace(fn: Optional[Callable[[Event], None]]) -> None:
-    """Make ``fn`` the initial trace hook of every *new* Simulator
-    (``None`` uninstalls). Existing simulators are unaffected; the
-    schedule-identity tests use this to record event streams from
-    simulators that scenarios construct internally."""
-    global _GLOBAL_TRACE
-    _GLOBAL_TRACE = fn
-
-
-# ---------------------------------------------------------------------------
-# engine window: the run-summary ``engine`` block, read from the engines
-# ---------------------------------------------------------------------------
-_COLLECT_SIMS: Optional[List[Simulator]] = None
-
-
-class EngineWindow:
-    """Collect every :class:`Simulator` built inside a ``with`` block and
-    time the block on the wall clock::
-
-        with EngineWindow() as window:
-            EXPERIMENTS["fig8"].run()
-        print(window.engine_block())
-
-    Counts come from each engine's own :class:`EventLoopStats`, so the
-    window adds nothing to the event loop — the run it measures is the
-    hook-free one. Windows do not nest: an inner window collects the
-    simulators built inside it, the outer one does not see them.
-    """
-
-    def __init__(self):
-        self.sims: List[Simulator] = []
-        self.wall_s = 0.0
-        self._prev: Optional[List[Simulator]] = None
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "EngineWindow":
-        global _COLLECT_SIMS
-        self._prev = _COLLECT_SIMS
-        _COLLECT_SIMS = self.sims
-        self._started = perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _COLLECT_SIMS
-        self.wall_s += perf_counter() - self._started
-        _COLLECT_SIMS = self._prev
-
-    @property
-    def events(self) -> int:
-        """Events executed across the collected simulators."""
-        return sum(s.stats.processed for s in self.sims)
-
-    @property
-    def events_scheduled(self) -> int:
-        """Events pushed onto the collected simulators' heaps."""
-        return sum(s.stats.scheduled for s in self.sims)
-
-    @property
-    def peak_queue_depth(self) -> int:
-        """Highest heap length any collected simulator reached."""
-        return max((s.stats.peak_pending for s in self.sims), default=0)
-
-    @property
-    def sim_us(self) -> float:
-        """Simulated µs advanced across the collected simulators."""
-        return sum(s.now - s.start_time for s in self.sims)
-
-    def engine_block(self) -> Dict[str, object]:
-        """The compact ``engine`` dict that ``flep run --json``, ``flep
-        serve --json`` and ``flep bench`` report."""
-        wall = self.wall_s
-        return {
-            "events": self.events,
-            "events_per_sec": self.events / wall if wall > 0 else 0.0,
-            "wall_s": wall,
-            "peak_queue_depth": self.peak_queue_depth,
-            "sim_us": self.sim_us,
-            "sim_us_per_wall_s": self.sim_us / wall if wall > 0 else 0.0,
-            "sims": len(self.sims),
-        }

@@ -15,10 +15,12 @@ Two lighter companions serve the schedule-identity contract
   on, so ``flep run/serve/fleet --json`` and ``flep bench`` snapshots can
   report a ``schedule_hash`` without retaining intervals — a
   million-request fleet trace hashes in constant space.
-* :func:`collected_timelines` — a process-global collection window; every
-  device built inside it records a full :class:`Timeline`. The
+* ``EngineWindow(timelines=True)`` (:mod:`repro.obs.recorder`) — every
+  device built inside the window records a full :class:`Timeline`. The
   golden-trace tests use it to compare macro-event and reference-loop
-  schedules interval by interval.
+  schedules interval by interval, and the window's ``schedule_hash()``
+  combines its devices' digests for ``flep run/serve/fleet`` and
+  ``flep bench``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
 from ..errors import SimulationError
+from ..obs.recorder import EngineWindow
 
 
 @dataclass(frozen=True)
@@ -245,67 +248,9 @@ def combined_schedule_hash(digests: "List[str]") -> str:
     return f"{crc32(':'.join(digests).encode()):08x}"
 
 
-# ---------------------------------------------------------------------------
-# process-global schedule-hash collection (bench / CLI reporting)
-# ---------------------------------------------------------------------------
-_COLLECT_SCHED: Optional[List[ScheduleHash]] = None
-
-
-def _maybe_collect_sched(sched: ScheduleHash) -> None:
-    """Register a device's always-on digest with the open collection
-    window, if any (the device constructor calls this)."""
-    if _COLLECT_SCHED is not None:
-        _COLLECT_SCHED.append(sched)
-
-
 @contextmanager
 def collected_schedule_hashes():
-    """Collect every device's :class:`ScheduleHash` built in this window
-    — constant space per device, unlike :func:`collected_timelines`.
-    Read ``.hexdigest`` after the workload ran::
-
-        with collected_schedule_hashes() as scheds:
-            SCENARIOS["fleet_sweep"].run(scale)
-        digest = combined_schedule_hash([s.hexdigest for s in scheds])
-    """
-    global _COLLECT_SCHED
-    prev = _COLLECT_SCHED
-    _COLLECT_SCHED = out = []
-    try:
-        yield out
-    finally:
-        _COLLECT_SCHED = prev
-
-
-# ---------------------------------------------------------------------------
-# process-global timeline collection (golden-trace tests)
-# ---------------------------------------------------------------------------
-_COLLECT: Optional[List[Timeline]] = None
-
-
-def _maybe_collect_timeline() -> Optional[Timeline]:
-    """A fresh collected Timeline when a collection window is open (the
-    device constructor calls this), else None."""
-    if _COLLECT is None:
-        return None
-    tl = Timeline()
-    _COLLECT.append(tl)
-    return tl
-
-
-@contextmanager
-def collected_timelines():
-    """Collect a full :class:`Timeline` from every device constructed in
-    this window::
-
-        with collected_timelines() as tls:
-            SCENARIOS["fig8_mix"].run(scale)
-        hashes = [tl.schedule_hash() for tl in tls]
-    """
-    global _COLLECT
-    prev = _COLLECT
-    _COLLECT = out = []
-    try:
-        yield out
-    finally:
-        _COLLECT = prev
+    """Every device's :class:`ScheduleHash` built in the block; kept for
+    ``perfbench/workloads.py``, which reads ``.hexdigest`` after the run."""
+    with EngineWindow() as window:
+        yield window.scheds

@@ -36,14 +36,13 @@ from .metrics import (
     parse_prometheus,
 )
 from .recorder import (
+    EngineWindow,
     LatencyStat,
     NULL_OBS,
     NullObservability,
     Observability,
     get_global,
-    install_global,
     observed,
-    uninstall_global,
 )
 from .tracer import CounterSample, InstantEvent, Span, SpanTracer
 
@@ -56,6 +55,7 @@ __all__ = [
     "Counter",
     "CounterSample",
     "DEFAULT_US_BUCKETS",
+    "EngineWindow",
     "Gauge",
     "Histogram",
     "InstantEvent",
@@ -71,10 +71,8 @@ __all__ = [
     "compare_reports",
     "default_bench_filename",
     "get_global",
-    "install_global",
     "load_bench_report",
     "observed",
     "parse_prometheus",
     "run_bench",
-    "uninstall_global",
 ]

@@ -7,12 +7,13 @@ engine block — events, **simulated-seconds per wall-second** (how much
 GPU time one CPU second buys), peak queue depth — and the hot-loop
 counts of the self-profile.
 
-Each scenario runs twice. The first run is observed (a global
-:class:`~repro.obs.recorder.Observability` hub takes the ``profile``
-counts) and untimed; it also warms imports and memo caches. The second
-run is the timed one: hook-free, with only an
-:class:`~repro.gpu.sim.EngineWindow` reading the simulators' own
-counters, so its wall time measures the path users run. Results are
+Each scenario runs twice, each inside its own
+:class:`~repro.obs.recorder.EngineWindow`. The first run is observed
+(the window's :class:`~repro.obs.recorder.Observability` hub takes the
+``profile`` counts) and untimed; it also warms imports and memo caches.
+The second run is the timed one: hook-free, its window only reading the
+simulators' own counters and the devices' schedule digests, so its wall
+time measures the path users run. Results are
 written as schema-versioned ``BENCH_<date>_<git-sha>.json`` files,
 forming the repo's tracked performance trajectory; ``flep bench
 --compare OLD.json`` diffs two snapshots and exits nonzero on a >15 %
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ObservabilityError
-from .recorder import observed
+from .recorder import EngineWindow
 
 #: Current report schema. v2 added the per-scenario ``schedule_hash``
 #: (crc32 over the kernel-level timeline, combined across devices) and
@@ -390,27 +391,22 @@ def run_bench(
         git_sha=git_sha(),
         python=platform.python_version(),
     )
-    # lazy: keep repro.obs importable without dragging in repro.gpu
-    from ..gpu.sim import EngineWindow
-    from ..gpu.trace import collected_schedule_hashes, combined_schedule_hash
-
     for name in names:
-        with observed() as hub:
+        with EngineWindow(hub=True) as window:
             table[name].run(scale)
+        profile = window.hub.profile_block()
         # every device built by the scenario registers its always-on
         # O(1)-memory digest here, and every simulator its event-loop
         # counters; neither adds a hook to the timed window
-        with collected_schedule_hashes() as scheds, EngineWindow() as window:
+        with EngineWindow() as window:
             extras = table[name].run(scale) or {}
         row: Dict[str, object] = {
             "name": name,
             "description": table[name].description,
-            "schedule_hash": combined_schedule_hash(
-                [s.hexdigest for s in scheds]
-            ),
+            "schedule_hash": window.schedule_hash(),
             **window.engine_block(),
             "extras": dict(extras),
-            "profile": hub.profile_block(),
+            "profile": profile,
         }
         report.scenarios.append(row)
         if on_progress is not None:

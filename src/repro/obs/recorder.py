@@ -10,12 +10,15 @@ all no-ops; every hot site guards with the one ``enabled`` class
 attribute, so a disabled run pays a single attribute check per site
 (asserted <2% end-to-end by ``benchmarks/test_obs_overhead.py``).
 
-A hub can also be installed process-globally (``install_global`` /
-``observed``): :class:`~repro.core.flep.FlepSystem` and
-:class:`~repro.baselines.mps_corun.MPSCoRun` pick the global hub up by
-default, which is how ``flep stats`` and ``flep bench`` aggregate across
-every simulation an experiment runs without threading a hub through the
-harness.
+An :class:`EngineWindow` is the one registry of a run: every simulator
+and device built inside its ``with`` block registers with it, and a
+window opened with a hub hands that hub to every system built inside
+that is given none (:class:`~repro.core.flep.FlepSystem`,
+:class:`~repro.baselines.mps_corun.MPSCoRun`, the serving and fleet
+front ends). That is how ``flep stats`` and ``flep bench`` aggregate
+across every simulation an experiment runs without threading a hub
+through the harness, and how ``flep run/serve/fleet`` read their
+``engine`` block and ``schedule_hash``.
 
 Hot hooks (one per simulator event, per retired batch, per CTA
 admission) bump plain ints and a raw-label dict; the registry families
@@ -26,8 +29,7 @@ macro cohorts, preemption-stall latency per mechanism, and three bounded
 timelines — event-queue depth, per-SM residency and drain stalls — that
 :meth:`Observability.export_to_tracer` renders next to the span tracks.
 The engine's own counters (events, peak queue depth, simulated time)
-are not hooked at all: :class:`repro.gpu.sim.EngineWindow` reads them
-from the simulators.
+are not hooked at all: the window reads them from its simulators.
 
 Span model (exported via ``tracer.chrome_trace()``):
 
@@ -45,6 +47,7 @@ Span model (exported via ``tracer.chrome_trace()``):
 from __future__ import annotations
 
 from contextlib import contextmanager
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .metrics import MetricsRegistry
@@ -174,7 +177,7 @@ class Observability:
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the span tracer at a (new) simulation clock.
 
-        A hub installed globally before any system exists starts on a
+        A window's hub, built before any system exists, starts on a
         zero clock; each system that adopts it re-binds the tracer to
         its own simulator so span timestamps are meaningful."""
         self.tracer._clock = clock
@@ -539,8 +542,8 @@ class Observability:
 
     def format_profile(self, window) -> str:
         """Human-readable self-profile (``flep stats --profile``); the
-        engine lines come from ``window``, a
-        :class:`repro.gpu.sim.EngineWindow` around the same runs."""
+        engine lines come from ``window``, the :class:`EngineWindow`
+        around the same runs."""
         engine = window.engine_block()
         lines = [
             "== simulator self-profile ==",
@@ -671,28 +674,127 @@ class NullObservability(Observability):
 NULL_OBS = NullObservability()
 
 # ---------------------------------------------------------------------------
-# process-global hub (how `flep stats` and `flep bench` observe whole
-# experiments)
+# the run window: one registry for everything a block builds
 # ---------------------------------------------------------------------------
-_GLOBAL: Optional[Observability] = None
+#: The innermost open :class:`EngineWindow` (None outside every window).
+_OPEN: Optional["EngineWindow"] = None
 
 
-def install_global(hub: Observability) -> Observability:
-    """Make ``hub`` the default recorder for new systems."""
-    global _GLOBAL
-    _GLOBAL = hub
-    return hub
+class EngineWindow:
+    """Every simulator and device digest built inside a ``with`` block,
+    and the block's wall time::
+
+        with EngineWindow(hub=True) as window:
+            EXPERIMENTS["fig8"].run()
+        print(window.engine_block(), window.schedule_hash())
+
+    Counts come from the engines' own ``EventLoopStats`` and the hash
+    from the devices' always-on digests, so the window adds nothing to
+    the event loop; it keeps each device's digest, not the device, so a
+    window held open does not keep finished devices alive. ``hub`` (an
+    :class:`Observability`, or ``True`` for a fresh one) is what systems
+    built inside adopt when given none; ``timelines=True`` gives every
+    device built inside a fresh ``Timeline``. The innermost open window
+    gets everything built inside it; an outer window sees nothing from
+    an inner one.
+    """
+
+    def __init__(
+        self,
+        hub: Union[bool, Observability, None] = None,
+        timelines: bool = False,
+    ):
+        self.hub: Optional[Observability] = (
+            hub if isinstance(hub, Observability)
+            else Observability() if hub else None
+        )
+        self.sims: list = []
+        #: each device's ScheduleHash, in build order
+        self.scheds: list = []
+        #: one Timeline per device built inside, if requested
+        self.timelines: Optional[list] = [] if timelines else None
+        self.wall_s = 0.0
+        self._outer: Optional[EngineWindow] = None
+        self._started = 0.0
+
+    def __enter__(self) -> "EngineWindow":
+        global _OPEN
+        self._outer, _OPEN = _OPEN, self
+        self._started = perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _OPEN
+        self.wall_s += perf_counter() - self._started
+        _OPEN = self._outer
+
+    @property
+    def events(self) -> int:
+        """Events executed across the window's simulators."""
+        return sum(s.stats.processed for s in self.sims)
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events pushed onto the window's simulators' heaps."""
+        return sum(s.stats.scheduled for s in self.sims)
+
+    @property
+    def peak_queue_depth(self) -> int:
+        """Highest heap length any of the window's simulators reached."""
+        return max((s.stats.peak_pending for s in self.sims), default=0)
+
+    @property
+    def sim_us(self) -> float:
+        """Simulated µs advanced across the window's simulators."""
+        return sum(s.now - s.start_time for s in self.sims)
+
+    def engine_block(self) -> Dict[str, object]:
+        """The compact ``engine`` dict that ``flep run/serve/fleet
+        --json`` and ``flep bench`` report."""
+        wall = self.wall_s
+        return {
+            "events": self.events,
+            "events_per_sec": self.events / wall if wall > 0 else 0.0,
+            "wall_s": wall,
+            "peak_queue_depth": self.peak_queue_depth,
+            "sim_us": self.sim_us,
+            "sim_us_per_wall_s": self.sim_us / wall if wall > 0 else 0.0,
+            "sims": len(self.sims),
+        }
+
+    def schedule_hash(self) -> str:
+        """One digest over the window's devices' schedule digests, in
+        build order (read it after the run)."""
+        from ..gpu.trace import combined_schedule_hash
+
+        return combined_schedule_hash([s.hexdigest for s in self.scheds])
 
 
-def uninstall_global() -> None:
-    """Remove the process-global hub (new systems go back to null)."""
-    global _GLOBAL
-    _GLOBAL = None
+def register_simulator(sim) -> None:
+    """Every Simulator constructor's one call: the innermost open
+    window, if any, collects ``sim``."""
+    if _OPEN is not None:
+        _OPEN.sims.append(sim)
+
+
+def register_device(gpu) -> None:
+    """Every SimulatedGPU constructor's one call: the innermost open
+    window, if any, collects ``gpu``'s schedule digest and, when it
+    records timelines, gives it a fresh Timeline."""
+    window = _OPEN
+    if window is None:
+        return
+    window.scheds.append(gpu.sched)
+    if window.timelines is not None:
+        from ..gpu.trace import Timeline
+
+        gpu.tracer = Timeline()
+        window.timelines.append(gpu.tracer)
 
 
 def get_global() -> Optional[Observability]:
-    """The currently installed process-global hub, if any."""
-    return _GLOBAL
+    """The innermost open window's hub, if any."""
+    return _OPEN.hub if _OPEN is not None else None
 
 
 def adopt_hub(
@@ -700,9 +802,9 @@ def adopt_hub(
     clock: Callable[[], float],
 ) -> Observability:
     """The hub a system records into: an explicit instance wins;
-    ``True`` builds a fresh hub; anything else picks up the
-    process-global hub when one is installed, else the null hub. An
-    enabled hub is bound to ``clock``."""
+    ``True`` builds a fresh hub; anything else picks up the innermost
+    open window's hub, else the null hub. An enabled hub is bound to
+    ``clock``."""
     if isinstance(observability, Observability):
         hub = observability
     elif observability:
@@ -716,15 +818,8 @@ def adopt_hub(
 
 @contextmanager
 def observed(hub: Optional[Observability] = None):
-    """Context manager: install a hub globally for the duration.
-
-        with observed() as hub:
-            EXPERIMENTS["fig8"].run()
-        print(hub.metrics.format_summary())
-    """
-    hub = hub if hub is not None else Observability()
-    install_global(hub)
-    try:
-        yield hub
-    finally:
-        uninstall_global()
+    """A window with ``hub`` (or a fresh one), yielding the hub; the
+    benchmark's self-tests (``perfbench/tests``) still call it. New code
+    opens ``EngineWindow(hub=...)``."""
+    with EngineWindow(hub=hub if hub is not None else True) as window:
+        yield window.hub

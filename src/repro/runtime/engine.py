@@ -43,9 +43,6 @@ class RuntimeConfig:
     spatial_force_sms: Optional[int] = None
     #: Use the oracle predictor instead of the trained ridge models.
     oracle_model: bool = False
-    #: Profile preemption overheads by simulation (50 runs) instead of
-    #: the analytic expectation.
-    profiled_overheads: bool = False
     model_seed: int = 0
     #: Enable per-CTA duration jitter inside co-run simulations.
     with_jitter: bool = False
@@ -163,9 +160,7 @@ class FlepRuntime:
             suite, self.device, self.config.oracle_model,
             seed=self.config.model_seed,
         )
-        self.overheads = OverheadEstimates(
-            suite, self.device, profiled=self.config.profiled_overheads
-        )
+        self.overheads = OverheadEstimates(suite, self.device)
         self.policy = policy
         self.running: Optional[KernelInvocation] = None
         self.guests: List[KernelInvocation] = []

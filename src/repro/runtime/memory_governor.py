@@ -16,7 +16,7 @@ agnostic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..errors import MemoryError_, RuntimeEngineError
 from ..gpu.memory import DeviceMemory
@@ -94,6 +94,3 @@ class MemoryGovernor:
 
     def held_bytes(self, inv) -> Optional[int]:
         return self._footprints.get(inv.inv_id)
-
-    def resident_invocations(self) -> List[int]:
-        return sorted(self._held)

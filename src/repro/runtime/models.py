@@ -193,7 +193,14 @@ def model_bank(
     suite, device: Optional[GPUDeviceSpec], oracle: bool, seed: int = 0
 ):
     """The duration predictor over ``suite``: the oracle, else ridge
-    models trained with ``seed``."""
-    if oracle:
-        return OracleModelBank(suite, device)
-    return ModelBank(suite, seed=seed, device=device)
+    models trained with ``seed``. A bank depends on nothing else, so it
+    is built once per key and memoised on the suite: every runtime (and
+    every fleet node) over one suite shares it."""
+    key = (device, oracle, seed)
+    bank = suite.model_banks.get(key)
+    if bank is None:
+        bank = suite.model_banks[key] = (
+            OracleModelBank(suite, device) if oracle
+            else ModelBank(suite, seed=seed, device=device)
+        )
+    return bank

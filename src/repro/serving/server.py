@@ -56,7 +56,7 @@ def build_backend(
 ) -> Union[MPSCoRun, FlepSystem]:
     """The backend one of :data:`MODES` runs on: plain MPS co-runs, or
     FLEP with spatial preemption in ``"flep-spatial"`` only. An MPS
-    backend takes no hub: it records only into a process-global one."""
+    backend takes no hub: it records only into an open window's hub."""
     if mode == "mps":
         return MPSCoRun(device=device, suite=suite, seed=seed)
     return FlepSystem(
@@ -121,6 +121,43 @@ class ServingConfig:
         return self.mode != "mps"
 
 
+class TraceIntake:
+    """The tenant set and the open-loop arrival traces of a front door,
+    shared by :class:`ServingSystem` and the fleet's
+    :class:`~repro.fleet.dispatcher.FleetSystem`."""
+
+    #: raised for a trace naming a tenant outside the set
+    error_type = ServingError
+
+    def __init__(self, tenants: Union[TenantSet, List[Tenant]]):
+        self.tenants = (
+            tenants if isinstance(tenants, TenantSet) else TenantSet(tenants)
+        )
+        self._traces: List[ArrivalTrace] = []
+
+    def add_trace(self, trace: ArrivalTrace) -> None:
+        """Queue an open-loop arrival trace (tenants must be known)."""
+        for a in trace.arrivals:
+            if a.tenant not in self.tenants:
+                raise self.error_type(
+                    f"trace names unknown tenant {a.tenant!r}"
+                )
+        self._traces.append(trace)
+
+    def add_generator(self, gen: LoadGenerator) -> None:
+        self.add_trace(gen.generate())
+
+    def submit_at(
+        self, at_us: float, tenant: str, kernel: str,
+        input_name: str = "large",
+    ) -> None:
+        """One explicit request (e.g. the long batch job) at ``at_us``."""
+        self.add_trace(ArrivalTrace(arrivals=[
+            Arrival(at_us=at_us, kernel_name=kernel, input_name=input_name,
+                    tenant=tenant)
+        ]))
+
+
 @dataclass
 class _Request:
     """Server-side bookkeeping for one request."""
@@ -135,7 +172,7 @@ class _Request:
     span: Optional[object] = None
 
 
-class ServingSystem:
+class ServingSystem(TraceIntake):
     """One multi-tenant serving run over a FLEP or MPS backend."""
 
     def __init__(
@@ -146,9 +183,7 @@ class ServingSystem:
         suite: Optional[BenchmarkSuite] = None,
         observability: Union[bool, Observability, None] = None,
     ):
-        self.tenants = (
-            tenants if isinstance(tenants, TenantSet) else TenantSet(tenants)
-        )
+        super().__init__(tenants)
         cfg = self.config = config or ServingConfig()
         self.backend = build_backend(
             cfg.mode, cfg.policy, device=device, suite=suite, seed=cfg.seed,
@@ -168,40 +203,17 @@ class ServingSystem:
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
         self._next_req_id = 1
         self.backlog = BacklogLedger(cfg.mode)
-        self._traces: List[ArrivalTrace] = []
         self._clients: List[ClosedLoopClient] = []
         self._client_issued: Dict[int, int] = {}
         self._ran = False
 
     # ------------------------------------------------------------------
-    # workload wiring
+    # workload wiring (traces: TraceIntake)
     # ------------------------------------------------------------------
-    def add_trace(self, trace: ArrivalTrace) -> None:
-        """Queue an open-loop arrival trace (tenants must be known)."""
-        for a in trace.arrivals:
-            if a.tenant not in self.tenants:
-                raise ServingError(
-                    f"trace names unknown tenant {a.tenant!r}"
-                )
-        self._traces.append(trace)
-
-    def add_generator(self, gen: LoadGenerator) -> None:
-        self.add_trace(gen.generate())
-
     def add_closed_loop(self, client: ClosedLoopClient) -> None:
         if client.tenant not in self.tenants:
             raise ServingError(f"unknown tenant {client.tenant!r}")
         self._clients.append(client)
-
-    def submit_at(
-        self, at_us: float, tenant: str, kernel: str,
-        input_name: str = "large",
-    ) -> None:
-        """One explicit request (e.g. the long batch job) at ``at_us``."""
-        self.add_trace(ArrivalTrace(arrivals=[
-            Arrival(at_us=at_us, kernel_name=kernel, input_name=input_name,
-                    tenant=tenant)
-        ]))
 
     # ------------------------------------------------------------------
     # predictions and backlog

@@ -115,6 +115,11 @@ class BenchmarkSuite:
     device: GPUDeviceSpec
     kernels: Dict[str, KernelSpec] = field(default_factory=dict)
     amortizing: Dict[str, int] = field(default_factory=dict)
+    #: trained duration predictors, memoised by
+    #: :func:`repro.runtime.models.model_bank`
+    model_banks: Dict[tuple, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __getitem__(self, name: str) -> KernelSpec:
         if name not in self.kernels:

@@ -9,6 +9,18 @@ from repro.cli import main
 FAST = ["--gpus", "2", "--modes", "flep-temporal,mps", "--tenants", "3",
         "--rate", "0.5", "--duration", "10", "--seed", "3"]
 
+#: The engine-block fields read off the wall clock; everything else in a
+#: ``flep fleet --json`` document is a function of the seed alone.
+WALL_CLOCK_FIELDS = ("wall_s", "events_per_sec", "sim_us_per_wall_s")
+
+
+def _simulated(out):
+    """A ``--json`` document without its wall-clock fields."""
+    doc = json.loads(out)
+    for key in WALL_CLOCK_FIELDS:
+        del doc["engine"][key]
+    return doc
+
 
 class TestFleetCommand:
     def test_json_rollup_schema(self, capsys):
@@ -25,6 +37,7 @@ class TestFleetCommand:
         assert doc["serving"]["tenants"]
         h = doc["schedule_hash"]
         assert isinstance(h, str) and len(h) == 8
+        assert doc["engine"]["sims"] == 2 and doc["engine"]["events"] > 0
 
     def test_text_report(self, capsys):
         assert main(["fleet", *FAST]) == 0
@@ -51,7 +64,7 @@ class TestFleetCommand:
     def test_same_seed_same_json(self, capsys):
         def run_once():
             assert main(["fleet", *FAST, "--json"]) == 0
-            return capsys.readouterr().out
+            return _simulated(capsys.readouterr().out)
 
         assert run_once() == run_once()
 
@@ -69,12 +82,14 @@ class TestFleetFaultFlags:
         assert [f["action"] for f in doc["faults"]] == ["crash", "rejoin"]
         assert doc["conservation"]["accounted"] is True
         assert doc["nodes"][0]["rejoins"] == 1
+        # the rejoined node's fresh simulator is in the engine block too
+        assert doc["engine"]["sims"] == 3
 
     def test_fault_runs_are_reproducible(self, capsys):
         def run_once():
             assert main(["fleet", *FAST, "--faults", "crash@2000:n1",
                          "--json"]) == 0
-            return capsys.readouterr().out
+            return _simulated(capsys.readouterr().out)
 
         assert run_once() == run_once()
 

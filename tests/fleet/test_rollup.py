@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet import FleetConfig, FleetSystem
+from repro.fleet import FleetConfig, FleetSystem, parse_fault_spec
 from repro.serving import PoissonLoadGen, Tenant
 
 
@@ -65,6 +65,49 @@ class TestAttribution:
         )
         assert flep_preempts >= 0
         assert report.node(2).preemptions == 0     # MPS never preempts
+
+
+    def test_preemptions_survive_a_rejoin(self, suite):
+        """A node's row counts the preemptions its crashed runtime made
+        (requests lost in the crash included) plus its rejoined one's."""
+        fleet = FleetSystem(
+            [
+                Tenant("web", priority=2, slo_us=3_000.0),
+                Tenant("batch", priority=0),
+            ],
+            FleetConfig(
+                node_modes=("flep-temporal", "flep-temporal"), seed=5,
+                oracle_model=True,
+                faults=parse_fault_spec("crash@20000:n0,rejoin@25000:n0"),
+            ),
+            device=suite.device, suite=suite,
+        )
+        fleet.add_generator(PoissonLoadGen(
+            tenant="web", kernels=("SPMV", "PL"), rate_per_ms=1.0,
+            duration_ms=40.0, seed=5, input_names=("small",), priority=2,
+        ))
+        fleet.add_generator(PoissonLoadGen(
+            tenant="batch", kernels=("NN", "VA"), rate_per_ms=0.2,
+            duration_ms=40.0, seed=5, input_names=("large",), priority=0,
+        ))
+        crashed = fleet.nodes[0].system.runtime
+        report = fleet.run()
+        rejoined = fleet.nodes[0].system.runtime
+        assert rejoined is not crashed
+
+        def totals(rt):
+            invs = [i for i in rt.invocations if i.record.preemptions]
+            return (
+                sum(i.record.preemptions for i in invs),
+                sum(i.record.preemptions * rt.preemption_overhead_us(i)
+                    for i in invs),
+            )
+
+        (old_n, old_us), (new_n, new_us) = totals(crashed), totals(rejoined)
+        assert old_n > 0 and new_n > 0
+        row = report.node(0)
+        assert row.preemptions == old_n + new_n
+        assert row.preempt_overhead_us == pytest.approx(old_us + new_us)
 
 
 class TestReportSurface:

@@ -30,9 +30,9 @@ from repro.gpu.kernel import (
     TaskModel,
     TaskPool,
 )
-from repro.gpu.sim import Simulator, install_global_trace
-from repro.gpu.trace import collected_timelines, combined_schedule_hash
-from repro.obs import Observability, observed
+from repro.gpu.sim import Simulator
+from repro.gpu.trace import combined_schedule_hash
+from repro.obs import EngineWindow, Observability
 from repro.obs.bench import BUDGETS, SCENARIOS
 
 #: CI-smoke scale; big enough that every scenario exercises dispatch,
@@ -70,16 +70,17 @@ def _run_golden(name: str, use_reference: bool):
     per-device interval tuples + schedule hashes, and the observability
     hub's aggregate hot-loop accounting.
 
-    Scenarios construct their simulators internally, so timelines are
-    captured with the process-global collection window and counts with a
-    process-global hub.
+    Scenarios construct their simulators internally, so timelines and
+    counts are captured by one window with a hub that records a timeline
+    per device.
     """
     Simulator.use_reference_loop = use_reference
     try:
-        with collected_timelines() as timelines, observed() as hub:
+        with EngineWindow(hub=True, timelines=True) as window:
             SCENARIOS[name].run(SCALE)
     finally:
         Simulator.use_reference_loop = False
+    hub, timelines = window.hub, window.timelines
     return _intervals(timelines), [tl.schedule_hash() for tl in timelines], {
         "task_pulls": hub.task_pulls,
         "flag_polls": hub.flag_polls,
@@ -125,7 +126,7 @@ def _run_faulted_fleet(use_reference: bool):
 
     Simulator.use_reference_loop = use_reference
     try:
-        with collected_timelines() as timelines:
+        with EngineWindow(timelines=True) as window:
             fleet = FleetSystem(
                 [
                     Tenant("web", priority=2, slo_us=3_000.0),
@@ -146,6 +147,7 @@ def _run_faulted_fleet(use_reference: bool):
             fleet.run()
     finally:
         Simulator.use_reference_loop = False
+    timelines = window.timelines
     return _intervals(timelines), [tl.schedule_hash() for tl in timelines]
 
 
@@ -187,7 +189,7 @@ def _run_grid(use_reference, num_sms, slots, tasks, task_us, L, writes, *,
     Simulator.use_reference_loop = use_reference
     hub = Observability()
     try:
-        with collected_timelines() as timelines:
+        with EngineWindow(timelines=True) as window:
             sim = Simulator()
             gpu = SimulatedGPU(sim, small_test_gpu(
                 num_sms=num_sms, max_ctas_per_sm=slots,
@@ -235,7 +237,7 @@ def _run_grid(use_reference, num_sms, slots, tasks, task_us, L, writes, *,
             end = sim.now
     finally:
         Simulator.use_reference_loop = False
-    (tl,) = timelines
+    (tl,) = window.timelines
     return {
         "intervals": [
             (iv.sm_id, iv.start_us, iv.end_us) for iv in tl.intervals
@@ -341,17 +343,3 @@ def test_windowed_replay_matches_reference_on_cohort_shapes(
     ref = _run_grid(True, *args, **kwargs)
     assert fast == ref
 
-
-def test_global_trace_uninstalls_cleanly():
-    seen = []
-    install_global_trace(seen.append)
-    try:
-        sim = Simulator()
-        assert sim._hooked
-    finally:
-        install_global_trace(None)
-    sim2 = Simulator()
-    sim2.schedule(1.0, lambda: None)
-    sim2.run()
-    # only the first simulator inherited the hook
-    assert not sim2._hooked

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.flep import FlepSystem
-from repro.obs import NULL_OBS, Observability, observed
+from repro.obs import NULL_OBS, EngineWindow, Observability
 from repro.runtime.engine import RuntimeConfig
 
 
@@ -41,10 +41,10 @@ class TestSystemWiring:
         assert system.obs is hub
 
     def test_global_hub_picked_up(self, suite):
-        with observed() as hub:
+        with EngineWindow(hub=True) as window:
             system, _ = run_temporal_pair(suite)
-            assert system.obs is hub
-        assert hub.m_invocations.total == 2
+            assert system.obs is window.hub
+        assert window.hub.m_invocations.total == 2
 
 
 class TestRecordedRun:

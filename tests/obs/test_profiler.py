@@ -1,23 +1,27 @@
 """Self-profile tests: the observability hub's hot-loop counters and
 timelines, and the engine window's shared event accounting — null path,
-a hand-built schedule, trace export, global installation."""
+a hand-built schedule, trace export, the window's hub."""
 
 import pytest
 
 from repro.baselines.mps_corun import MPSCoRun
 from repro.core.flep import FlepSystem
 from repro.errors import SimulationError
-from repro.gpu.sim import EngineWindow, Simulator
+from repro.gpu.gpu import SimulatedGPU
+from repro.gpu.sim import Simulator
+from repro.gpu.trace import (
+    Timeline,
+    collected_schedule_hashes,
+    combined_schedule_hash,
+)
 from repro.obs import (
     NULL_OBS,
+    EngineWindow,
     LatencyStat,
     NullObservability,
     Observability,
     SpanTracer,
     get_global,
-    install_global,
-    observed,
-    uninstall_global,
 )
 from repro.obs.recorder import _event_kind
 from repro.runtime.engine import RuntimeConfig
@@ -122,6 +126,39 @@ class TestSharedCounter:
                 sim.run()
         # both views agree even after the abort mid-loop
         assert window.events == sim.stats.processed
+
+    def test_window_registers_devices_and_timelines(self):
+        with EngineWindow(timelines=True) as window:
+            system = _three_kernel_run(None)
+            corun = MPSCoRun()
+        devices = [system.gpu, corun.gpu]
+        assert window.scheds == [gpu.sched for gpu in devices]
+        assert window.sims == [system.sim, corun.sim]
+        assert window.timelines == [gpu.tracer for gpu in devices]
+        assert all(isinstance(tl, Timeline) for tl in window.timelines)
+        assert window.timelines[0].schedule_hash() == system.gpu.sched.hexdigest
+        assert window.schedule_hash() == combined_schedule_hash(
+            [gpu.sched.hexdigest for gpu in devices]
+        )
+
+    def test_window_without_timelines_attaches_none(self):
+        with EngineWindow() as window:
+            gpu = SimulatedGPU(Simulator())
+        assert window.scheds == [gpu.sched]
+        assert gpu.tracer is None and window.timelines is None
+
+    def test_outer_window_sees_nothing_from_an_inner_one(self):
+        with EngineWindow() as outer:
+            with EngineWindow() as inner:
+                first = SimulatedGPU(Simulator())
+            second = SimulatedGPU(Simulator())
+        assert inner.scheds == [first.sched] and outer.scheds == [second.sched]
+        assert inner.sims == [first.sim] and outer.sims == [second.sim]
+
+    def test_collected_schedule_hashes_yields_device_digests(self):
+        with collected_schedule_hashes() as scheds:
+            system = _three_kernel_run(None)
+        assert scheds == [system.gpu.sched]
 
     def test_multi_sim_aggregation(self):
         hub = Observability()
@@ -262,21 +299,18 @@ class TestSamplingBounds:
 
 
 # ---------------------------------------------------------------------------
-# process-global installation
+# the window's hub
 # ---------------------------------------------------------------------------
 class TestGlobalProfiler:
-    def teardown_method(self):
-        uninstall_global()
-
     def test_install_and_uninstall(self):
         hub = Observability()
-        install_global(hub)
-        assert get_global() is hub
-        uninstall_global()
+        with EngineWindow(hub=hub):
+            assert get_global() is hub
         assert get_global() is None
 
     def test_new_systems_pick_up_the_global(self):
-        with observed() as hub:
+        with EngineWindow(hub=True) as window:
+            hub = window.hub
             system = FlepSystem(policy="hpf")
             assert system.obs is hub
             assert system.sim.obs is hub
@@ -285,10 +319,11 @@ class TestGlobalProfiler:
         assert FlepSystem(policy="hpf").obs is NULL_OBS
 
     def test_mps_baseline_picks_up_the_global(self):
-        with observed() as hub, EngineWindow() as window:
+        with EngineWindow(hub=True) as window:
             corun = MPSCoRun()
             corun.submit_at(0.0, "solo", "VA", "trivial")
             corun.run()
+        hub = window.hub
         assert corun.sim.obs is hub and corun.gpu.prof is hub
         assert sum(hub.events_by_kind.values()) == corun.sim.stats.processed
         assert window.events == corun.sim.stats.processed > 0
@@ -296,15 +331,15 @@ class TestGlobalProfiler:
 
     def test_explicit_profiler_beats_the_global(self):
         mine = Observability()
-        with observed():
+        with EngineWindow(hub=True):
             system = FlepSystem(policy="hpf", observability=mine)
             assert system.obs is mine
 
     def test_profiled_runs_the_wall_clock(self):
-        with observed() as hub, EngineWindow() as window:
-            _three_kernel_run(None)  # picked up globally
+        with EngineWindow(hub=True) as window:
+            _three_kernel_run(None)  # picked up from the window
         block = window.engine_block()
         assert block["wall_s"] > 0.0
         assert block["sims"] == 1
         assert block["events_per_sec"] > 0.0
-        assert hub.task_pulls > 0
+        assert window.hub.task_pulls > 0

@@ -1,15 +1,14 @@
-"""Observability-hub tests: hooks, the null recorder, the global hub."""
+"""Observability-hub tests: hooks, the null recorder, the window's hub."""
 
 import pytest
 
 from repro.obs import (
     NULL_OBS,
+    EngineWindow,
     NullObservability,
     Observability,
     get_global,
-    install_global,
     observed,
-    uninstall_global,
 )
 
 
@@ -166,12 +165,39 @@ class TestNullRecorder:
 
 
 class TestGlobalHub:
+    """The hub an open window hands to systems built inside it."""
+
     def test_install_and_uninstall(self):
         assert get_global() is None
         hub = Observability()
-        assert install_global(hub) is hub
-        assert get_global() is hub
-        uninstall_global()
+        with EngineWindow(hub=hub) as window:
+            assert window.hub is hub
+            assert get_global() is hub
+        assert get_global() is None
+
+    def test_window_without_hub_installs_none(self):
+        with EngineWindow() as window:
+            assert window.hub is None
+            assert get_global() is None
+        with EngineWindow(hub=True) as window:
+            assert window.hub.enabled
+            assert get_global() is window.hub
+
+    def test_window_uninstalls_on_error(self):
+        with pytest.raises(RuntimeError):
+            with EngineWindow(hub=True):
+                raise RuntimeError("boom")
+        assert get_global() is None
+
+    def test_inner_window_shadows_outer(self):
+        with EngineWindow(hub=True) as outer:
+            with EngineWindow() as inner:
+                assert get_global() is None
+            assert inner.hub is None
+            assert get_global() is outer.hub
+            with EngineWindow(hub=True) as inner:
+                assert get_global() is inner.hub
+            assert get_global() is outer.hub
         assert get_global() is None
 
     def test_observed_context_manager(self):

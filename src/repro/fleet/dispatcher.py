@@ -313,9 +313,12 @@ class FleetSystem(TraceIntake):
         self.reroutes: List[Tuple[float, int, int, int]] = []
         #: req_ids that ended ``lost`` (crash in-flight or total outage).
         self.lost_ids: List[int] = []
-        #: (t_us, node, queue_len, load_us) samples from steal ticks —
-        #: the rollup exports them as per-node Chrome counter tracks
+        #: (t_us, node, queue_len, load_us) from steal ticks, one only
+        #: when a node's (queue_len, load_us) changed — the rollup
+        #: exports them as per-node Chrome counter tracks, and a counter
+        #: holds its value until the next sample
         self.load_samples: List[Tuple[float, int, int, float]] = []
+        self._last_load: Dict[int, Tuple[int, float]] = {}
         self._ran = False
         if self.obs.enabled:
             m = self.obs.metrics
@@ -518,13 +521,15 @@ class FleetSystem(TraceIntake):
                 self._m_steals.inc(src=str(src), dst=str(dst))
 
         self.stealer.rebalance(self.nodes, on_steal=record)
+        last = self._last_load
         for node in self.nodes:
-            self.load_samples.append(
-                (now, node.index, node.queue_len, node.load_us())
-            )
+            queue_len, load = node.queue_len, node.load_us()
+            if last.get(node.index) != (queue_len, load):
+                last[node.index] = (queue_len, load)
+                self.load_samples.append((now, node.index, queue_len, load))
             if self.obs.enabled:
-                self._m_load.set(node.load_us(), node=str(node.index))
-                self._m_qlen.set(node.queue_len, node=str(node.index))
+                self._m_load.set(load, node=str(node.index))
+                self._m_qlen.set(queue_len, node=str(node.index))
 
     def run(self, until: Optional[float] = None) -> FleetReport:
         """Drive arrivals, faults, steal ticks, node drains; roll up."""

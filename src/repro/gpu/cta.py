@@ -23,8 +23,9 @@ This reproduces Figure 4's semantics exactly while staying
 Performance note: the batch loop is the simulator's hottest path. All
 per-batch constants (task time, poll cost, amortizing factor, event
 labels) are frozen into plain attributes at context creation — kernel,
-cost model and task multiplier never change over a context's lifetime —
-and batch plans are memoized keyed on ``(batch, since_poll)``. The flag
+cost model and task multiplier never change over a context's lifetime.
+Nothing is memoized per claim: the pool's remaining count falls with
+every claim, so a ``(remaining, width)`` plan never recurs. The flag
 fast path (:attr:`PinnedFlag._demanding`) lets ``replan`` skip the
 yield-poll search entirely while no host write demands a yield.
 """
@@ -38,7 +39,7 @@ from typing import Optional, TYPE_CHECKING
 from ..errors import SchedulingError, SimulationError
 from ..obs.recorder import NULL_OBS
 from .events import Event, maybe_cancel
-from .kernel import KernelMode
+from .kernel import KernelMode, guided_claim
 from .memory import should_yield
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,7 +64,7 @@ class CTAContext:
         "grid", "ctx_id", "sm", "state", "tasks_done", "started_at",
         "ended_at", "_obs", "task_mult", "_is_persistent",
         "_task_time", "_per_task", "_poll_cost", "_amortize", "_spatial",
-        "_batch_label", "_yield_label", "_plan_cache", "_batch_start",
+        "_batch_label", "_yield_label", "_batch_start",
         "_batch_size", "_completion", "_yield_event", "_started",
         "_since_poll",
     )
@@ -101,8 +102,6 @@ class CTAContext:
         self._spatial = kernel.supports_spatial
         self._batch_label = f"{kernel.name}/ctx{ctx_id}/batch"
         self._yield_label = f"{kernel.name}/ctx{ctx_id}/yield"
-        #: memoized batch plans: (batch, since_poll) -> duration_us
-        self._plan_cache = {}
 
         # current batch
         self._batch_start = 0.0
@@ -147,16 +146,11 @@ class CTAContext:
 
     def _batch_duration(self, batch: int) -> float:
         """Wall time of a ``batch``-task run from the current poll
-        offset; memoized — contexts re-plan the same ``(batch,
-        since_poll)`` pair many times over a kernel's lifetime."""
-        key = (batch, self._since_poll)
-        cached = self._plan_cache.get(key)
-        if cached is None:
-            cached = self._plan_cache[key] = (
-                self._polls_in_batch(batch) * self._poll_cost
-                + batch * self._per_task
-            )
-        return cached
+        offset."""
+        return (
+            self._polls_in_batch(batch) * self._poll_cost
+            + batch * self._per_task
+        )
 
     def _poll_read_start(self, m: int) -> float:
         """Time the m-th in-batch poll (m >= 0) begins reading the flag:
@@ -210,15 +204,20 @@ class CTAContext:
             and grid.try_macro(self, now)
         ):
             return
-        # plan lookup inlined from Grid.next_batch_size (memo-hit path)
+        # Guided claim. The width is the larger of the grid's expected
+        # concurrency and the pool-wide live worker count: a shared pool
+        # may be drained by several grids at once (resume / top-up), and
+        # using only this grid's width would let its contexts over-claim
+        # and straggle. A persistent grid keeps batches L-multiples.
         width = grid._parallel_width
         workers = pool._workers
         if workers > width:
             width = workers
-        batch = grid._batch_plans.get((remaining, width))
-        if batch is None:
-            batch = grid.next_batch_size(self)
-        # claim inlined from TaskPool.take: the planner clamps batch to
+        batch = guided_claim(
+            remaining, 2 * width,
+            grid._amortize_l if self._is_persistent else 0,
+        )
+        # claim inlined from TaskPool.take: guided_claim clamps batch to
         # [1, remaining], so the claim never truncates or goes negative
         pool._remaining = remaining - batch
         pool._outstanding += batch

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 from ..errors import SchedulingError
 from ..obs.recorder import NULL_OBS, Observability, register_device
 from .device import GPUDeviceSpec, tesla_k40
-from .grid import Grid, GridState
+from .grid import Grid
 from .kernel import KernelImage, LaunchConfig, TaskPool
 from .memory import DeviceMemory, PinnedFlag
 from .sim import Simulator
@@ -48,7 +48,6 @@ class SimulatedGPU:
         self._dispatching = False
         self._dispatch_again = False
         self.launch_count = 0
-        self.completed_grids: List[Grid] = []
         #: optional Timeline recorder (repro.gpu.trace); a window opened
         #: with ``timelines=True`` attaches one (golden-trace tests)
         self.tracer = None
@@ -252,8 +251,6 @@ class SimulatedGPU:
             self._queue.remove(grid)
             if self._obs.enabled:
                 self._obs.hw_queue_depth(len(self._queue))
-        if grid.state is GridState.COMPLETE:
-            self.completed_grids.append(grid)
         self._dispatch()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

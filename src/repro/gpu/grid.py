@@ -17,23 +17,21 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional, Set
 
 from ..errors import SchedulingError, SimulationError
-from .cta import CTAContext, CTAState
+from .cta import CTAContext
 from .device import CostModel, GPUDeviceSpec
-from .kernel import (
-    KernelImage,
-    KernelMode,
-    LaunchConfig,
-    TaskPool,
-    guided_claim,
-)
+from .kernel import KernelImage, KernelMode, LaunchConfig, TaskPool
 from .macro import MacroCohort
 from .memory import PinnedFlag, should_yield
 from .occupancy import max_ctas_per_sm
 from .sim import Simulator
 from .sm import cta_footprint
+
+
+#: what a finished grid's ``contexts`` is rebound to (shared, immutable)
+_NO_CONTEXTS = frozenset()
 
 
 class GridState(enum.Enum):
@@ -46,7 +44,22 @@ class GridState(enum.Enum):
 
 
 class Grid:
-    """One kernel launch being executed by the simulated device."""
+    """One kernel launch being executed by the simulated device.
+
+    Finished grids stay reachable from their invocation's ``grids`` list
+    (reports read them), so a grid is slotted and drops its per-CTA state
+    and callbacks in :meth:`_finish`: what a run keeps per grid is its
+    identity, timestamps and counters, not its peak working set."""
+
+    __slots__ = (
+        "grid_id", "sim", "spec", "costs", "kernel", "config", "pool",
+        "flag", "rng", "tag", "on_complete", "on_preempted", "device",
+        "state", "launched_at", "first_dispatch_at", "ended_at",
+        "preempt_requested_at", "contexts", "_next_ctx_id", "_placed",
+        "yielded_contexts", "finished_contexts", "ctas_per_sm",
+        "_footprint", "_terminal", "_persistent", "_amortize_l",
+        "_parallel_width", "_macro",
+    )
 
     _next_id = 1
 
@@ -80,6 +93,8 @@ class Grid:
         self.tag = tag or {}
         self.on_complete = on_complete
         self.on_preempted = on_preempted
+        #: the launching SimulatedGPU (None for a bare grid in tests)
+        self.device = None
 
         self.state = GridState.QUEUED
         self.launched_at = sim.now
@@ -101,7 +116,7 @@ class Grid:
         self._terminal = False
         # Frozen hot-path constants: kernel mode, amortizing factor and
         # the expected steady-state width never change after launch, and
-        # the batch-size planner consults them for every batch.
+        # every guided claim (repro.gpu.cta, repro.gpu.macro) reads them.
         self._persistent = kernel.mode is KernelMode.PERSISTENT
         self._amortize_l = kernel.amortize_l
         # the expected (not momentary) CTA concurrency sizes guided
@@ -111,8 +126,6 @@ class Grid:
             self._parallel_width = max(1, min(capacity, config.grid_ctas))
         else:
             self._parallel_width = max(1, min(capacity, self.pool.total))
-        #: memoized batch-size plans: (remaining, width) -> batch size
-        self._batch_plans = {}
         #: active macro-event cohort (repro.gpu.macro), if any
         self._macro: Optional[MacroCohort] = None
 
@@ -204,35 +217,6 @@ class Grid:
     # ------------------------------------------------------------------
     # context callbacks
     # ------------------------------------------------------------------
-    def next_batch_size(self, ctx: CTAContext) -> int:
-        """Size of the next task batch for ``ctx`` (guided scheduling).
-
-        The width is the larger of this grid's expected concurrency and
-        the pool-wide live worker count: a shared pool may be drained by
-        several grids at once (resume / top-up), and using only this
-        grid's width would let its contexts over-claim and straggle.
-        Plans are memoized on ``(remaining, width)`` — contexts of one
-        wave repeatedly ask for the same plan."""
-        pool = self.pool
-        remaining = pool._remaining
-        width = self._parallel_width
-        workers = pool._workers
-        if workers > width:
-            width = workers
-        key = (remaining, width)
-        size = self._batch_plans.get(key)
-        if size is not None:
-            return size
-        if remaining <= 0:
-            size = 0
-        else:
-            size = guided_claim(
-                remaining, 2 * width,
-                self._amortize_l if self._persistent else 0,
-            )
-        self._batch_plans[key] = size
-        return size
-
     def try_macro(self, trigger: CTAContext, now: float) -> bool:
         """Absorb the pool's batch chain into a macro-event cohort if it
         is in steady state (see :mod:`repro.gpu.macro`): every grid
@@ -384,9 +368,12 @@ class Grid:
             self.on_complete(self)
         if state is GridState.PREEMPTED and self.on_preempted:
             self.on_preempted(self)
-
-    # set by the device at launch
-    device = None
+        # a finished grid stays reachable (KernelInvocation.grids), so
+        # drop what no one reads again: an emptied set keeps its peak
+        # hash table, and the callbacks have fired their only time. The
+        # set is empty here and a terminal grid places no context.
+        self.contexts = _NO_CONTEXTS
+        self.on_complete = self.on_preempted = None
 
     # ------------------------------------------------------------------
     # metrics

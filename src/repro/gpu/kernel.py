@@ -323,7 +323,7 @@ def guided_claim(remaining: int, width2: int, L_grid: int) -> int:
     exact, except near the tail where sub-L batches are allowed — real
     CTAs pull one task at a time, so work distribution is task-granular
     even though polls are L-spaced. ``L_grid`` 0 (a non-persistent
-    grid) skips that clamp. :meth:`Grid.next_batch_size` and the macro
+    grid) skips that clamp. A context's own claim and the macro
     replay both size claims here, so their sizes are identical."""
     size = math.ceil(remaining / width2)
     if size < 1:

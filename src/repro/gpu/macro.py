@@ -36,8 +36,8 @@ points and completion orders stay bit-identical to the per-batch
 reference loop. Three rules make that hold:
 
 1. **Identical float-op order.** Claim sizes come from the same
-   :func:`~repro.gpu.kernel.guided_claim` as
-   :meth:`Grid.next_batch_size`; durations use the same
+   :func:`~repro.gpu.kernel.guided_claim` call as a context's own
+   claim (:meth:`CTAContext._begin_next_batch`); durations use the same
    ``polls * poll_cost + batch * per_task`` expression; completion
    times are the same ``t + dur`` additions, elementwise in float64.
 2. **Sync before observation.** The real pool and contexts lag behind
@@ -181,13 +181,13 @@ class MacroCohort:
             grids.append(g)
             # each grid claims with its own guided width (the larger of
             # its expected concurrency and the pool-wide worker count —
-            # identical to Grid.next_batch_size), constant while the
+            # identical to CTAContext's own claim), constant while the
             # cohort lives: any join/leave dissolves it first
             width = g._parallel_width
             if workers > width:
                 width = workers
             # L_grid == 0 marks a non-persistent grid: its guided plan
-            # has no L-multiple clamp (Grid.next_batch_size), its
+            # has no L-multiple clamp (guided_claim), its
             # contexts never poll (L=1, poll_cost=0.0 make the duration
             # math degenerate to batch * per_task, bit-identically) and
             # its batches charge no observability counters

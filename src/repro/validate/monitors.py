@@ -246,9 +246,9 @@ class WorkConservationMonitor(Monitor):
     to be empty. So per event the check runs on just:
 
     * the pools of grids in ``gpu._queue`` (*live*);
-    * pools tracked since the last event — new completed grids and
-      runtime invocations, found through cursors over those append-only
-      lists, and :meth:`track` calls;
+    * pools tracked since the last event — new runtime invocations,
+      found through a cursor over that append-only list, and
+      :meth:`track` calls;
     * pools live at the last event but not now: their final check, after
       which they retire. A resumed grid sharing a retired pool brings it
       back to life.
@@ -273,8 +273,7 @@ class WorkConservationMonitor(Monitor):
         self._fresh: Dict[int, list] = {}
         #: pools live at the last event
         self._live: Dict[int, list] = {}
-        #: cursors into gpu.completed_grids / runtime.invocations
-        self._grids_seen = 0
+        #: cursor into runtime.invocations
         self._invs_seen = 0
 
     def track(self, pool, label: str = "") -> list:
@@ -287,7 +286,14 @@ class WorkConservationMonitor(Monitor):
 
     def _discover(self) -> Dict[int, list]:
         """Track every pool created since the last call; return the live
-        ones (the pools of queued grids)."""
+        ones (the pools of queued grids).
+
+        A grid that owns its pool (no invocation does) is found in the
+        queue: hooks run before each event, and a grid cannot enter and
+        leave the queue within one event — its pool drains only through
+        later batch-completion, yield or flag-write events — so every
+        such grid is queued when some event's check runs. (A grid that
+        finished before the monitor was installed is not seen.)"""
         live: Dict[int, list] = {}
         if self.gpu is not None:
             pools = self._pools
@@ -297,10 +303,6 @@ class WorkConservationMonitor(Monitor):
                 live[key] = pools.get(key) or self.track(
                     pool, grid.kernel.name
                 )
-            completed = self.gpu.completed_grids
-            for grid in completed[self._grids_seen:]:
-                self.track(grid.pool, grid.kernel.name)
-            self._grids_seen = len(completed)
         if self.runtime is not None:
             invocations = self.runtime.invocations
             for inv in invocations[self._invs_seen:]:

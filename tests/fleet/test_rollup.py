@@ -141,6 +141,16 @@ class TestReportSurface:
 
 
 class TestTraceExport:
+    def test_load_samples_only_record_changes(self, suite):
+        """A counter track holds its value until the next sample, so a
+        steal tick records a node only when its (queue, load) moved."""
+        fleet, _ = run_small_fleet(suite)
+        last = {}
+        for _t, node, queue_len, load_us in fleet.load_samples:
+            assert last.get(node) != (queue_len, load_us)
+            last[node] = (queue_len, load_us)
+        assert sorted(last) == [0, 1, 2]
+
     def test_per_node_processes_in_trace(self, suite):
         from repro.obs import Observability
 

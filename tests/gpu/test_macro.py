@@ -31,7 +31,7 @@ def test_polls_closed_form_matches_the_context_count():
 
 
 def _reference_chain(rem: int, width2: int, L_grid: int):
-    """Grid.next_batch_size applied claim after claim."""
+    """A context's guided claim applied claim after claim."""
     out = []
     while rem > 0:
         b = min(max(math.ceil(rem / width2), 1), rem)

@@ -251,6 +251,7 @@ class FleetNode:
         """
         if self.state == "down":
             raise FleetError(f"node {self.index} is already down")
+        self.backend.gpu.halt()
         reclaimed: List[NodeRequest] = []
         while self.queue:
             req = self.queue.popleft()
@@ -363,9 +364,6 @@ class FleetNode:
     # ------------------------------------------------------------------
     # load introspection (read-only; the routing-policy contract)
     # ------------------------------------------------------------------
-    def held_us(self) -> float:
-        return sum(r.predicted_us for r in self.held.values())
-
     def load_us(self) -> float:
         """Admitted-but-unfinished predicted work on this node (µs),
         including admission-delayed (held) requests."""

@@ -27,26 +27,52 @@ cost model and task multiplier never change over a context's lifetime.
 Nothing is memoized per claim: the pool's remaining count falls with
 every claim, so a ``(remaining, width)`` plan never recurs. The flag
 fast path (:attr:`PinnedFlag._demanding`) lets ``replan`` skip the
-yield-poll search entirely while no host write demands a yield.
+yield-poll search entirely while no host write demands a yield. A
+context's first claim inside a placement pass does not push its event
+at all: the pass collects it in :class:`FirstClaims` and a macro cohort
+may take it over unpushed (:meth:`Grid.begin_pass`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Optional, TYPE_CHECKING
+from bisect import bisect_right
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import SchedulingError, SimulationError
 from ..obs.recorder import NULL_OBS
 from .events import Event, maybe_cancel
 from .kernel import KernelMode, guided_claim
-from .memory import should_yield
+from .memory import _VALUE_INF, should_yield
 
 if TYPE_CHECKING:  # pragma: no cover
     from .grid import Grid
     from .sm import SM
 
 _EPS = 1e-9
+
+
+class FirstClaims:
+    """The first claims of one placement pass whose completion events
+    are not pushed yet (DESIGN.md §4): row ``k`` is the ``k``-th placed
+    context, the completion time of its first batch and the engine seq
+    it took when it claimed. :meth:`Grid.end_pass` either hands the rows
+    to a macro cohort or pushes them as events."""
+
+    __slots__ = ("ctxs", "times", "seqs")
+
+    def __init__(self):
+        self.ctxs: List["CTAContext"] = []
+        self.times: List[float] = []
+        self.seqs: List[int] = []
+
+    def push(self, sim) -> None:
+        """Schedule every row's completion, each at its own seq."""
+        for ctx, t, seq in zip(self.ctxs, self.times, self.seqs):
+            ctx._completion = sim.schedule_reserved(
+                t, seq, ctx._on_batch_complete, ctx._batch_label
+            )
 
 
 class CTAState(enum.Enum):
@@ -194,12 +220,15 @@ class CTAContext:
             self._finish(now)
             return
         # Macro fast-forward: in steady state (flags steady, every pool
-        # worker accounted for) the whole remaining batch chain is
-        # precomputed and this context's claim is absorbed into the
-        # cohort — see repro.gpu.macro. Non-persistent chains qualify
-        # too: no polls, no flag response, same guided claims.
+        # worker accounted for) the whole remaining batch chain of a
+        # persistent pool is precomputed and this context's claim is
+        # absorbed into the cohort — see repro.gpu.macro. A placement
+        # pass collecting first claims tries once, when it ends.
+        claims = grid._first
         if (
-            grid._macro is None
+            claims is None
+            and self._is_persistent
+            and grid._macro is None
             and not sim.use_reference_loop
             and grid.try_macro(self, now)
         ):
@@ -233,6 +262,14 @@ class CTAContext:
             duration = polls * self._poll_cost + batch * per_task
         else:
             duration = batch * per_task
+        if claims is not None:
+            # a placement pass with a quiet flag: no replan can follow,
+            # so the claim takes its seq now and its event is pushed
+            # when the pass ends, unless a cohort absorbs it first
+            claims.ctxs.append(self)
+            claims.times.append(now + duration)
+            claims.seqs.append(sim.reserve_seq())
+            return
         self._completion = sim.schedule_event(
             now + duration,
             self._on_batch_complete,
@@ -285,35 +322,17 @@ class CTAContext:
     # preemption
     # ------------------------------------------------------------------
     def replan(self) -> None:
-        """Recompute this context's fate after a flag write.
-
-        Scans the flag's (short) demanding-write index for the first
-        poll boundary of the current batch at which the device-visible
-        value demands a yield; schedules/cancels the yield event
-        accordingly.
+        """Recompute this context's fate after a flag write: schedule
+        the yield :meth:`_yield_plan` finds, or restore the batch's
+        completion if it finds none (a flag clear cancelled the yield).
         """
         if self.state is not CTAState.RUNNING or not self._is_persistent:
             return
         grid = self.grid
-        flag = grid.flag
-        if flag is None or self._batch_size == 0:
+        if grid.flag is None or self._batch_size == 0:
             return
-
-        if not flag._demanding:
-            yield_m = None
-        else:
-            # Cleared-flag fast path: when the newest write is a clear
-            # already visible at (or before) the batch start, every poll
-            # of this batch observes 0 — _first_yield_poll would scan
-            # the whole demanding index just to reject each candidate.
-            last = flag._history[-1]
-            if last[1] == 0 and last[0] <= self._batch_start:
-                yield_m = None
-            else:
-                yield_m = self._first_yield_poll()
-        if yield_m is None:
-            # no mid-batch yield; restore the completion event if a
-            # previously-planned yield was cancelled by a flag clear
+        plan = self._yield_plan()
+        if plan is None:
             maybe_cancel(self._yield_event)
             self._yield_event = None
             if self._completion is None or self._completion.cancelled:
@@ -325,17 +344,31 @@ class CTAContext:
                     self._batch_label,
                 )
             return
-
-        finished = min(self._poll_task_index(yield_m), self._batch_size)
-        yield_at = self._poll_read_start(yield_m) + self._poll_cost
         maybe_cancel(self._completion)
         self._completion = None
         maybe_cancel(self._yield_event)
-        now = grid.sim.clock._now
-        self._yield_event = grid.sim.schedule_event(
-            yield_at if yield_at > now else now,
-            lambda: self._do_yield(finished),
-            self._yield_label,
+        self._schedule_yield(*plan)
+
+    def _yield_plan(self) -> Optional[Tuple[float, int]]:
+        """``(yield time, tasks of the batch finished by then)`` of the
+        first mid-batch poll that observes a yield-demanding flag value,
+        or ``None`` if the current batch runs to completion. Pure: it
+        reads the batch state and the flag, and touches no event."""
+        flag = self.grid.flag
+        if not flag._demanding:
+            return None
+        # Cleared-flag fast path: when the newest write is a clear
+        # already visible at (or before) the batch start, every poll of
+        # this batch observes 0.
+        last = flag._history[-1]
+        if last[1] == 0 and last[0] <= self._batch_start:
+            return None
+        m = self._first_yield_poll()
+        if m is None:
+            return None
+        return (
+            self._poll_read_start(m) + self._poll_cost,
+            min(self._poll_task_index(m), self._batch_size),
         )
 
     def _first_yield_poll(self) -> Optional[int]:
@@ -344,52 +377,67 @@ class CTAContext:
 
         The poll at the very start of the batch (task index 0, only when
         the batch begins on a boundary) already ran synchronously in
-        ``_begin_next_batch``, so it is excluded. Walks the flag's
-        (short) index of demanding writes, solving for the first poll
-        ordinal in each demanding interval — O(demanding writes), not
-        O(batch/L).
+        ``_begin_next_batch``, so it is excluded. A demanding write's
+        candidate is the first poll whose read starts after the write is
+        visible; the candidate must still observe a demanding value (a
+        later write may have cleared it). Writes are sorted by
+        visibility and candidates rise with it, so the first candidate
+        that passes is the answer. Every write visible by the first
+        poll's read collapses onto the lowest candidate, so one bisect
+        (plus the flag's running maximum, for spatial yields) replaces
+        their scan: O(log writes + writes inside the batch).
         """
-        grid = self.grid
-        n_polls = self._polls_in_batch(self._batch_size)
-        if n_polls <= 0:
+        batch = self._batch_size
+        L = self._amortize
+        # _first_poll_index, _polls_in_batch and _poll_read_start
+        # inlined, with their float-op order
+        first = (L - self._since_poll) % L
+        if first >= batch:
             return None
+        n_polls = 1 + (batch - 1 - first) // L
         # the m=0 poll is mid-batch unless it sits at task index 0
-        m_lo = 1 if self._first_poll_index() == 0 else 0
+        m_lo = 1 if first == 0 else 0
         if m_lo >= n_polls:
             return None
-        period = self._poll_cost + self._amortize * self._per_task
-        flag = grid.flag
+        flag = self.grid.flag
         spatial = self._spatial
         sm_id = self.sm.sm_id
-        base = self._poll_read_start(0)
-        best: Optional[int] = None
-        checked: set = set()
-        # only writes with value > 0 can demand a yield; zero writes
-        # matter solely through the observed-value re-check below. Old
-        # demanding writes all collapse onto the same candidate poll, so
-        # each candidate ordinal is evaluated once.
-        for visible_at, value in flag._demanding:
-            if not should_yield(sm_id, value, spatial):
+        start = self._batch_start
+        poll_cost = self._poll_cost
+        per_task = self._per_task
+        base = start + 0 * poll_cost + first * per_task
+        demanding = flag._demanding
+        k = bisect_right(demanding, (base + _EPS, _VALUE_INF))
+        checked = -1
+        if k and (not spatial or flag._demand_max[k - 1] > sm_id):
+            j = first + m_lo * L
+            observed = flag.device_read(
+                start + m_lo * poll_cost + j * per_task + _EPS
+            )
+            if observed > 0 and (not spatial or sm_id < observed):
+                return m_lo
+            checked = m_lo
+        period = poll_cost + L * per_task
+        for i in range(k, len(demanding)):
+            visible_at, value = demanding[i]
+            if spatial and sm_id >= value:
                 continue
             # smallest m with poll_read_start(m) >= visible_at
-            if visible_at <= base + _EPS:
-                m = 0
-            else:
-                m = math.ceil((visible_at - base) / period - _EPS)
+            m = math.ceil((visible_at - base) / period - _EPS)
             if m < m_lo:
                 m = m_lo
-            if m >= n_polls or (best is not None and m >= best):
+            if m >= n_polls:
+                return None
+            if m == checked:
                 continue
-            if m in checked:
-                continue
-            checked.add(m)
-            # the value actually observed at that poll must still demand
-            # a yield (a later write may have cleared it)
-            observed = flag.device_read(self._poll_read_start(m) + _EPS)
-            if not should_yield(sm_id, observed, spatial):
-                continue
-            best = m
-        return best
+            checked = m
+            j = first + m * L
+            observed = flag.device_read(
+                start + m * poll_cost + j * per_task + _EPS
+            )
+            if observed > 0 and (not spatial or sm_id < observed):
+                return m
+        return None
 
     def _schedule_yield(self, at: float, finished_in_batch: int) -> None:
         sim = self.grid.sim

@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Optional
 
-from ..errors import SchedulingError
 from ..obs.recorder import NULL_OBS, Observability, register_device
 from .device import GPUDeviceSpec, tesla_k40
 from .grid import Grid
@@ -137,6 +136,16 @@ class SimulatedGPU:
         )
         return grid
 
+    def halt(self) -> None:
+        """The device stops at the current time (a crashed fleet node):
+        commit what every macro cohort replayed up to now, so its
+        counters hold exactly the batches the reference loop ran."""
+        now = self.sim.clock._now
+        for grid in self._queue:
+            cohort = grid._macro
+            if cohort is not None:
+                cohort.sync(now)
+
     def free_cta_slots(self) -> int:
         return sum(sm.free_cta_slots() for sm in self.sms)
 
@@ -151,45 +160,86 @@ class SimulatedGPU:
             self._obs.hw_queue_depth(len(self._queue))
         self._dispatch()
 
-    def _pick_sm(self, grid: Grid) -> Optional[SM]:
-        """Choose the SM with the most free CTA slots (ties: lowest id).
+    def _pick_order(self, grid: Grid, n: int) -> List[SM]:
+        """The SMs that host ``grid``'s next ``n`` CTAs (fewer if they
+        do not fit), in placement order.
 
-        This spreads persistent CTAs across all SMs — required for
-        FLEP's launch-geometry guarantee — and naturally lands a
-        preempting kernel on the SMs spatial preemption just freed.
+        Each CTA goes to the SM with the most free CTA slots that can
+        host it (ties: lowest id). This spreads persistent CTAs across
+        all SMs — required for FLEP's launch-geometry guarantee — and
+        naturally lands a preempting kernel on the SMs spatial
+        preemption just freed.
 
-        The CTA footprint was resolved once at grid construction, so
-        the scan is pure integer compares over the bank's flat arrays —
-        no SM objects touched until one wins.
+        Nothing but these admissions changes the bank during a
+        placement pass, so the whole order is known up front: SM ``i``
+        can take ``cap`` more CTAs (its free slots, or fewer if a
+        resource runs out first), at free-slot levels ``free``,
+        ``free - 1``, ... ``free - cap + 1``, and one CTA after another
+        the choice is always the highest level left, lowest id first —
+        the ``(-level, id)`` sort of all those entries, each packed
+        into one int (``-level * n + id``). The CTA footprint was
+        resolved once at grid construction, so this is integer
+        arithmetic over the bank's flat arrays.
         """
         threads, warps, regs, smem = grid._footprint
         bank = self.bank
-        free_l = bank.free
         th_l, wp_l, rg_l, sh_l = bank.threads, bank.warps, bank.regs, bank.smem
-        max_th = bank.max_threads - threads
-        max_wp = bank.max_warps - warps
-        max_rg = bank.max_regs - regs
-        max_sh = bank.max_smem - smem
-        max_ctas = bank.max_ctas
-        best = -1
-        best_free = 0
-        for i in range(bank.n):
-            free = free_l[i]
-            if free <= best_free:
-                # cannot beat the current best (or has no free slot)
+        max_th, max_wp = bank.max_threads, bank.max_warps
+        max_rg, max_sh = bank.max_regs, bank.max_smem
+        n_sms = bank.n
+        keys = []
+        for i, free in enumerate(bank.free):
+            if free <= 0:
                 continue
-            if (
-                th_l[i] <= max_th
-                and wp_l[i] <= max_wp
-                and rg_l[i] <= max_rg
-                and sh_l[i] <= max_sh
-            ):
-                best = i
-                best_free = free
-                if free == max_ctas:
-                    # an empty SM cannot be beaten (ties keep lowest id)
-                    break
-        return None if best < 0 else self.sms[best]
+            # threads and warps are >= 1 per CTA; regs and smem may be 0
+            cap = (max_th - th_l[i]) // threads
+            c = (max_wp - wp_l[i]) // warps
+            if c < cap:
+                cap = c
+            if regs:
+                c = (max_rg - rg_l[i]) // regs
+                if c < cap:
+                    cap = c
+            if smem:
+                c = (max_sh - sh_l[i]) // smem
+                if c < cap:
+                    cap = c
+            if cap > free:
+                cap = free
+            if cap > 0:
+                keys.extend(
+                    range(-free * n_sms + i, (cap - free) * n_sms + i, n_sms)
+                )
+        keys.sort()
+        sms = self.sms
+        return [sms[k % n_sms] for k in keys[:n]]
+
+    def _place(self, grid: Grid) -> None:
+        """Place as many of ``grid``'s CTAs as fit now, in one pass.
+
+        One :meth:`_pick_order` call chooses the SMs; each CTA is
+        admitted there and starts at once, claiming its first batch. The
+        pass is bracketed by :meth:`Grid.begin_pass` and
+        :meth:`Grid.end_pass`, which defer the first claims' events and
+        then hand them to a macro cohort or push them (DESIGN.md §4)."""
+        if not grid.wants_dispatch():
+            return
+        sms = self._pick_order(grid, grid.unplaced_contexts)
+        if not sms:
+            return
+        fp = grid._footprint
+        tracer = self.tracer
+        grid.begin_pass()
+        for sm in sms:
+            ctx = grid.place_context(sm)
+            sm.admit_fp(ctx, *fp)
+            if tracer is not None:
+                tracer.context_placed(ctx, grid)
+            ctx.start()
+            # each claim shrinks the pool, which may cap the CTAs left
+            if grid._terminal or grid.unplaced_contexts <= 0:
+                break
+        grid.end_pass()
 
     def _dispatch(self) -> None:
         if self._dispatching:
@@ -197,10 +247,11 @@ class SimulatedGPU:
             return
         self._dispatching = True
         try:
-            progressed = True
             queue = self._queue
-            while progressed:
-                progressed = False
+            # A placement pass frees nothing, so the scan repeats only
+            # if a retire re-entered _dispatch meanwhile.
+            again = True
+            while again:
                 self._dispatch_again = False
                 # walk the FIFO in place (it can be hundreds of grids
                 # deep under load, and the head usually blocks at once —
@@ -211,27 +262,16 @@ class SimulatedGPU:
                     if grid._terminal:
                         del queue[i]
                         continue
-                    fp = grid._footprint
-                    while grid.wants_dispatch():
-                        sm = self._pick_sm(grid)
-                        if sm is None:
+                    # most queued grids are fully placed: one read each
+                    if grid.unplaced_contexts:
+                        self._place(grid)
+                        if grid.blocks_queue:
+                            # head-of-line blocking: later grids wait
                             break
-                        ctx = grid.place_context(sm)
-                        sm.admit_fp(ctx, *fp)
-                        if self.tracer is not None:
-                            self.tracer.context_placed(ctx, grid)
-                        ctx.start()
-                        progressed = True
-                        if grid._terminal:
-                            break
-                    if grid.blocks_queue:
-                        # head-of-line blocking: later grids must wait
-                        break
                     # a placement may have re-entered _dispatch and
                     # mutated the queue; never walk past its new length
                     i += 1
-                if self._dispatch_again:
-                    progressed = True
+                again = self._dispatch_again
         finally:
             self._dispatching = False
 

@@ -20,7 +20,7 @@ import random
 from typing import Callable, Optional, Set
 
 from ..errors import SchedulingError, SimulationError
-from .cta import CTAContext
+from .cta import CTAContext, FirstClaims
 from .device import CostModel, GPUDeviceSpec
 from .kernel import KernelImage, KernelMode, LaunchConfig, TaskPool
 from .macro import MacroCohort
@@ -58,7 +58,7 @@ class Grid:
         "preempt_requested_at", "contexts", "_next_ctx_id", "_placed",
         "yielded_contexts", "finished_contexts", "ctas_per_sm",
         "_footprint", "_terminal", "_persistent", "_amortize_l",
-        "_parallel_width", "_macro",
+        "_parallel_width", "_macro", "_first",
     )
 
     _next_id = 1
@@ -128,6 +128,8 @@ class Grid:
             self._parallel_width = max(1, min(capacity, self.pool.total))
         #: active macro-event cohort (repro.gpu.macro), if any
         self._macro: Optional[MacroCohort] = None
+        #: first claims deferred by the placement pass under way, if any
+        self._first: Optional[FirstClaims] = None
 
         if self.flag is not None and self._persistent:
             self.flag.watch(self._on_flag_write)
@@ -217,22 +219,53 @@ class Grid:
     # ------------------------------------------------------------------
     # context callbacks
     # ------------------------------------------------------------------
-    def try_macro(self, trigger: CTAContext, now: float) -> bool:
+    def begin_pass(self) -> None:
+        """The dispatcher starts placing this grid's CTAs.
+
+        While the flag is quiet — no demanding write in flight, none
+        visible — a context placed now can neither poll a yield nor be
+        replanned before the pass ends, so the pass defers its first
+        claims' events (:class:`~repro.gpu.cta.FirstClaims`) until
+        :meth:`end_pass`. Otherwise, and on the reference loop, each
+        claim pushes its event as it is made."""
+        if not self._persistent or self.sim.use_reference_loop:
+            return
+        flag = self.flag
+        if flag._demanding:
+            last = flag._history[-1]
+            if last[1] != 0 or last[0] > self.sim.clock._now:
+                return
+        self._first = FirstClaims()
+
+    def end_pass(self) -> None:
+        """The placement pass is over: a macro cohort takes over the
+        deferred first claims if the pool is steady, else each is pushed
+        at the seq it took when claimed. Either way the schedule is the
+        one a claim-time push would give."""
+        claims = self._first
+        if claims is None:
+            return
+        if claims.ctxs and not self.try_macro(None, self.sim.clock._now):
+            claims.push(self.sim)
+        self._first = None
+
+    def try_macro(self, trigger: Optional[CTAContext], now: float) -> bool:
         """Absorb the pool's batch chain into a macro-event cohort if it
         is in steady state (see :mod:`repro.gpu.macro`): every grid
         draining the pool persistent, every flag steady (no demanding
         write in flight, and the visible value yields no live context),
-        and every pool worker accounted for by those grids. Returns True
-        iff ``trigger``'s claim was taken over by the cohort.
+        and every pool worker accounted for by those grids. ``trigger``
+        is the context about to claim its next batch, or ``None`` at the
+        end of a placement pass, whose deferred first claims are taken
+        over instead. Returns True iff the cohort took over.
 
         A partially-placed grid may absorb: a later CTA placement joins
         the pool and dissolves the cohort *before* its first claim, so
         the interleaving is unchanged. Inside a dispatch burst, though,
-        a partially-placed pool is rejected — each placement's start
-        would absorb the cohort only for the burst's next placement to
-        dissolve it, O(n²) churn for a plan that commits nothing. Once
-        every pool grid is fully placed no same-pool join can follow in
-        the burst, so the last placement's own start may absorb."""
+        a partially-placed pool is rejected — the burst's next
+        placement would dissolve the cohort at once. Once every pool
+        grid is fully placed no same-pool join can follow in the burst,
+        so the pass that placed the last CTA may absorb."""
         device = self.device
         dispatching = device is not None and device._dispatching
         pool = self.pool
@@ -240,18 +273,16 @@ class Grid:
             return False
         total = 0
         for g, cnt in pool._grids.items():
-            if len(g.contexts) != cnt:
+            # only persistent chains are replayed; an original grid's
+            # one-CTA-per-task chain interleaves with same-instant
+            # launches in an order the replay does not reproduce
+            if not g._persistent or len(g.contexts) != cnt:
                 return False
             if dispatching and g._placed < g.config.grid_ctas:
                 return False
             total += cnt
-            if not g._persistent:
-                # non-persistent contexts never poll and never yield —
-                # their chain is trivially steady (a flag write would
-                # still dissolve the cohort, harmlessly)
-                continue
             flag = g.flag
-            if flag is not None and flag._demanding:
+            if flag._demanding:
                 last = flag._history[-1]
                 if last[0] > now:
                     return False
@@ -294,19 +325,23 @@ class Grid:
     def _on_flag_write(self, visible_at: float, value: int) -> None:
         if self.is_terminal:
             return
-        # a macro cohort cannot span a flag write: return to per-batch
-        # eventing *now* — strictly before the write's visibility — so
-        # every poll boundary the reference loop observes still happens
-        if self._macro is not None:
-            self._macro.dissolve(self.sim.clock._now)
         if value > 0 and self.preempt_requested_at is None:
             self.preempt_requested_at = self.sim.now
-        # replan in ctx-id order: `contexts` is a set whose iteration
-        # order varies between processes (id-based hashing), and the
-        # order decides event seq numbers — sorting keeps replayed
-        # schedules bit-identical for the golden-trace tests
-        for ctx in sorted(self.contexts, key=lambda c: c.ctx_id):
-            ctx.replan()
+        cohort = self._macro
+        if cohort is not None:
+            # a macro cohort cannot span a flag write: return to
+            # per-batch eventing *now* — strictly before the write's
+            # visibility — so every poll boundary the reference loop
+            # observes still happens. The dissolve replans this grid's
+            # contexts as it goes: each gets one event, a completion or
+            # a yield.
+            cohort.dissolve(self.sim.clock._now, replan=self)
+        else:
+            # replan in ctx-id order: `contexts` is a set whose
+            # iteration order varies between processes (id-based
+            # hashing), and the order decides event seq numbers
+            for ctx in sorted(self.contexts, key=lambda c: c.ctx_id):
+                ctx.replan()
         # A grid preempted before any CTA was hosted (e.g. the flag was
         # written while the launch command was still in flight) drains
         # instantly: its CTAs would quit at their very first poll. Going

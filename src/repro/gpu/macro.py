@@ -50,7 +50,8 @@ reference loop. Three rules make that hold:
    mutation, or a foreign worker joining the pool dissolves the cohort
    *at host-write time* — strictly before the write's device visibility
    — reconstructing each context's in-flight batch with a real
-   completion event. Every poll boundary the reference loop observes
+   completion event (or, on a flag write, the yield event the write
+   forces instead). Every poll boundary the reference loop observes
    after the write therefore also happens here, so no flag write is
    ever skipped (tested by a hypothesis property).
 """
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -125,7 +126,7 @@ class MacroCohort:
     __slots__ = (
         "grids", "pool", "sim", "_dissolved", "_v_rem", "_chunk",
         "_cont", "_ctxs", "_obs", "_L", "_poll_cost", "_per_task",
-        "_pers", "_uniform", "_width2", "_L_grid", "_chain", "_cpos",
+        "_uniform", "_width2", "_L_grid", "_chain", "_cpos",
         "_crem", "_since", "_batch", "_p_t", "_p_ctx", "_pf", "_pi", "_n",
         "_idx", "_flushed", "_base", "_next_t", "_cur_complete",
         "_claim_order",
@@ -162,20 +163,38 @@ class MacroCohort:
     # ------------------------------------------------------------------
     @classmethod
     def absorb(cls, grid: "Grid", trigger, now: float) -> bool:
-        """Take over the pool's batch chain from ``trigger``'s claim at
-        ``now``. Returns False (changing nothing) if any precondition
-        fails; on True the trigger must not claim a batch itself.
+        """Take over the pool's batch chain at ``now``. Returns False
+        (changing nothing) if any precondition fails.
+
+        ``trigger`` is a context between batches whose next claim the
+        cohort makes (on True it must not claim itself), or ``None`` at
+        the end of a placement pass: then ``grid``'s deferred first
+        claims (:class:`~repro.gpu.cta.FirstClaims`) join the pending
+        completions straight from their rows — no event was ever pushed
+        for them, so there is none to cancel.
 
         Preconditions checked by the caller (:meth:`Grid.try_macro`):
-        every flag steady, every pool worker a context of the pool's
-        grids, ``pool._remaining > 0``. A CTA placed later joins the
-        pool, which dissolves the cohort before its first claim.
+        every pool grid persistent and its flag steady, every pool
+        worker a context of those grids, ``pool._remaining > 0``. A CTA
+        placed later joins the pool, which dissolves the cohort before
+        its first claim.
         """
         pool = grid.pool
-        obs = trigger._obs
+        if trigger is None:
+            first = grid._first
+            obs = first.ctxs[0]._obs
+        elif trigger._completion is None and trigger._yield_event is None:
+            first = None
+            obs = trigger._obs
+        else:
+            return False
         grids = []
         ctxs = []
         per_grid = []
+        # pending completion of each context in ``ctxs``: (time, order)
+        t = []
+        order = []
+        held = []
         workers = pool._workers
         for g in pool._grids:
             grids.append(g)
@@ -186,37 +205,42 @@ class MacroCohort:
             width = g._parallel_width
             if workers > width:
                 width = workers
-            # L_grid == 0 marks a non-persistent grid: its guided plan
-            # has no L-multiple clamp (guided_claim), its
-            # contexts never poll (L=1, poll_cost=0.0 make the duration
-            # math degenerate to batch * per_task, bit-identically) and
-            # its batches charge no observability counters
-            pers = g._persistent
             cs = g.contexts
             any_ctx = next(iter(cs))
             per_grid.append((
-                len(cs), any_ctx._amortize, any_ctx._poll_cost, pers,
-                2 * width, g._amortize_l if pers else 0,
+                len(cs), any_ctx._amortize, any_ctx._poll_cost,
+                2 * width, g._amortize_l,
             ))
-            ctxs.extend(cs)
-        # every sibling has a pending completion and no yield; the
-        # trigger is between batches (no completion) and claims first,
-        # inside the current event: any still-pending sibling event at
-        # this instant has a larger seq (smaller ones already fired)
-        evs = [c._completion for c in ctxs]
-        if trigger._completion is not None or evs.count(None) != 1 or any(
-            c._yield_event is not None
-            or c._obs is not obs  # sync charges one hook sink
-            for c in ctxs
-        ):
-            return False
-        for ev in evs:
-            if ev is not None:
-                ev.cancel()
-        for c in ctxs:
+            n = len(ctxs)
+            # every context but the trigger and the pass's has a pushed
+            # completion and no yield. The trigger claims first, inside
+            # the current event: any still-pending event at this
+            # instant has a larger seq (smaller ones already fired).
+            for c in cs:
+                ev = c._completion
+                if ev is not None and c._yield_event is None and (
+                    c._obs is obs  # sync charges one hook sink
+                ):
+                    held.append(c)
+                    ctxs.append(c)
+                    t.append(ev.time)
+                    order.append(ev.seq)
+            if g is grid:
+                if first is not None:
+                    ctxs.extend(first.ctxs)
+                    t.extend(first.times)
+                    order.extend(first.seqs)
+                else:
+                    ctxs.append(trigger)
+                    t.append(now)
+                    order.append(-1)
+            if len(ctxs) - n != len(cs):
+                return False
+        for c in held:
+            c._completion.cancel()
             c._completion = None
 
-        counts, L, poll_cost, pers, width2, L_grid = zip(*per_grid)
+        counts, L, poll_cost, width2, L_grid = zip(*per_grid)
         rep = np.repeat
         cohort = cls(grid, grids, ctxs)
         cohort._obs = obs
@@ -225,10 +249,6 @@ class MacroCohort:
         cohort._per_task = np.array([c._per_task for c in ctxs])
         cohort._L = rep(np.array(L, np.int64), counts)
         cohort._poll_cost = rep(np.array(poll_cost), counts)
-        # None when every grid is persistent (the common case)
-        cohort._pers = None if all(pers) else rep(
-            np.array(pers, np.int64), counts
-        )
         cohort._uniform = len(set(zip(width2, L_grid))) == 1
         if cohort._uniform:
             # one guided-size class (always for a single grid): sizes
@@ -242,12 +262,13 @@ class MacroCohort:
         cohort._chain = np.empty(0, np.int64)
         cohort._cpos = 0
         cohort._crem = cohort._v_rem = pool._remaining
-        # Pending completions, sorted by (time, order): absorbed events
-        # by their engine seq, the trigger's claim first (order -1).
-        # Virtual claims order after all of them, in claim order — how
-        # the engine would order events scheduled later.
-        t = np.array([now if ev is None else ev.time for ev in evs])
-        order = np.array([-1 if ev is None else ev.seq for ev in evs])
+        # Pending completions, sorted by (time, order): pushed events
+        # and deferred first claims by their engine seq, a trigger's
+        # claim first (order -1). Virtual claims order after all of
+        # them, in claim order — how the engine would order events
+        # scheduled later.
+        t = np.array(t)
+        order = np.array(order)
         perm = np.lexsort((order, t))
         cohort._p_t = t[perm]
         cohort._p_ctx = perm
@@ -258,7 +279,8 @@ class MacroCohort:
         cohort._cur_complete = t
         cohort._claim_order = order
 
-        cohort._replay(_CHUNK0 + 1)
+        # the first burst's budget counts the trigger's own claim
+        cohort._replay(_CHUNK0 + (trigger is not None))
         for g in grids:
             g._macro = cohort
         pool._cohort = cohort
@@ -466,22 +488,10 @@ class MacroCohort:
         pool._done += sum_done
         obs = self._obs
         if sum_done and obs.enabled:
-            # polls from the offset before each completed batch. Non-
-            # persistent batches charge pool accounting only, like the
-            # reference loop.
-            ctx = pi[_CTX, i:j]
-            L = self._L[ctx]
-            polls = _polls((pi[_POST, i:j] - done) % L, done, L)
-            pulls = done
-            pers = self._pers
-            if pers is not None:
-                pers = pers[ctx]
-                pulls = done * pers
-                polls = polls * pers
-            chg_done = int(pulls.sum())
-            chg_polls = int(polls.sum())
-            if chg_done or chg_polls:
-                obs.on_batch(chg_done, chg_polls)
+            # polls from the offset before each completed batch
+            L = self._L[pi[_CTX, i:j]]
+            polls = int(_polls((pi[_POST, i:j] - done) % L, done, L).sum())
+            obs.on_batch(sum_done, polls)
             # a claim that completed nothing is the trigger's; every
             # other claim collapsed one batch event
             obs.on_macro_collapse(int(np.count_nonzero(done)))
@@ -529,7 +539,7 @@ class MacroCohort:
     # ------------------------------------------------------------------
     # dissolution
     # ------------------------------------------------------------------
-    def dissolve(self, now: float) -> None:
+    def dissolve(self, now: float, replan: Optional["Grid"] = None) -> None:
         """Return the grid to per-batch eventing: commit history up to
         ``now``, drop the unreached plan, and rebuild each context's
         in-flight batch with a real completion event.
@@ -537,7 +547,10 @@ class MacroCohort:
         Called at host flag-write time — strictly before the write's
         device visibility — and on any external pool interference, so
         the reference loop and the macro loop observe every subsequent
-        poll boundary identically.
+        poll boundary identically. On a flag write, ``replan`` is the
+        grid whose flag it is: its contexts are replanned in the same
+        pass, so a context that must yield gets its yield event instead
+        of a completion, not both.
         """
         if self._dissolved:
             return
@@ -566,15 +579,27 @@ class MacroCohort:
         # reschedule in claim order (absorbed batches by engine seq,
         # committed claims by their larger virtual order), keeping
         # same-instant completions firing exactly as they would there.
+        # The replanned grid's yields follow, in ctx-id order — the
+        # order in which the reference loop replans after a write.
         # Contexts that already finished are skipped.
         live = [c for c, ctx in enumerate(ctxs) if ctx in ctx.grid.contexts]
         live.sort(key=claim_order.__getitem__)
+        yields = []
         for c in live:
             ctx = ctxs[c]
-            t = cur_complete[c]
             maybe_cancel(ctx._completion)
+            ctx._completion = None
+            if ctx.grid is replan and ctx._batch_size:
+                plan = ctx._yield_plan()
+                if plan is not None:
+                    yields.append((ctx.ctx_id, ctx, plan))
+                    continue
+            t = cur_complete[c]
             ctx._completion = sim.schedule_event(
                 t if t > now else now,
                 ctx._on_batch_complete,
                 ctx._batch_label,
             )
+        yields.sort(key=lambda row: row[0])
+        for _, ctx, plan in yields:
+            ctx._schedule_yield(*plan)

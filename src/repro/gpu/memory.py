@@ -97,6 +97,10 @@ class PinnedFlag:
         #: CTA batch loop's fast path checks only this before skipping
         #: the whole yield-poll search.
         self._demanding: List[Tuple[float, int]] = []
+        #: running maximum of the values in ``_demanding``: whether any
+        #: write visible by some time demands a spatial yield of SM ``s``
+        #: is one bisect and one compare (``CTAContext._first_yield_poll``)
+        self._demand_max: List[int] = []
         self._watchers: List[Callable[[float, int], None]] = []
 
     # -- host side -------------------------------------------------------
@@ -108,6 +112,8 @@ class PinnedFlag:
         self._history.append((visible_at, value))
         if value > 0:
             self._demanding.append((visible_at, value))
+            top = self._demand_max
+            top.append(max(top[-1], value) if top else value)
         for watcher in list(self._watchers):
             watcher(visible_at, value)
 

@@ -171,11 +171,33 @@ class Simulator:
         :class:`Event` (no handle wrapper). Same validation, ordering and
         accounting; internal hot callers (the CTA batch loop) use this to
         skip one allocation per scheduled event."""
+        seq = self._seq = self._seq + 1
+        return self.schedule_reserved(time, seq, callback, label, priority)
+
+    def reserve_seq(self) -> int:
+        """Take the next sequence number without scheduling anything.
+
+        A placement pass takes one per deferred first claim, so that
+        the claim keeps its place in same-time ordering whether its
+        event is pushed later (:meth:`schedule_reserved`) or never (a
+        macro cohort absorbed the claim)."""
+        seq = self._seq = self._seq + 1
+        return seq
+
+    def schedule_reserved(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[[], Any],
+        label: str = "",
+        priority: int = 0,
+    ) -> Event:
+        """:meth:`schedule_event` with a sequence number taken earlier:
+        the event orders exactly as if it had been scheduled then."""
         if time < self.clock._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}"
             )
-        seq = self._seq = self._seq + 1
         # build the Event with direct slot stores — this allocator runs
         # once per scheduled event, and the __init__ frame is pure cost
         ev = _EVENT_NEW(Event)
@@ -194,13 +216,6 @@ class Simulator:
         if depth > st.peak_pending:
             st.peak_pending = depth
         return ev
-
-    def call_soon(
-        self, callback: Callable[[], Any], label: str = "", priority: int = 0
-    ) -> EventHandle:
-        """Schedule ``callback`` at the current time (after pending same-time
-        events of lower sequence)."""
-        return self.schedule_at(self.clock._now, callback, label, priority)
 
     # ------------------------------------------------------------------
     # execution

@@ -4,7 +4,7 @@ An SM tracks the CTA contexts currently resident on it; the resource
 charges themselves live in a flat :class:`SMBank` — parallel int lists
 (free CTA slots, threads, warps, registers, shared memory; one entry per
 SM) owned by the device. The hardware dispatcher's hottest scan
-(:meth:`repro.gpu.gpu.SimulatedGPU._pick_sm`) walks those lists with
+(:meth:`repro.gpu.gpu.SimulatedGPU._pick_order`) walks those lists with
 plain integer compares and indexing, no per-SM attribute chasing;
 spatial preemption uses the SM *id* (the paper reads it from the
 ``%smid`` register) to decide which CTAs must yield.

@@ -17,7 +17,7 @@ from .gpu import SimulatedGPU
 from .grid import Grid
 from .kernel import KernelImage, LaunchConfig, TaskPool
 from .memory import PinnedFlag
-from .transfer import DMAEngine, Direction
+from .transfer import DMAEngine
 
 
 class Stream:
@@ -73,22 +73,6 @@ class Stream:
             )
             if on_grid:
                 on_grid(grid)
-
-        self._push(run)
-
-    def enqueue_transfer(
-        self,
-        direction: Direction,
-        nbytes: int,
-        on_done: Optional[Callable[[], None]] = None,
-    ) -> None:
-        def run(advance: Callable[[], None]) -> None:
-            def _finished() -> None:
-                if on_done:
-                    on_done()
-                advance()
-
-            self.dma.copy(direction, nbytes, _finished)
 
         self._push(run)
 

@@ -119,13 +119,6 @@ class Timeline:
                 seen.append(iv.kernel)
         return seen
 
-    def sm_busy_us(self, sm_id: int, kernel: Optional[str] = None) -> float:
-        return sum(
-            iv.duration_us
-            for iv in self.intervals
-            if iv.sm_id == sm_id and (kernel is None or iv.kernel == kernel)
-        )
-
     def kernel_sm_time_us(self, kernel: str) -> float:
         """Total SM-residency time of a kernel across all SMs."""
         return sum(

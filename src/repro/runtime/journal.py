@@ -72,9 +72,6 @@ class DecisionJournal:
     def of_kind(self, kind: DecisionKind) -> List[DecisionEvent]:
         return [e for e in self.events if e.kind is kind]
 
-    def of_invocation(self, inv_id: int) -> List[DecisionEvent]:
-        return [e for e in self.events if e.inv_id == inv_id]
-
     def count(self, kind: DecisionKind) -> int:
         return len(self.of_kind(kind))
 

@@ -16,7 +16,7 @@ agnostic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Deque, Dict, Tuple
 
 from ..errors import MemoryError_, RuntimeEngineError
 from ..gpu.memory import DeviceMemory
@@ -28,7 +28,6 @@ class MemoryGovernor:
     def __init__(self, memory: DeviceMemory):
         self.memory = memory
         self._held: Dict[int, int] = {}          # inv_id -> alloc handle
-        self._footprints: Dict[int, int] = {}    # inv_id -> bytes
         self._parked: Deque[Tuple[object, int, Callable[[], None]]] = deque()
         self.admissions = 0
         self.parkings = 0
@@ -64,7 +63,6 @@ class MemoryGovernor:
         """Free an invocation's working set (it finished) and admit as
         many parked invocations as now fit (FIFO)."""
         handle = self._held.pop(inv.inv_id, None)
-        self._footprints.pop(inv.inv_id, None)
         if handle is not None:
             self.memory.free_alloc(handle)
         self._drain_parked()
@@ -75,7 +73,6 @@ class MemoryGovernor:
             footprint_bytes, label=f"inv{inv.inv_id}"
         )
         self._held[inv.inv_id] = handle
-        self._footprints[inv.inv_id] = footprint_bytes
         self.admissions += 1
 
     def _drain_parked(self) -> None:
@@ -87,10 +84,3 @@ class MemoryGovernor:
             self._admit(inv, footprint)
             on_admitted()
 
-    # ------------------------------------------------------------------
-    @property
-    def parked_count(self) -> int:
-        return len(self._parked)
-
-    def held_bytes(self, inv) -> Optional[int]:
-        return self._footprints.get(inv.inv_id)

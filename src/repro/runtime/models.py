@@ -12,7 +12,7 @@ advertises ("FLEP ... can easily integrate other performance models").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,13 +20,6 @@ from ..errors import ModelError
 from ..gpu.device import GPUDeviceSpec
 from ..workloads.inputs import TrainingSample, training_set, true_duration_us
 from ..workloads.specs import InputSpec, KernelSpec
-
-
-class DurationModel(Protocol):
-    """Anything that predicts an invocation's duration from features."""
-
-    def predict(self, features: Sequence[float]) -> float:  # pragma: no cover
-        ...
 
 
 @dataclass

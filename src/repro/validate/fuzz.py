@@ -43,6 +43,8 @@ from ..fleet import (
 )
 from ..fleet.routing import ROUTERS
 from ..gpu.device import GPUDeviceSpec, tesla_k40
+from ..gpu.sim import Simulator
+from ..obs.recorder import EngineWindow
 from ..serving.server import build_backend
 from ..serving.tenants import Tenant, TenantSet
 from ..workloads.benchmarks import BENCHMARK_NAMES, standard_suite
@@ -61,6 +63,7 @@ __all__ = [
     "generate_case",
     "generate_fleet_case",
     "run_case",
+    "engine_diff",
     "shrink",
     "fuzz",
     "encode_case",
@@ -316,6 +319,39 @@ class _EventBudgetHook(FleetHook):
             self.fleet.nodes[node].sim.max_events = _CASE_MAX_EVENTS
 
 
+def _build_fleet(
+    case: FleetFuzzCase, device: GPUDeviceSpec
+) -> FleetSystem:
+    """A fleet case's system, jobs not yet submitted."""
+    fleet = FleetSystem(
+        [
+            Tenant("batch", priority=0),
+            Tenant("analytics", priority=1, slo_us=25_000.0),
+            Tenant("web", priority=2, slo_us=3_000.0),
+        ],
+        FleetConfig(
+            node_modes=case.modes, routing=case.routing,
+            steal=case.steal, seed=case.seed, oracle_model=True,
+            faults=FaultPlan(case.faults),
+        ),
+        device=device, suite=_shared_suite(device),
+    )
+    for node in fleet.nodes:
+        node.sim.max_events = _CASE_MAX_EVENTS
+    fleet.hooks.append(_EventBudgetHook(fleet))
+    return fleet
+
+
+def _build_single(case: FuzzCase, device: GPUDeviceSpec):
+    """A single-GPU case's backend, jobs not yet submitted."""
+    target = build_backend(
+        case.mode, case.policy, device=device, suite=_shared_suite(device),
+        oracle_model=True,
+    )
+    target.sim.max_events = _CASE_MAX_EVENTS
+    return target
+
+
 def _run_fleet_case(
     case: FleetFuzzCase, device: Optional[GPUDeviceSpec] = None
 ) -> FuzzResult:
@@ -323,32 +359,12 @@ def _run_fleet_case(
     request conservation on the rollup (every request ends exactly one
     of done / shed / lost, nothing pending)."""
     device = device or tesla_k40()
-    suite = _shared_suite(device)
     checks: List[str] = []
     try:
-        fleet = FleetSystem(
-            [
-                Tenant("batch", priority=0),
-                Tenant("analytics", priority=1, slo_us=25_000.0),
-                Tenant("web", priority=2, slo_us=3_000.0),
-            ],
-            FleetConfig(
-                node_modes=case.modes, routing=case.routing,
-                steal=case.steal, seed=case.seed, oracle_model=True,
-                faults=FaultPlan(case.faults),
-            ),
-            device=device, suite=suite,
-        )
-        for node in fleet.nodes:
-            node.sim.max_events = _CASE_MAX_EVENTS
-        fleet.hooks.append(_EventBudgetHook(fleet))
+        fleet = _build_fleet(case, device)
         monitors = install_monitors(fleet, require_complete=True)
         checks.append("fleet-monitors")
-        for job in case.jobs:
-            fleet.submit_at(
-                job.arrival_us, _TENANT_BY_PRIORITY[job.priority],
-                job.kernel, job.input_name,
-            )
+        submit_jobs(fleet, case)
         report = fleet.run()
         monitors.finalize()
         monitors.uninstall()
@@ -366,8 +382,17 @@ def _run_fleet_case(
     return FuzzResult(case=case, ok=True, checks=checks)
 
 
-def submit_jobs(target, case: FuzzCase) -> None:
-    """Submit a single-GPU case's jobs (an MPS backend has no priorities)."""
+def submit_jobs(target, case) -> None:
+    """Submit a case's jobs: a fleet case's under its priority's tenant,
+    a single-GPU case's as one process each (an MPS backend has no
+    priorities)."""
+    if isinstance(case, FleetFuzzCase):
+        for job in case.jobs:
+            target.submit_at(
+                job.arrival_us, _TENANT_BY_PRIORITY[job.priority],
+                job.kernel, job.input_name,
+            )
+        return
     for i, job in enumerate(case.jobs):
         extra = {} if case.mode == "mps" else {"priority": job.priority}
         target.submit_at(
@@ -385,11 +410,7 @@ def run_case(
     suite = _shared_suite(device)
     checks: List[str] = []
     try:
-        target = build_backend(
-            case.mode, case.policy, device=device, suite=suite,
-            oracle_model=True,
-        )
-        target.sim.max_events = _CASE_MAX_EVENTS
+        target = _build_single(case, device)
         monitors = install_monitors(
             target,
             spec=_planted_spec(case, device),
@@ -428,6 +449,37 @@ def run_case(
             error_type=type(exc).__name__, checks=checks,
         )
     return FuzzResult(case=case, ok=True, checks=checks)
+
+
+def engine_diff(case, device: Optional[GPUDeviceSpec] = None) -> Optional[str]:
+    """Run ``case``'s workload once on the macro-event loop and once on
+    the per-batch reference loop (``Simulator.use_reference_loop``),
+    without monitors or oracles, and compare the schedule hash and the
+    task-pull and flag-poll totals. Returns ``None`` when all three
+    match, else a one-line description of the difference."""
+    device = device or tesla_k40()
+    seen = []
+    for reference in (False, True):
+        Simulator.use_reference_loop = reference
+        try:
+            with EngineWindow(hub=True) as window:
+                target = (
+                    _build_fleet(case, device)
+                    if isinstance(case, FleetFuzzCase)
+                    else _build_single(case, device)
+                )
+                submit_jobs(target, case)
+                target.run()
+        finally:
+            Simulator.use_reference_loop = False
+        hub = window.hub
+        seen.append((window.schedule_hash(), hub.task_pulls, hub.flag_polls))
+    if seen[0] == seen[1]:
+        return None
+    return (
+        f"macro loop (hash, pulls, polls) {seen[0]} != reference "
+        f"{seen[1]}: {case.describe()}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ trivial) are solved so that solo execution times match Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional
 
 from ..errors import WorkloadError
@@ -99,12 +99,7 @@ def build_kernel_spec(
             kspec.scale_for_size(cal.TRIVIAL_TASKS * work_per_task),
         ),
     }
-    return KernelSpec(
-        **{
-            **kspec.__dict__,
-            "inputs": inputs,
-        }
-    )
+    return replace(kspec, inputs=inputs)
 
 
 @dataclass

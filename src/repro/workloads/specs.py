@@ -69,6 +69,12 @@ class KernelSpec:
     work_per_task: int = 256
     scale_exp: float = 0.0
     scale_ref: int = 1
+    #: flep images built so far, keyed by :meth:`flep_image`'s
+    #: arguments: images are frozen, so every request of one shape
+    #: shares one instead of building its own
+    _flep_images: Dict[tuple, KernelImage] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.task_time_us <= 0:
@@ -169,18 +175,23 @@ class KernelSpec:
         with_jitter: bool = False,
         packing_factor: float = 1.0,
     ) -> KernelImage:
-        """FLEP persistent-thread image with amortizing factor ``L``.
+        """FLEP persistent-thread image with amortizing factor ``L``,
+        one shared instance per argument tuple.
 
         ``packing_factor`` scales the task time for launches that run at
         lower-than-full SM occupancy (spatial guests, Figure 16)."""
-        return KernelImage(
-            name=f"{self.name}[{inp.name}]__flep",
-            resources=self.resources,
-            task_model=self.task_model(inp, with_jitter, packing_factor),
-            mode=KernelMode.PERSISTENT,
-            amortize_l=amortize_l,
-            supports_spatial=spatial,
-        )
+        key = (inp, amortize_l, spatial, with_jitter, packing_factor)
+        image = self._flep_images.get(key)
+        if image is None:
+            image = self._flep_images[key] = KernelImage(
+                name=f"{self.name}[{inp.name}]__flep",
+                resources=self.resources,
+                task_model=self.task_model(inp, with_jitter, packing_factor),
+                mode=KernelMode.PERSISTENT,
+                amortize_l=amortize_l,
+                supports_spatial=spatial,
+            )
+        return image
 
     def input(self, name: str) -> InputSpec:
         if name not in self.inputs:

@@ -8,7 +8,7 @@ exercise it against hypothesis-generated workloads."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.device import small_test_gpu, tesla_k40
@@ -131,3 +131,69 @@ class TestInvariantsUnderRandomWorkloads:
         # dispatch starts are ordered too
         starts = [g.first_dispatch_at for g in grids]
         assert starts == sorted(starts)
+
+
+def _one_cta_at_a_time(gpu, footprint, n):
+    """SM ids for ``n`` CTAs chosen one after another: the SM with the
+    most free slots that can host one more (ties: lowest id), charged
+    before the next choice."""
+    threads, warps, regs, smem = footprint
+    bank = gpu.bank
+    free, th = list(bank.free), list(bank.threads)
+    wp, rg, sh = list(bank.warps), list(bank.regs), list(bank.smem)
+    order = []
+    for _ in range(n):
+        best = None
+        for i in range(bank.n):
+            if (
+                free[i] > 0
+                and th[i] + threads <= bank.max_threads
+                and wp[i] + warps <= bank.max_warps
+                and rg[i] + regs <= bank.max_regs
+                and sh[i] + smem <= bank.max_smem
+                and (best is None or free[i] > free[best])
+            ):
+                best = i
+        if best is None:
+            break
+        order.append(best)
+        free[best] -= 1
+        th[best] += threads
+        wp[best] += warps
+        rg[best] += regs
+        sh[best] += smem
+    return order
+
+
+_USAGE = st.tuples(
+    st.sampled_from([32, 64, 128, 256, 512, 1024]),
+    st.integers(0, 64),
+    st.sampled_from([0, 1024, 4096, 16384]),
+)
+
+
+class TestPickOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        prefill=st.lists(st.tuples(st.integers(0, 14), _USAGE), max_size=60),
+        usage=_USAGE,
+        n=st.integers(1, 300),
+    )
+    # slots, not resources, cap a tiny CTA; registers cap a fat one
+    @example(prefill=[], usage=(32, 0, 0), n=300)
+    @example(prefill=[(0, (1024, 32, 0))], usage=(256, 64, 0), n=300)
+    def test_matches_one_cta_at_a_time(self, prefill, usage, n):
+        """A placement pass's SM order equals choosing each CTA's SM
+        after the previous one is admitted, on any occupancy."""
+        from repro.gpu.grid import Grid
+
+        sim = Simulator()
+        gpu = SimulatedGPU(sim, tesla_k40())
+        for sm_id, other in prefill:
+            sm = gpu.sms[sm_id]
+            if sm.can_host(ResourceUsage(*other)):
+                sm.admit(object(), ResourceUsage(*other))
+        kernel = KernelImage("k", ResourceUsage(*usage), TaskModel(1.0))
+        grid = Grid(sim, gpu.spec, kernel, LaunchConfig.original(n))
+        got = [sm.sm_id for sm in gpu._pick_order(grid, n)]
+        assert got == _one_cta_at_a_time(gpu, grid._footprint, n)

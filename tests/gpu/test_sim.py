@@ -47,17 +47,6 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_call_soon_runs_at_current_time(self, sim):
-        order = []
-
-        def outer():
-            sim.call_soon(lambda: order.append(("soon", sim.now)))
-            order.append(("outer", sim.now))
-
-        sim.schedule(7.0, outer)
-        sim.run()
-        assert order == [("outer", 7.0), ("soon", 7.0)]
-
     def test_events_scheduled_during_run_fire(self, sim):
         fired = []
         sim.schedule(1.0, lambda: sim.schedule(1.0, lambda: fired.append(2)))

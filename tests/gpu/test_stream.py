@@ -56,18 +56,6 @@ class TestStreamOrdering:
         with pytest.raises(SimulationError):
             Stream(gpu).enqueue_delay(-1.0)
 
-    def test_transfer_then_kernel(self, sim, gpu, make_kernel):
-        stream = Stream(gpu)
-        done = []
-        stream.enqueue_transfer(Direction.H2D, 1_000_000)
-        stream.enqueue_kernel(
-            make_kernel(task_us=10.0), LaunchConfig.original(4),
-            on_done=lambda g: done.append(sim.now),
-        )
-        sim.run()
-        transfer_us = gpu.spec.costs.transfer_time_us(1_000_000)
-        assert done[0] == pytest.approx(transfer_us + LAUNCH + 10.0)
-
     def test_two_streams_overlap(self, sim, gpu, make_kernel):
         s1, s2 = Stream(gpu), Stream(gpu)
         done = {}

@@ -66,11 +66,6 @@ class TestTimelineRecording:
         assert tracer.kernel_sm_time_us("k") == pytest.approx(80.0)
         assert len(tracer.kernels()) == 1
 
-    def test_per_sm_split(self, make_kernel):
-        sim, tracer = self._run_one(make_kernel, tasks=8)
-        total = sum(tracer.sm_busy_us(sm) for sm in range(2))
-        assert total == pytest.approx(80.0)
-
     def test_occupancy_series_sums(self, make_kernel):
         sim, tracer = self._run_one(make_kernel, tasks=8)
         series = tracer.occupancy_series(0, window_us=10.0)

@@ -36,19 +36,6 @@ class TestJournalContents:
         times = [e.at_us for e in journal.events]
         assert times == sorted(times)
 
-    def test_per_invocation_query(self, suite):
-        journal = run_priority_pair(suite)
-        low_id = journal.events[0].inv_id
-        story = [e.kind for e in journal.of_invocation(low_id)]
-        assert story == [
-            DecisionKind.ARRIVAL,
-            DecisionKind.LAUNCH,
-            DecisionKind.PREEMPT_TEMPORAL,
-            DecisionKind.DRAINED,
-            DecisionKind.RESUME,
-            DecisionKind.COMPLETE,
-        ]
-
     def test_spatial_preemption_logged(self, suite):
         system = FlepSystem(
             policy="hpf", device=suite.device, suite=suite,

@@ -26,7 +26,6 @@ class TestGovernorUnit:
         assert gov.try_admit(inv, 400, lambda: admitted.append(1))
         assert admitted == [1]
         assert gov.memory.used == 400
-        assert gov.held_bytes(inv) == 400
 
     def test_park_when_full(self):
         gov = MemoryGovernor(DeviceMemory(1000))
@@ -34,10 +33,9 @@ class TestGovernorUnit:
         gov.try_admit(a, 700, lambda: None)
         admitted = []
         assert not gov.try_admit(b, 500, lambda: admitted.append("b"))
-        assert gov.parked_count == 1
+        assert admitted == []
         gov.release(a)
         assert admitted == ["b"]
-        assert gov.parked_count == 0
         assert gov.memory.used == 500
 
     def test_fifo_no_bypass(self):

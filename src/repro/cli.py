@@ -94,10 +94,9 @@ def _cmd_compile(args) -> int:
 
 def _cmd_trace(args) -> int:
     from .core.flep import FlepSystem
+    from .obs.decisions import format_decisions
 
-    system = FlepSystem(
-        policy=args.policy, trace=True, observability=bool(args.export),
-    )
+    system = FlepSystem(policy=args.policy, trace=True, observability=True)
     system.submit_at(0.0, f"low_{args.low}", args.low, "large", priority=0)
     system.submit_at(
         args.delay, f"high_{args.high}", args.high, args.input, priority=1
@@ -111,7 +110,7 @@ def _cmd_trace(args) -> int:
         print(f"wrote Chrome trace to {args.export} "
               f"(load in chrome://tracing or https://ui.perfetto.dev)")
     print("=== scheduler decision journal ===")
-    print(system.runtime.journal.format())
+    print(format_decisions(system.obs.decisions))
     print()
     print("=== SM timeline (ASCII Gantt) ===")
     bucket = max(50.0, result.makespan_us / 120.0)

@@ -27,7 +27,6 @@ from .kernel import (
     ResourceUsage,
     TaskModel,
     TaskPool,
-    guided_batch,
 )
 from .memory import DeviceMemory, PinnedFlag, should_yield
 from .mps import MPSServer
@@ -70,7 +69,6 @@ __all__ = [
     "ResourceUsage",
     "TaskModel",
     "TaskPool",
-    "guided_batch",
     "DeviceMemory",
     "PinnedFlag",
     "should_yield",

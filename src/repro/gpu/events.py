@@ -15,8 +15,10 @@ from typing import Any, Callable, Optional
 class Event:
     """A single scheduled callback.
 
-    Ordering is ``(time, priority, seq)`` so that simultaneous events fire
-    deterministically: lower ``priority`` first, then insertion order.
+    The engine's heap orders ``(time, priority, seq, event)`` entries so
+    that simultaneous events fire deterministically: lower ``priority``
+    first, then insertion order. ``seq`` is unique per engine, so two
+    events are never compared themselves.
     """
 
     __slots__ = (
@@ -49,18 +51,6 @@ class Event:
             q = self._q
             if q is not None:
                 q._dead += 1
-
-    def sort_key(self):
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Direct field comparison: this runs O(log n) times per heap
-        # operation on the engine's hottest path, so no tuple allocation.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

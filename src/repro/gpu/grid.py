@@ -177,8 +177,8 @@ class Grid:
         """Dispatcher hosts one CTA of this grid on ``sm``."""
         if self.is_terminal:
             raise SchedulingError(f"placing context on terminal grid {self}")
-        if self.unplaced_contexts <= 0:
-            raise SchedulingError(f"grid {self} has no CTAs waiting")
+        # no waiting-CTA check: _place picks at most unplaced_contexts SMs
+        # and re-reads the count after each start(), so it cannot fire
         if self.first_dispatch_at is None:
             self.first_dispatch_at = self.sim.now
             self.state = GridState.RUNNING

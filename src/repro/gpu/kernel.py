@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import ResourceError, SimulationError
 
@@ -296,23 +296,6 @@ class TaskPool:
             f"TaskPool(total={self.total}, done={self._done}, "
             f"out={self._outstanding}, rem={self._remaining})"
         )
-
-
-def guided_batch(remaining: int, contexts: int, minimum: int = 1) -> int:
-    """Guided self-scheduling batch size.
-
-    Each context claims ``ceil(remaining / (2 * contexts))`` tasks (at
-    least ``minimum``), which converges to single-task granularity at the
-    tail. This keeps the event count at ``O(contexts * log(tasks))`` while
-    matching greedy hardware dispatch closely (DESIGN.md §4).
-    """
-    if remaining <= 0:
-        return 0
-    if contexts <= 0:
-        raise SimulationError("guided_batch needs at least one context")
-    size = math.ceil(remaining / (2 * contexts))
-    size = max(minimum, size)
-    return min(size, remaining)
 
 
 def guided_claim(remaining: int, width2: int, L_grid: int) -> int:

@@ -74,8 +74,7 @@ class Simulator:
         self.start_time = self.clock._now
         #: heap of ``(time, priority, seq, Event)`` entries. The seq is
         #: unique per engine, so ties never reach the Event field and
-        #: every comparison is a C-level tuple compare — no Python
-        #: ``__lt__`` frames on the hot path.
+        #: every comparison is a C-level tuple compare.
         self._heap: List[tuple] = []
         self._seq = 0
         #: cancelled-but-not-yet-popped events still in the queue; makes

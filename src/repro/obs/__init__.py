@@ -26,6 +26,7 @@ from .bench import (
     load_bench_report,
     run_bench,
 )
+from .decisions import DecisionEvent, DecisionKind, format_decisions
 from .metrics import (
     Counter,
     DEFAULT_US_BUCKETS,
@@ -55,6 +56,8 @@ __all__ = [
     "Counter",
     "CounterSample",
     "DEFAULT_US_BUCKETS",
+    "DecisionEvent",
+    "DecisionKind",
     "EngineWindow",
     "Gauge",
     "Histogram",
@@ -70,6 +73,7 @@ __all__ = [
     "SpanTracer",
     "compare_reports",
     "default_bench_filename",
+    "format_decisions",
     "get_global",
     "load_bench_report",
     "observed",

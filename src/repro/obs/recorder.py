@@ -3,11 +3,12 @@
 Instrumentation sites (simulator, device, SMs, CTA contexts, macro
 cohorts, runtime engine) never touch metric families or spans directly —
 they call the typed hooks on an :class:`Observability` hub, which
-maintains the metrics catalog, the span model and the simulator's
-self-profile in one place. Uninstrumented runs use the module-level
-:data:`NULL_OBS` singleton, a :class:`NullObservability` whose hooks are
-all no-ops; every hot site guards with the one ``enabled`` class
-attribute, so a disabled run pays a single attribute check per site
+maintains the metrics catalog, the span model, the scheduler decision
+log (:mod:`repro.obs.decisions`) and the simulator's self-profile in one
+place. Uninstrumented runs use the module-level :data:`NULL_OBS`
+singleton, a :class:`NullObservability` whose hooks are all no-ops;
+every hot site guards with the one ``enabled`` class attribute, so a
+disabled run pays a single attribute check per site
 (asserted <2% end-to-end by ``benchmarks/test_obs_overhead.py``).
 
 An :class:`EngineWindow` is the one registry of a run: every simulator
@@ -50,6 +51,7 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from .decisions import DecisionEvent, DecisionKind
 from .metrics import MetricsRegistry
 from .tracer import Span, SpanTracer
 
@@ -149,6 +151,8 @@ class Observability:
         #: per-invocation open spans: inv_id -> {"inv": .., "seg": ..,
         #: "drain": .., "spatial": ..}
         self._inv_spans: Dict[int, Dict[str, Span]] = {}
+        #: the scheduler decision log, one entry per runtime decision
+        self.decisions: List[DecisionEvent] = []
         self._resident_ctas = 0
         # hot counters: plain ints and a raw-label dict, folded into their
         # registry families on read (_sync)
@@ -367,7 +371,19 @@ class Observability:
     def _state(self, inv_id: int) -> Dict[str, Span]:
         return self._inv_spans.setdefault(inv_id, {})
 
+    def _decide(self, inv, kind: DecisionKind, detail: str = "") -> None:
+        # stamped with the invocation's own simulator: fleet nodes share
+        # one hub, whose clock is bound to the last node built
+        self.decisions.append(DecisionEvent(
+            inv.engine.sim.now, kind, inv.inv_id, inv.process,
+            inv.kspec.name, detail,
+        ))
+
     def inv_arrived(self, inv) -> None:
+        detail = f"prio={inv.priority}, T_e={inv.record.predicted_us:.0f}us"
+        if inv.deadline_us is not None:
+            detail += f", deadline={inv.deadline_us:.0f}us"
+        self._decide(inv, DecisionKind.ARRIVAL, detail)
         self.m_invocations.inc()
         state = self._state(inv.inv_id)
         label = f"{inv.kspec.name}[{inv.inp.name}]"
@@ -386,7 +402,11 @@ class Observability:
             "wait", cat="segment", process=inv.process, track=inv.inv_id
         )
 
-    def inv_scheduled(self, inv, resumed: bool) -> None:
+    def inv_scheduled(self, inv, resumed: bool, ctas: int) -> None:
+        self._decide(
+            inv, DecisionKind.RESUME if resumed else DecisionKind.LAUNCH,
+            f"ctas={ctas}",
+        )
         state = self._state(inv.inv_id)
         self._end_segment(state)
         name = "resume" if resumed else "execute"
@@ -397,6 +417,12 @@ class Observability:
             self.kernel_relaunched("resume")
 
     def inv_preempt_requested(self, inv, kind: str, yield_sms: int) -> None:
+        if kind == "temporal":
+            self._decide(inv, DecisionKind.PREEMPT_TEMPORAL)
+        else:
+            self._decide(
+                inv, DecisionKind.PREEMPT_SPATIAL, f"yield_sms={yield_sms}"
+            )
         self.m_preempt_req.inc(kind=kind)
         # a repeated request restarts the stall clock
         self._open_stalls[(kind, inv.inv_id)] = self.tracer.now
@@ -428,6 +454,9 @@ class Observability:
 
     def inv_drained(self, inv) -> None:
         """A temporally preempted invocation is fully off the GPU."""
+        self._decide(
+            inv, DecisionKind.DRAINED, f"T_r={inv.record.remaining_us:.0f}us"
+        )
         self.m_preempt_done.inc(kind="temporal")
         latency_us = self._close_stall("temporal", inv.inv_id)
         if latency_us is not None:
@@ -441,8 +470,11 @@ class Observability:
             "wait", cat="segment", process=inv.process, track=inv.inv_id
         )
 
-    def inv_topped_up(self, inv) -> None:
-        """A spatial guest left; the victim reclaimed its SMs."""
+    def inv_topped_up(self, inv, ctas: int) -> None:
+        """A spatial guest left; the victim reclaimed its SMs, launching
+        ``ctas`` new workers (0 when none were missing)."""
+        if ctas:
+            self._decide(inv, DecisionKind.TOP_UP, f"ctas={ctas}")
         self.m_preempt_done.inc(kind="spatial")
         self._close_stall("spatial", inv.inv_id)
         self.kernel_relaunched("top_up")
@@ -452,6 +484,7 @@ class Observability:
             self.tracer.end(spatial)
 
     def inv_finished(self, inv) -> None:
+        self._decide(inv, DecisionKind.COMPLETE)
         self.m_finished.inc()
         record = inv.record
         err = abs(record.predicted_us - record.gpu_time_us)
@@ -645,7 +678,7 @@ class NullObservability(Observability):
     def inv_arrived(self, inv):
         pass
 
-    def inv_scheduled(self, inv, resumed):
+    def inv_scheduled(self, inv, resumed, ctas):
         pass
 
     def inv_preempt_requested(self, inv, kind, yield_sms):
@@ -654,7 +687,7 @@ class NullObservability(Observability):
     def inv_drained(self, inv):
         pass
 
-    def inv_topped_up(self, inv):
+    def inv_topped_up(self, inv, ctas):
         pass
 
     def inv_finished(self, inv):

@@ -1,11 +1,11 @@
 """Clock-stamped span tracer with Chrome/Perfetto trace-event export.
 
-The tracer records what the :class:`~repro.runtime.journal.DecisionJournal`
-and the :class:`~repro.gpu.trace.Timeline` each capture half of — nested,
-timed spans of the whole system: one outer span per kernel invocation
-(arrival to completion) with execute / preempt-drain / wait / resume
-segments inside it, plus instant markers (preemption requests) and
-counter tracks (queue depth, resident CTAs).
+The tracer records what the hub's decision log
+(:mod:`repro.obs.decisions`) and the :class:`~repro.gpu.trace.Timeline`
+each capture half of — nested, timed spans of the whole system: one
+outer span per kernel invocation (arrival to completion) with execute /
+preempt-drain / wait / resume segments inside it, plus instant markers
+(preemption requests) and counter tracks (queue depth, resident CTAs).
 
 Export is the Chrome ``trace_event`` JSON format, so a whole
 multi-program run opens directly in ``chrome://tracing`` or

@@ -2,7 +2,6 @@
 queues, preemption-overhead estimation, and the runtime engine."""
 
 from .engine import FlepRuntime, KernelInvocation, RuntimeConfig
-from .journal import DecisionEvent, DecisionJournal, DecisionKind
 from .memory_governor import MemoryGovernor
 from .models import (
     KernelPerformanceModel,
@@ -26,9 +25,6 @@ from .tracker import (
 
 __all__ = [
     "FlepRuntime",
-    "DecisionEvent",
-    "DecisionJournal",
-    "DecisionKind",
     "MemoryGovernor",
     "KernelInvocation",
     "RuntimeConfig",

@@ -13,7 +13,7 @@ spatial guests finish — while the policy owns the decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..errors import RuntimeEngineError
@@ -27,7 +27,6 @@ from ..gpu.sim import Simulator
 from ..obs.recorder import NULL_OBS, Observability
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.specs import InputSpec, KernelSpec
-from .journal import DecisionJournal, DecisionKind
 from .models import model_bank
 from .profiler import OverheadEstimates
 from .tracker import ExecutionRecord, InvocationState
@@ -171,7 +170,6 @@ class FlepRuntime:
         #: O(ever-submitted), which is what lets serving-scale runs
         #: (tens of thousands of requests) stay linear.
         self._live: Dict[int, KernelInvocation] = {}
-        self.journal = DecisionJournal()
         self.memory_governor = None
         if self.config.enforce_memory:
             from .memory_governor import MemoryGovernor
@@ -211,12 +209,6 @@ class FlepRuntime:
         self.invocations.append(inv)
         self._live[inv.inv_id] = inv
         self._refresh_all()
-        detail = f"prio={priority}, T_e={predicted:.0f}us"
-        if deadline_us is not None:
-            detail += f", deadline={deadline_us:.0f}us"
-        self.journal.record(
-            self.sim.now, DecisionKind.ARRIVAL, inv, detail=detail,
-        )
         if self.obs.enabled:
             self.obs.inv_arrived(inv)
         if self.memory_governor is not None:
@@ -245,15 +237,10 @@ class FlepRuntime:
         inv.flag.clear()
         inv.yielded_sms = 0
         grid_ctas = self._full_grid_ctas(inv)
-        kind = (
-            DecisionKind.RESUME if inv.record.preemptions
-            else DecisionKind.LAUNCH
-        )
-        self.journal.record(
-            self.sim.now, kind, inv, detail=f"ctas={grid_ctas}"
-        )
         if self.obs.enabled:
-            self.obs.inv_scheduled(inv, resumed=kind is DecisionKind.RESUME)
+            self.obs.inv_scheduled(
+                inv, resumed=bool(inv.record.preemptions), ctas=grid_ctas
+            )
         if self.running is None:
             self.running = inv
             self._launch_grid(inv, grid_ctas)
@@ -282,9 +269,6 @@ class FlepRuntime:
         if value <= 0:
             raise RuntimeEngineError("must yield at least one SM")
         if value >= num_sms:
-            self.journal.record(
-                self.sim.now, DecisionKind.PREEMPT_TEMPORAL, inv
-            )
             if self.obs.enabled:
                 self.obs.inv_preempt_requested(inv, "temporal", value)
             # Update the engine's view *before* the flag write: a grid
@@ -296,10 +280,6 @@ class FlepRuntime:
             self._promote_guest()
             inv.flag.host_write(value)
         else:
-            self.journal.record(
-                self.sim.now, DecisionKind.PREEMPT_SPATIAL, inv,
-                detail=f"yield_sms={value}",
-            )
             if self.obs.enabled:
                 self.obs.inv_preempt_requested(inv, "spatial", value)
             inv.yielded_sms = value
@@ -351,7 +331,6 @@ class FlepRuntime:
         self._refresh_all()
         inv.record.mark_finished(self.sim.now)
         self._live.pop(inv.inv_id, None)
-        self.journal.record(self.sim.now, DecisionKind.COMPLETE, inv)
         if self.obs.enabled:
             self.obs.inv_finished(inv)
         if self.running is inv:
@@ -384,10 +363,6 @@ class FlepRuntime:
             self._refresh_all()
             if inv.record.state is InvocationState.PREEMPTING:
                 inv.record.mark_waiting(self.sim.now)
-            self.journal.record(
-                self.sim.now, DecisionKind.DRAINED, inv,
-                detail=f"T_r={inv.record.remaining_us:.0f}us",
-            )
             if self.obs.enabled:
                 self.obs.inv_drained(inv)
             self.policy.on_preemption_drained(inv)
@@ -403,17 +378,14 @@ class FlepRuntime:
         relaunch workers to refill the freed SMs."""
         victim.flag.clear()
         victim.yielded_sms = 0
-        if self.obs.enabled:
-            self.obs.inv_topped_up(victim)
         slots = active_slots(self.device, victim.kspec.resources)
         missing = min(
             victim.pool.remaining, slots - victim.active_contexts
         )
-        if missing > 0 and not victim.pool.exhausted:
-            self.journal.record(
-                self.sim.now, DecisionKind.TOP_UP, victim,
-                detail=f"ctas={missing}",
-            )
+        refill = missing > 0 and not victim.pool.exhausted
+        if self.obs.enabled:
+            self.obs.inv_topped_up(victim, ctas=missing if refill else 0)
+        if refill:
             self._launch_grid(victim, missing)
 
     def _refresh_all(self) -> None:

@@ -1,41 +1,11 @@
-"""Event-primitive unit tests: ordering, handles, lazy cancellation."""
+"""Event-primitive unit tests: handles and lazy cancellation (the
+engine's firing order is tested in ``test_sim.py``)."""
 
 from repro.gpu.events import Event, EventHandle, maybe_cancel
 
 
 def make(time, seq=0, priority=0, label=""):
     return Event(time, seq, lambda: None, label=label, priority=priority)
-
-
-class TestOrdering:
-    def test_sorted_by_time_first(self):
-        assert make(1.0, seq=5) < make(2.0, seq=0)
-
-    def test_priority_breaks_time_ties(self):
-        assert make(1.0, seq=5, priority=0) < make(1.0, seq=0, priority=1)
-
-    def test_seq_breaks_remaining_ties(self):
-        """Insertion order is the last resort, making simultaneous
-        same-priority events deterministic."""
-        assert make(1.0, seq=0) < make(1.0, seq=1)
-        assert not make(1.0, seq=1) < make(1.0, seq=0)
-
-    def test_sort_key_shape(self):
-        assert make(3.0, seq=7, priority=2).sort_key() == (3.0, 2, 7)
-
-    def test_heap_sort_of_mixed_events(self):
-        import heapq
-
-        events = [
-            make(2.0, seq=0, label="c"),
-            make(1.0, seq=1, priority=1, label="b"),
-            make(1.0, seq=2, priority=0, label="a"),
-            make(1.0, seq=3, priority=1, label="b2"),
-        ]
-        heap = list(events)
-        heapq.heapify(heap)
-        order = [heapq.heappop(heap).label for _ in range(len(events))]
-        assert order == ["a", "b", "b2", "c"]
 
 
 class TestCancellation:

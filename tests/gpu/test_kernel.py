@@ -1,4 +1,4 @@
-"""TaskPool / LaunchConfig / TaskModel / guided_batch tests."""
+"""TaskPool / LaunchConfig / TaskModel / guided_claim tests."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from repro.gpu.kernel import (
     ResourceUsage,
     TaskModel,
     TaskPool,
-    guided_batch,
+    guided_claim,
 )
 
 
@@ -172,32 +172,48 @@ class TestKernelImage:
 
 
 class TestGuidedBatch:
+    """The guided claim every CTA context and the macro replay size
+    their batches with: ``guided_claim(remaining, width2, L_grid)``."""
+
     def test_zero_remaining(self):
-        assert guided_batch(0, 4) == 0
+        assert guided_claim(0, 8, 0) == 0
 
     def test_converges_to_minimum_at_tail(self):
-        assert guided_batch(1, 100) == 1
-        assert guided_batch(3, 100, minimum=1) == 1
-
-    def test_respects_minimum(self):
-        assert guided_batch(1000, 100, minimum=7) >= 7
+        assert guided_claim(1, 200, 0) == 1
+        assert guided_claim(3, 200, 8) == 1
 
     def test_never_exceeds_remaining(self):
-        assert guided_batch(5, 1, minimum=100) == 5
-
-    def test_needs_contexts(self):
-        with pytest.raises(SimulationError):
-            guided_batch(10, 0)
+        assert guided_claim(5, 1, 0) == 5
+        assert guided_claim(5, 1, 4) == 4
+        assert guided_claim(3, 1, 8) == 3
 
     @given(
         remaining=st.integers(1, 10**7),
-        contexts=st.integers(1, 512),
-        minimum=st.integers(1, 500),
+        width2=st.integers(1, 1024),
+        L_grid=st.integers(0, 64),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bounds_property(self, remaining, contexts, minimum):
-        size = guided_batch(remaining, contexts, minimum)
-        assert 1 <= size <= remaining
-        # never claims more than half-ish the pool per context (modulo
-        # the minimum floor)
-        assert size <= max(minimum, -(-remaining // (2 * contexts)))
+    def test_bounds_property(self, remaining, width2, L_grid):
+        assert 1 <= guided_claim(remaining, width2, L_grid) <= remaining
+
+    @given(
+        remaining=st.integers(1, 10**7),
+        width2=st.integers(1, 1024),
+        L_grid=st.integers(1, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_l_multiples_until_tail(self, remaining, width2, L_grid):
+        """A persistent grid's claims are whole multiples of its L, so
+        polls land on batch boundaries; only a tail claim, whose guided
+        size is already below L, is smaller."""
+        size = guided_claim(remaining, width2, L_grid)
+        guided = -(-remaining // width2)
+        if guided >= L_grid:
+            assert size % L_grid == 0
+        else:
+            assert size == guided
+
+    @given(remaining=st.integers(1, 10**7), width2=st.integers(1, 1024))
+    @settings(max_examples=200, deadline=None)
+    def test_non_persistent_is_guided_ceiling(self, remaining, width2):
+        assert guided_claim(remaining, width2, 0) == -(-remaining // width2)

@@ -18,7 +18,7 @@ from repro.serving import PoissonLoadGen, Tenant
 
 #: Bytes a run may keep per added request. Grids that keep their peak
 #: per-CTA state after finishing cost ~36 KB per request on this trace;
-#: dropping it leaves ~5 KB (request records, grids, journal entries).
+#: dropping it leaves ~3.6 KB (request records, grids).
 MAX_RETAINED_PER_REQUEST = 12 * 1024
 
 

@@ -1,5 +1,8 @@
 """Tests for the trace CLI and the traced FlepSystem."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -77,3 +80,46 @@ class TestTraceCLI:
         assert any(n.startswith("SPMV[") for n in names)
         assert {"drain", "resume", "wait", "execute"} <= names
         assert all("ts" in e and "dur" in e for e in xs)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _normalise_ids(text):
+    """Number invocation ids by first appearance: ``KernelInvocation``
+    ids are process-wide, so the raw ``#<id>`` depends on test order."""
+    ordinals = {}
+
+    def ordinal(match):
+        return "#%d" % ordinals.setdefault(match.group(1), len(ordinals) + 1)
+
+    return re.sub(r"#(\d+)", ordinal, text)
+
+
+def _sections(text):
+    """Split ``flep trace`` output on its ``=== ... ===`` headers."""
+    sections, current = {}, None
+    for line in text.splitlines():
+        if line.startswith("=== ") and line.endswith(" ==="):
+            current = sections.setdefault(line, [])
+        elif current is not None:
+            current.append(line)
+    return sections
+
+
+class TestTracePinned:
+    """``flep trace`` output pinned line by line: the decision log, the
+    SM Gantt and the per-invocation summary."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["--low", "CFD", "--high", "NN", "--input", "trivial",
+          "--delay", "500"], "trace_spatial.txt"),
+        (["--low", "NN", "--high", "SPMV"], "trace_temporal.txt"),
+    ])
+    def test_output_matches_golden(self, capsys, argv, golden):
+        assert main(["trace"] + argv) == 0
+        got = _sections(_normalise_ids(capsys.readouterr().out))
+        want = _sections((GOLDEN / golden).read_text())
+        assert list(got) == list(want)
+        for header in want:
+            assert got[header] == want[header], header

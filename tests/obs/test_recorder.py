@@ -1,9 +1,12 @@
 """Observability-hub tests: hooks, the null recorder, the window's hub."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.obs import (
     NULL_OBS,
+    DecisionKind,
     EngineWindow,
     NullObservability,
     Observability,
@@ -17,6 +20,7 @@ class FakeInv:
 
     class _Record:
         predicted_us = 100.0
+        remaining_us = 40.0
         gpu_time_us = 90.0
         waited_us = 10.0
         turnaround_us = 110.0
@@ -32,6 +36,8 @@ class FakeInv:
         self.inv_id = inv_id
         self.process = process
         self.priority = 0
+        self.deadline_us = None
+        self.engine = SimpleNamespace(sim=SimpleNamespace(now=0.0))
         self.record = self._Record()
         self.kspec = self._KSpec()
         self.inp = self._Inp()
@@ -84,19 +90,22 @@ class TestDeviceHooks:
 
 class TestInvocationLifecycle:
     def test_temporal_story_produces_spans_and_metrics(self):
-        t = [0.0]
-        hub = Observability(clock=lambda: t[0])
         inv = FakeInv()
+        hub = Observability(clock=lambda: inv.engine.sim.now)
+
+        def at(us):
+            inv.engine.sim.now = us
+
         hub.inv_arrived(inv)
-        t[0] = 5.0
-        hub.inv_scheduled(inv, resumed=False)
-        t[0] = 50.0
+        at(5.0)
+        hub.inv_scheduled(inv, resumed=False, ctas=120)
+        at(50.0)
         hub.inv_preempt_requested(inv, "temporal", 15)
-        t[0] = 60.0
+        at(60.0)
         hub.inv_drained(inv)
-        t[0] = 70.0
-        hub.inv_scheduled(inv, resumed=True)
-        t[0] = 200.0
+        at(70.0)
+        hub.inv_scheduled(inv, resumed=True, ctas=120)
+        at(200.0)
         hub.inv_finished(inv)
 
         assert hub.m_preempt_req.value(kind="temporal") == 1
@@ -111,18 +120,43 @@ class TestInvocationLifecycle:
         assert segments == ["wait", "execute", "drain", "wait", "resume"]
         assert not hub.tracer.open_spans()
 
+        assert [(e.at_us, e.kind, e.detail) for e in hub.decisions] == [
+            (0.0, DecisionKind.ARRIVAL, "prio=0, T_e=100us"),
+            (5.0, DecisionKind.LAUNCH, "ctas=120"),
+            (50.0, DecisionKind.PREEMPT_TEMPORAL, ""),
+            (60.0, DecisionKind.DRAINED, "T_r=40us"),
+            (70.0, DecisionKind.RESUME, "ctas=120"),
+            (200.0, DecisionKind.COMPLETE, ""),
+        ]
+
     def test_spatial_story(self):
         hub = Observability()
         inv = FakeInv()
         hub.inv_arrived(inv)
-        hub.inv_scheduled(inv, resumed=False)
+        hub.inv_scheduled(inv, resumed=False, ctas=120)
         hub.inv_preempt_requested(inv, "spatial", 5)
-        hub.inv_topped_up(inv)
+        hub.inv_topped_up(inv, ctas=40)
         hub.inv_finished(inv)
         assert hub.m_preempt_done.value(kind="spatial") == 1
         assert hub.m_relaunches.value(reason="top_up") == 1
         assert len(hub.tracer.spans_named("spatial_yield")) == 1
         assert not hub.tracer.open_spans()
+        assert [(e.kind, e.detail) for e in hub.decisions[2:4]] == [
+            (DecisionKind.PREEMPT_SPATIAL, "yield_sms=5"),
+            (DecisionKind.TOP_UP, "ctas=40"),
+        ]
+
+    def test_top_up_without_refill_is_not_a_decision(self):
+        """A guest leaving always closes the victim's spatial yield, but
+        only a top-up that launches workers is logged."""
+        hub = Observability()
+        inv = FakeInv()
+        hub.inv_preempt_requested(inv, "spatial", 5)
+        hub.inv_topped_up(inv, ctas=0)
+        assert hub.m_relaunches.value(reason="top_up") == 1
+        assert [e.kind for e in hub.decisions] == [
+            DecisionKind.PREEMPT_SPATIAL
+        ]
 
     def test_finalize_closes_leftover_spans(self):
         hub = Observability()
@@ -148,16 +182,17 @@ class TestNullRecorder:
         null.on_batch(10, 1)
         null.on_macro_collapse(2)
         null.inv_arrived(inv)
-        null.inv_scheduled(inv, resumed=False)
+        null.inv_scheduled(inv, resumed=False, ctas=120)
         null.inv_preempt_requested(inv, "temporal", 15)
         null.inv_drained(inv)
-        null.inv_topped_up(inv)
+        null.inv_topped_up(inv, ctas=40)
         null.inv_finished(inv)
         null.queue_depth("hpf", 3)
         null.bind_clock(lambda: 1.0)
         null.finalize()
         assert null.m_sim_events.total == 0
         assert len(null.tracer) == 0
+        assert null.decisions == []
 
     def test_singleton_is_shared_and_disabled(self):
         assert isinstance(NULL_OBS, NullObservability)

@@ -44,10 +44,13 @@ never silently dropped. DESIGN.md §14 states the full invariants.
 
 **Accounting.** One fleet-wide :class:`~repro.serving.slo.SLOTracker`
 records every request (the ``flep_serving_*`` metric family therefore
-reports fleet totals); tenant rate limits are enforced once at the
-front door (per-node enforcement would multiply every budget by N); and
-the dispatcher adds the ``flep_fleet_*`` family for routing, stealing,
-per-node load, and fault outcomes (reroutes / losses / drain sheds).
+reports fleet totals), and its records, each a
+:class:`~repro.fleet.node.NodeRequest` the front door built, are the
+only request list the fleet keeps; tenant rate limits are enforced once
+at the front door (per-node enforcement would multiply every budget by
+N); and the dispatcher adds the ``flep_fleet_*`` family for routing,
+stealing, per-node load, and fault outcomes (reroutes / losses / drain
+sheds).
 """
 
 from __future__ import annotations
@@ -305,14 +308,11 @@ class FleetSystem(TraceIntake):
         }
         self._models = None  # canonical duration predictor, built lazily
         self._next_req_id = 1
-        self.requests: List[NodeRequest] = []
         self.steals: List[Tuple[float, int, int, int]] = []
         #: (t_us, action-kind, node) per applied fault control point.
         self.fault_log: List[Tuple[float, str, int]] = []
         #: (t_us, req_id, src, dst) per crash-reclaimed re-route.
         self.reroutes: List[Tuple[float, int, int, int]] = []
-        #: req_ids that ended ``lost`` (crash in-flight or total outage).
-        self.lost_ids: List[int] = []
         #: (t_us, node, queue_len, load_us) from steal ticks, one only
         #: when a node's (queue_len, load_us) changed — the rollup
         #: exports them as per-node Chrome counter tracks, and a counter
@@ -411,8 +411,7 @@ class FleetSystem(TraceIntake):
         the front door (accounted, never silently dropped)."""
         req.state = "lost"
         req.node = None
-        self.lost_ids.append(req.req_id)
-        self.tracker.mark_lost(req.req_id)
+        self.tracker.mark_lost(req)
         for hook in self.hooks:
             hook.on_lost(req, -1)
             hook.on_resolve(req, -1)
@@ -423,30 +422,21 @@ class FleetSystem(TraceIntake):
         """One request through the front door at fleet time ``_now``."""
         now = self._now
         tenant = self.tenants[arrival.tenant]
-        req_id = self._next_req_id
-        self._next_req_id += 1
-        predicted = self.predicted_us(arrival.kernel_name, arrival.input_name)
-        self.tracker.open_request(
-            req_id, tenant.name, now, arrival.kernel_name,
-            arrival.input_name, predicted,
-        )
-        bucket = self._buckets.get(tenant.name)
-        if bucket is not None and not bucket.try_take(now):
-            self.tracker.mark_shed(req_id, rate_limited=True)
-            return
-        deadline_rel = tenant.effective_deadline_us
-        req = NodeRequest(
-            req_id=req_id,
+        req = self.tracker.open_request(NodeRequest(
+            req_id=self._next_req_id,
             tenant=tenant,
+            arrived_us=now,
             kernel=arrival.kernel_name,
             input_name=arrival.input_name,
-            arrived_us=now,
-            predicted_us=predicted,
-            deadline_us=(
-                now + deadline_rel if deadline_rel is not None else None
+            predicted_us=self.predicted_us(
+                arrival.kernel_name, arrival.input_name
             ),
-        )
-        self.requests.append(req)
+        ))
+        self._next_req_id += 1
+        bucket = self._buckets.get(tenant.name)
+        if bucket is not None and not bucket.try_take(now):
+            self.tracker.mark_shed(req, rate_limited=True)
+            return
         idx = self._choose_node(req, now)
         if idx is None:
             self._lose_unroutable(req)
@@ -485,7 +475,6 @@ class FleetSystem(TraceIntake):
             self._m_faults.inc(kind=action.kind, node=str(action.node))
         if action.kind == "crash":
             reclaimed, lost = node.crash(now)
-            self.lost_ids.extend(r.req_id for r in lost)
             if self.obs.enabled:
                 for _ in lost:
                     self._m_lost.inc(node=str(action.node))

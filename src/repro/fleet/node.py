@@ -37,8 +37,10 @@ work. Only ``down`` nodes stop advancing their clock — a crash freezes
 the simulator so the in-flight kernels it was running can never
 complete (they are accounted ``lost``).
 
-Per-node SLO accounting reuses the serving layer unchanged: the node
-runs its requests through a (fleet-shared) SLO tracker and an
+Per-node SLO accounting reuses the serving layer unchanged: a
+:class:`NodeRequest` is the request's one
+:class:`~repro.serving.slo.RequestLog` plus its routing state, and the
+node runs it through a (fleet-shared) SLO tracker and an
 :class:`~repro.serving.admission.AdmissionController` built over the
 same tenant set — admission budgets against *this node's*
 :class:`~repro.serving.admission.BacklogLedger`, so an overloaded node
@@ -50,15 +52,15 @@ observe: delayed work is still committed work.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import FleetError
 from ..core.flep import FlepSystem
 from ..serving.admission import AdmissionController, BacklogLedger, Decision
 from ..serving.server import MODES, ServingConfig, build_backend, submit_request
-from ..serving.slo import SLOTracker
-from ..serving.tenants import Tenant, TenantSet
+from ..serving.slo import RequestLog, SLOTracker
+from ..serving.tenants import TenantSet
 
 #: Node-queue request lifecycle (the steal-safety invariant is stated
 #: over these): routed -> queued | held -> dispatched -> done, or a
@@ -89,19 +91,10 @@ class NodeConfig(ServingConfig):
             raise FleetError("max_inflight must be >= 1")
 
 
-@dataclass
-class NodeRequest:
-    """One routed request as the fleet layer tracks it."""
+@dataclass(eq=False)
+class NodeRequest(RequestLog):
+    """A request's one record, plus the fleet's routing state."""
 
-    req_id: int
-    tenant: Tenant
-    kernel: str
-    input_name: str
-    #: Fleet-time arrival (when the dispatcher routed it).
-    arrived_us: float
-    predicted_us: float
-    #: Absolute completion deadline (µs); ``None`` = best-effort.
-    deadline_us: Optional[float] = None
     state: str = "routed"
     #: Index of the node currently owning the request.
     node: Optional[int] = None
@@ -110,8 +103,6 @@ class NodeRequest:
     #: Times this request was reclaimed from a failed/fenced node and
     #: re-routed by the dispatcher.
     reroutes: int = 0
-    #: Why a shed happened: ``admission`` or ``drain``.
-    shed_cause: Optional[str] = None
     #: Node that actually completed it (for per-node attribution).
     completed_node: Optional[int] = None
 
@@ -268,7 +259,7 @@ class FleetNode:
             req = self.inflight.pop(req_id)
             req.state = "lost"
             self.stats.lost += 1
-            self.tracker.mark_lost(req.req_id)
+            self.tracker.mark_lost(req)
             self._notify("on_lost", req, self.index)
             self._notify("on_resolve", req, self.index)
             lost.append(req)
@@ -305,11 +296,10 @@ class FleetNode:
         for req in shed:
             self.backlog.sub(req)
             req.state = "shed"
-            req.shed_cause = "drain"
             req.node = self.index
             self.stats.shed += 1
             self.stats.drain_shed += 1
-            self.tracker.mark_shed(req.req_id, cause="drain")
+            self.tracker.mark_shed(req, cause="drain")
             self._notify("on_resolve", req, self.index)
         self.state = "drained"
         self.drain_deadline_us = None
@@ -405,16 +395,15 @@ class FleetNode:
         )
         if verdict.decision is Decision.SHED:
             req.state = "shed"
-            req.shed_cause = "admission"
             self.stats.shed += 1
-            self.tracker.mark_shed(req.req_id)
+            self.tracker.mark_shed(req)
             self._notify("on_resolve", req, self.index)
         elif verdict.decision is Decision.DELAY:
             req.state = "held"
             self.held[req.req_id] = req
             self.backlog.add(req)
             self.stats.delayed += 1
-            self.tracker.mark_delayed(req.req_id)
+            self.tracker.mark_delayed(req)
             self.sim.schedule(
                 verdict.hold_us, lambda: self._admit_held(req),
                 label=f"fleet-delay:n{self.index}",
@@ -550,10 +539,7 @@ class FleetNode:
         self.inflight[req.req_id] = req
         self.stats.dispatched += 1
         self._notify("on_dispatch", req, self.index)
-        submit_request(
-            self.backend, req, req.deadline_us,
-            lambda: self._on_complete(req),
-        )
+        submit_request(self.backend, req, lambda: self._on_complete(req))
 
     def _on_complete(self, req: NodeRequest) -> None:
         req.state = "done"
@@ -561,7 +547,7 @@ class FleetNode:
         del self.inflight[req.req_id]
         self.backlog.sub(req)
         self.stats.completed += 1
-        self.tracker.mark_completed(req.req_id, self.sim.now)
+        self.tracker.mark_completed(req, self.sim.now)
         self._notify("on_resolve", req, self.index)
         self._pump()
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import FleetError
 from ..metrics.stats import percentiles
-from ..serving.slo import RequestLog, ServingReport
+from ..serving.slo import ServingReport
 
 
 @dataclass
@@ -195,31 +195,26 @@ def build_report(fleet) -> FleetReport:
         steals=list(fleet.steals),
         faults=list(getattr(fleet, "fault_log", [])),
         reroutes=list(getattr(fleet, "reroutes", [])),
-        lost=len(getattr(fleet, "lost_ids", [])),
     )
-    logs: Dict[int, RequestLog] = {
-        log.req_id: log for log in fleet.tracker.requests
-    }
-    all_lat = [
-        log.latency_us for log in logs.values()
-        if log.latency_us is not None
-    ]
+    requests = fleet.tracker.requests
+    all_lat = [r.latency_us for r in requests if r.latency_us is not None]
     if all_lat:
         report.p50_us, report.p95_us, report.p99_us = percentiles(all_lat)
     # conservation ledger: every opened request in exactly one bucket
     outcomes = {"completed": 0, "shed": 0, "rate_limited": 0, "lost": 0}
     pending = 0
-    for log in logs.values():
-        if log.outcome in outcomes:
-            outcomes[log.outcome] += 1
+    for r in requests:
+        if r.outcome in outcomes:
+            outcomes[r.outcome] += 1
         else:
             pending += 1
+    report.lost = outcomes["lost"]
     report.conservation = {
-        "opened": len(logs),
+        "opened": len(requests),
         **outcomes,
         "pending": pending,
         "accounted": pending == 0
-        and sum(outcomes.values()) == len(logs),
+        and sum(outcomes.values()) == len(requests),
     }
     horizon_s = max(horizon_us, 1.0) / 1e6
     for node in fleet.nodes:
@@ -246,21 +241,21 @@ def build_report(fleet) -> FleetReport:
         # Attribution follows the request: completions by the node that
         # ran them, sheds by the node whose admission controller or
         # drain fence dropped them, losses by the node that died
-        # holding them (front-door losses attribute to no node).
+        # holding them (front-door losses and rate-limited requests
+        # attribute to no node).
         mine = [
-            r for r in fleet.requests
+            r for r in requests
             if (r.completed_node == node.index)
             or (r.state in ("shed", "lost") and r.node == node.index)
         ]
         latencies = []
         good = slo_total = 0
         for r in mine:
-            log = logs[r.req_id]
-            if log.latency_us is not None:
-                latencies.append(log.latency_us)
-            if log.slo_us is not None:
+            if r.latency_us is not None:
+                latencies.append(r.latency_us)
+            if r.slo_us is not None:
                 slo_total += 1
-                if log.slo_met:
+                if r.slo_met:
                     good += 1
         if latencies:
             row.p50_us, row.p95_us, row.p99_us = percentiles(latencies)
@@ -272,11 +267,11 @@ def build_report(fleet) -> FleetReport:
         row.preemptions, row.preempt_overhead_us = node.preemptions()
         report.nodes.append(row)
     if fleet.obs.enabled:
-        export_to_tracer(fleet, logs)
+        export_to_tracer(fleet)
     return report
 
 
-def export_to_tracer(fleet, logs: Dict[int, RequestLog]) -> None:
+def export_to_tracer(fleet) -> None:
     """Emit per-node Chrome-trace processes into the fleet's obs hub.
 
     Retrospective (`tracer.complete` / `counter_at`): the per-node
@@ -284,16 +279,13 @@ def export_to_tracer(fleet, logs: Dict[int, RequestLog]) -> None:
     counter sample carries its original timestamp.
     """
     tracer = fleet.obs.tracer
-    for req in fleet.requests:
+    for req in fleet.tracker.requests:
         if req.completed_node is None:
-            continue
-        log = logs[req.req_id]
-        if log.finished_us is None:
             continue
         tracer.complete(
             f"req#{req.req_id} {req.kernel}[{req.input_name}]",
-            start_us=log.arrived_us,
-            end_us=log.finished_us,
+            start_us=req.arrived_us,
+            end_us=req.finished_us,
             cat="fleet",
             process=f"node:{req.completed_node}",
             track=req.tenant.priority,

@@ -424,8 +424,9 @@ class Observability:
                 inv, DecisionKind.PREEMPT_SPATIAL, f"yield_sms={yield_sms}"
             )
         self.m_preempt_req.inc(kind=kind)
-        # a repeated request restarts the stall clock
-        self._open_stalls[(kind, inv.inv_id)] = self.tracer.now
+        # a repeated request restarts the stall clock; both ends of a
+        # stall read the invocation's own simulator, as _decide does
+        self._open_stalls[(kind, inv.inv_id)] = inv.engine.sim.now
         self.tracer.instant(
             f"preempt_{kind}",
             cat="preempt",
@@ -458,7 +459,7 @@ class Observability:
             inv, DecisionKind.DRAINED, f"T_r={inv.record.remaining_us:.0f}us"
         )
         self.m_preempt_done.inc(kind="temporal")
-        latency_us = self._close_stall("temporal", inv.inv_id)
+        latency_us = self._close_stall("temporal", inv)
         if latency_us is not None:
             self.m_drain.observe(latency_us)
         state = self._state(inv.inv_id)
@@ -476,7 +477,7 @@ class Observability:
         if ctas:
             self._decide(inv, DecisionKind.TOP_UP, f"ctas={ctas}")
         self.m_preempt_done.inc(kind="spatial")
-        self._close_stall("spatial", inv.inv_id)
+        self._close_stall("spatial", inv)
         self.kernel_relaunched("top_up")
         state = self._state(inv.inv_id)
         spatial = state.pop("spatial", None)
@@ -512,15 +513,15 @@ class Observability:
             "policy_queue_depth", process="scheduler", waiting=depth
         )
 
-    def _close_stall(self, kind: str, inv_id: int) -> Optional[float]:
+    def _close_stall(self, kind: str, inv) -> Optional[float]:
         """End the stall opened by the preemption request; returns its
         latency (µs), or None when no request was open."""
-        started = self._open_stalls.pop((kind, inv_id), None)
+        started = self._open_stalls.pop((kind, inv.inv_id), None)
         if started is None:
             return None
-        now = self.tracer.now
+        now = inv.engine.sim.now
         self.latency[kind].observe(now - started)
-        self._sample(self.drain_stalls, (kind, inv_id, started, now))
+        self._sample(self.drain_stalls, (kind, inv.inv_id, started, now))
         return now - started
 
     def _end_segment(self, state: Dict[str, Span]) -> None:

@@ -351,8 +351,10 @@ class FlepRuntime:
             # freeing the working set may admit parked invocations,
             # which then reach the policy as fresh arrivals
             self.memory_governor.release(inv)
-        if inv.on_finished:
-            inv.on_finished(inv)
+        # fires once; a finished invocation keeps no front-end closure
+        on_finished, inv.on_finished = inv.on_finished, None
+        if on_finished:
+            on_finished(inv)
 
     def _on_grid_preempted(self, inv: KernelInvocation, grid: Grid) -> None:
         """All CTAs of one grid yielded. The invocation is fully off the

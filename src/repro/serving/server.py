@@ -28,7 +28,7 @@ The fleet's nodes (:mod:`repro.fleet.node`) run the same front end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
 from ..baselines.mps_corun import MPSCoRun
@@ -36,13 +36,14 @@ from ..core.flep import FlepSystem
 from ..errors import ServingError
 from ..gpu.device import GPUDeviceSpec
 from ..obs.recorder import Observability, adopt_hub
+from ..obs.tracer import Span
 from ..runtime.engine import RuntimeConfig
 from ..runtime.models import model_bank
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.synthetic import Arrival, ArrivalTrace
 from .admission import AdmissionController, BacklogLedger, Decision
 from .loadgen import ClosedLoopClient, LoadGenerator, merge_traces
-from .slo import ServingReport, SLOTracker
+from .slo import RequestLog, ServingReport, SLOTracker
 from .tenants import Tenant, TenantSet
 
 MODES = ("mps", "flep-temporal", "flep-spatial")
@@ -71,13 +72,11 @@ def build_backend(
 
 def submit_request(
     backend: Union[MPSCoRun, FlepSystem],
-    req,
-    deadline_us: Optional[float],
+    req: RequestLog,
     on_done: Callable[[], None],
 ) -> None:
-    """Hand one admitted request (``req_id``, ``tenant``, ``kernel``,
-    ``input_name``) to ``backend`` inside the calling event; ``on_done``
-    fires when it completes."""
+    """Hand one admitted request to ``backend`` inside the calling
+    event; ``on_done`` fires when it completes."""
     tenant = req.tenant
     if isinstance(backend, MPSCoRun):
         backend.submit_at(
@@ -88,7 +87,7 @@ def submit_request(
         backend.runtime.submit(
             tenant.name, req.kernel, req.input_name, tenant.priority,
             on_finished=lambda inv: on_done(), tenant=tenant.name,
-            deadline_us=deadline_us,
+            deadline_us=req.deadline_us,
         )
 
 
@@ -158,20 +157,6 @@ class TraceIntake:
         ]))
 
 
-@dataclass
-class _Request:
-    """Server-side bookkeeping for one request."""
-
-    req_id: int
-    tenant: Tenant
-    arrived_us: float
-    kernel: str
-    input_name: str
-    predicted_us: float
-    client: Optional[ClosedLoopClient] = None
-    span: Optional[object] = None
-
-
 class ServingSystem(TraceIntake):
     """One multi-tenant serving run over a FLEP or MPS backend."""
 
@@ -205,6 +190,8 @@ class ServingSystem(TraceIntake):
         self.backlog = BacklogLedger(cfg.mode)
         self._clients: List[ClosedLoopClient] = []
         self._client_issued: Dict[int, int] = {}
+        #: req_id -> open request span, kept only while observed
+        self._spans: Dict[int, Span] = {}
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -241,7 +228,7 @@ class ServingSystem(TraceIntake):
         client: Optional[ClosedLoopClient] = None,
     ) -> None:
         now = self.sim.now
-        req = _Request(
+        req = self.tracker.open_request(RequestLog(
             req_id=self._next_req_id,
             tenant=tenant,
             arrived_us=now,
@@ -252,15 +239,10 @@ class ServingSystem(TraceIntake):
                 if self.config.admission_enabled or self.system is not None
                 else 0.0
             ),
-            client=client,
-        )
+        ))
         self._next_req_id += 1
-        self.tracker.open_request(
-            req.req_id, tenant.name, now, kernel, input_name,
-            req.predicted_us,
-        )
         if self.obs.enabled:
-            req.span = self.obs.tracer.begin(
+            self._spans[req.req_id] = self.obs.tracer.begin(
                 f"req#{req.req_id} {kernel}[{input_name}]",
                 cat="serving",
                 process=f"tenant:{tenant.name}",
@@ -268,47 +250,48 @@ class ServingSystem(TraceIntake):
                 predicted_us=req.predicted_us,
             )
         if not self.config.admission_enabled:
-            self._admit(req)
+            self._admit(req, client)
             return
         verdict = self.admission.decide(
             tenant, now, req.predicted_us, self.backlog_us(tenant.priority)
         )
         if verdict.decision is Decision.SHED:
             self.tracker.mark_shed(
-                req.req_id, rate_limited=(verdict.reason == "rate_limit")
+                req, rate_limited=(verdict.reason == "rate_limit")
             )
             if self.obs.enabled:
-                self.obs.tracer.end(req.span, outcome=verdict.reason)
-                req.span = None
-            self._client_continue(req)
+                self.obs.tracer.end(
+                    self._spans.pop(req.req_id), outcome=verdict.reason
+                )
+            self._client_continue(client)
         elif verdict.decision is Decision.DELAY:
-            self.tracker.mark_delayed(req.req_id)
+            self.tracker.mark_delayed(req)
             self.sim.schedule(
-                verdict.hold_us, lambda: self._admit(req),
+                verdict.hold_us, lambda: self._admit(req, client),
                 label=f"serve-delay:{tenant.name}",
             )
         else:
-            self._admit(req)
+            self._admit(req, client)
 
-    def _admit(self, req: _Request) -> None:
+    def _admit(
+        self, req: RequestLog, client: Optional[ClosedLoopClient] = None
+    ) -> None:
         """Hand an admitted request to the backend."""
         self.backlog.add(req)
-        deadline_rel = req.tenant.effective_deadline_us
-        deadline_us = (
-            req.arrived_us + deadline_rel if deadline_rel is not None else None
-        )
         submit_request(
-            self.backend, req, deadline_us, lambda: self._on_complete(req)
+            self.backend, req, lambda: self._on_complete(req, client)
         )
 
-    def _on_complete(self, req: _Request) -> None:
-        now = self.sim.now
-        self.tracker.mark_completed(req.req_id, now)
+    def _on_complete(
+        self, req: RequestLog, client: Optional[ClosedLoopClient] = None
+    ) -> None:
+        self.tracker.mark_completed(req, self.sim.now)
         self.backlog.sub(req)
-        if self.obs.enabled and req.span is not None:
-            self.obs.tracer.end(req.span, outcome="completed")
-            req.span = None
-        self._client_continue(req)
+        if self.obs.enabled:
+            self.obs.tracer.end(
+                self._spans.pop(req.req_id), outcome="completed"
+            )
+        self._client_continue(client)
 
     # ------------------------------------------------------------------
     # closed loops
@@ -324,9 +307,8 @@ class ServingSystem(TraceIntake):
             client=client,
         )
 
-    def _client_continue(self, req: _Request) -> None:
+    def _client_continue(self, client: Optional[ClosedLoopClient]) -> None:
         """After a closed-loop request resolves, think then re-issue."""
-        client = req.client
         if client is None:
             return
         self.sim.schedule(

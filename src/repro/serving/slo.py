@@ -1,10 +1,12 @@
 """Per-tenant SLO accounting: latency percentiles, attainment, goodput,
 deadline misses, shed counts.
 
-The :class:`SLOTracker` is the serving layer's single sink: the server
-reports every request outcome here, and the tracker both keeps exact
-per-tenant samples (for the report's interpolated percentiles, via the
-shared :func:`repro.metrics.percentiles`) and mirrors the events into the
+Each request has one record, a :class:`RequestLog`, built by the front
+door and opened here. The :class:`SLOTracker` is the serving layer's
+single sink: the server reports every request outcome on that record,
+and the tracker both keeps exact per-tenant samples (for the report's
+interpolated percentiles, via the shared
+:func:`repro.metrics.percentiles`) and mirrors the events into the
 :mod:`repro.obs` metrics registry when a hub is attached:
 
 * ``flep_serving_requests_total{tenant,outcome}`` — counter; outcome is
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional
 from ..errors import ServingError
 from ..metrics.stats import percentiles
 from ..obs.recorder import NULL_OBS, Observability
-from .tenants import TenantSet
+from .tenants import Tenant, TenantSet
 
 #: Wide buckets (µs) for serving latencies (same scale as turnarounds).
 SERVING_LATENCY_BUCKETS = (
@@ -35,12 +37,14 @@ SERVING_LATENCY_BUCKETS = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class RequestLog:
-    """One request's lifecycle, as the server reported it."""
+    """One request's lifecycle: the front door builds it, the tracker
+    opens it, and admission, queues and the report all read this one
+    record."""
 
     req_id: int
-    tenant: str
+    tenant: Tenant
     arrived_us: float
     kernel: str
     input_name: str
@@ -53,8 +57,12 @@ class RequestLog:
     shed_cause: Optional[str] = None
     delayed: bool = False
     finished_us: Optional[float] = None
-    slo_us: Optional[float] = None
-    deadline_us: Optional[float] = None   # absolute
+    #: Absolute completion deadline, stamped from the tenant at open.
+    deadline_us: Optional[float] = None
+
+    @property
+    def slo_us(self) -> Optional[float]:
+        return self.tenant.slo_us
 
     @property
     def latency_us(self) -> Optional[float]:
@@ -163,7 +171,6 @@ class SLOTracker:
         self.tenants = tenants
         self.obs = obs if obs is not None else NULL_OBS
         self._log: List[RequestLog] = []
-        self._by_id: Dict[int, RequestLog] = {}
         if self.obs.enabled:
             m = self.obs.metrics
             self._m_requests = m.counter(
@@ -201,76 +208,58 @@ class SLOTracker:
     # ------------------------------------------------------------------
     # recording (called by the server)
     # ------------------------------------------------------------------
-    def open_request(
-        self,
-        req_id: int,
-        tenant: str,
-        arrived_us: float,
-        kernel: str,
-        input_name: str,
-        predicted_us: float,
-    ) -> RequestLog:
-        if req_id in self._by_id:
-            raise ServingError(f"request {req_id} opened twice")
-        t = self.tenants[tenant]
-        deadline_rel = t.effective_deadline_us
-        log = RequestLog(
-            req_id=req_id,
-            tenant=tenant,
-            arrived_us=arrived_us,
-            kernel=kernel,
-            input_name=input_name,
-            predicted_us=predicted_us,
-            slo_us=t.slo_us,
-            deadline_us=(
-                arrived_us + deadline_rel if deadline_rel is not None else None
-            ),
-        )
+    def open_request(self, log: RequestLog) -> RequestLog:
+        """Start accounting for ``log``, the record the front door built
+        (ids are opened in increasing order); stamps its deadline."""
+        if self._log and log.req_id <= self._log[-1].req_id:
+            raise ServingError(
+                f"request {log.req_id} opened twice or out of order"
+            )
+        deadline_rel = log.tenant.effective_deadline_us
+        if deadline_rel is not None:
+            log.deadline_us = log.arrived_us + deadline_rel
         self._log.append(log)
-        self._by_id[req_id] = log
         return log
 
-    def mark_delayed(self, req_id: int) -> None:
-        self._by_id[req_id].delayed = True
+    def mark_delayed(self, log: RequestLog) -> None:
+        log.delayed = True
         if self.obs.enabled:
-            self._m_delayed.inc(tenant=self._by_id[req_id].tenant)
+            self._m_delayed.inc(tenant=log.tenant.name)
 
     def mark_shed(
-        self, req_id: int, rate_limited: bool = False,
+        self, log: RequestLog, rate_limited: bool = False,
         cause: Optional[str] = None,
     ) -> None:
-        log = self._by_id[req_id]
         log.outcome = "rate_limited" if rate_limited else "shed"
         if log.outcome == "shed":
             log.shed_cause = cause or "admission"
         if self.obs.enabled:
-            self._m_requests.inc(tenant=log.tenant, outcome=log.outcome)
+            self._m_requests.inc(tenant=log.tenant.name, outcome=log.outcome)
 
-    def mark_lost(self, req_id: int) -> None:
+    def mark_lost(self, log: RequestLog) -> None:
         """The request died with its node (crash mid-flight): terminal,
         never completed, counts as an SLO miss like a shed."""
-        log = self._by_id[req_id]
         if log.outcome == "completed":
             raise ServingError(
-                f"request {req_id} completed; it cannot be lost"
+                f"request {log.req_id} completed; it cannot be lost"
             )
         log.outcome = "lost"
         if self.obs.enabled:
-            self._m_requests.inc(tenant=log.tenant, outcome="lost")
+            self._m_requests.inc(tenant=log.tenant.name, outcome="lost")
 
-    def mark_completed(self, req_id: int, finished_us: float) -> None:
-        log = self._by_id[req_id]
-        if log.outcome not in ("pending",):
+    def mark_completed(self, log: RequestLog, finished_us: float) -> None:
+        if log.outcome != "pending":
             raise ServingError(
-                f"request {req_id} already resolved as {log.outcome}"
+                f"request {log.req_id} already resolved as {log.outcome}"
             )
         log.outcome = "completed"
         log.finished_us = finished_us
         if self.obs.enabled:
-            self._m_requests.inc(tenant=log.tenant, outcome="completed")
-            self._m_latency.observe(log.latency_us, tenant=log.tenant)
+            tenant = log.tenant.name
+            self._m_requests.inc(tenant=tenant, outcome="completed")
+            self._m_latency.observe(log.latency_us, tenant=tenant)
             if log.deadline_missed:
-                self._m_ddl_miss.inc(tenant=log.tenant)
+                self._m_ddl_miss.inc(tenant=tenant)
 
     # ------------------------------------------------------------------
     # reporting
@@ -284,7 +273,7 @@ class SLOTracker:
         report = ServingReport(horizon_us=horizon_us)
         horizon_s = max(horizon_us, 1.0) / 1e6
         for tenant in self.tenants:
-            logs = [r for r in self._log if r.tenant == tenant.name]
+            logs = [r for r in self._log if r.tenant.name == tenant.name]
             row = TenantReport(tenant=tenant.name, requests=len(logs))
             latencies = [
                 r.latency_us for r in logs if r.latency_us is not None

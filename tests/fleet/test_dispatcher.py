@@ -119,7 +119,7 @@ class TestWorkStealing:
         assert report.steals, "expected migrations under imbalance"
         assert monitor.steals_seen == len(report.steals)
         moved = {req_id for _, req_id, _, _ in report.steals}
-        by_id = {r.req_id: r for r in fleet.requests}
+        by_id = {r.req_id: r for r in fleet.tracker.requests}
         assert all(by_id[m].steals >= 1 for m in moved)
         assert sum(n.stats.stolen_out for n in fleet.nodes) >= len(moved)
 
@@ -142,12 +142,10 @@ class TestWorkStealing:
         from repro.fleet.node import NodeRequest
         reqs = []
         for i in range(1, 5):
-            t = tenants["batch"]
-            hot.tracker.open_request(i, t.name, 0.0, "SPMV", "trivial",
-                                     500.0)
-            r = NodeRequest(req_id=i, tenant=t, kernel="SPMV",
-                            input_name="trivial", arrived_us=0.0,
-                            predicted_us=500.0)
+            r = hot.tracker.open_request(NodeRequest(
+                req_id=i, tenant=tenants["batch"], kernel="SPMV",
+                input_name="trivial", arrived_us=0.0, predicted_us=500.0,
+            ))
             hot.enqueue(r)
             reqs.append(r)
         assert hot.queue_len == 3          # window of 1 holds req 1
@@ -171,12 +169,10 @@ class TestWorkStealing:
         from repro.fleet.node import NodeRequest
         t = tenants["batch"]
         for i in (1, 2):
-            nodes[0].tracker.open_request(i, t.name, 0.0, "SPMV",
-                                          "trivial", 100.0)
-            nodes[0].enqueue(NodeRequest(
+            nodes[0].enqueue(nodes[0].tracker.open_request(NodeRequest(
                 req_id=i, tenant=t, kernel="SPMV", input_name="trivial",
                 arrived_us=0.0, predicted_us=100.0,
-            ))
+            )))
         # gap is 200us total; threshold above it -> nothing moves
         stealer = WorkStealer(threshold_us=500.0, max_per_tick=4)
         assert stealer.rebalance(nodes) == []

@@ -224,14 +224,10 @@ def lone_node(suite, mode="flep-temporal", max_inflight=1, admission=False):
 
 
 def lone_req(node, req_id, tenant="batch", predicted=500.0):
-    t = node.tenants[tenant]
-    node.tracker.open_request(
-        req_id, t.name, node.sim.now, "SPMV", "trivial", predicted,
-    )
-    return NodeRequest(
-        req_id=req_id, tenant=t, kernel="SPMV", input_name="trivial",
-        arrived_us=node.sim.now, predicted_us=predicted,
-    )
+    return node.tracker.open_request(NodeRequest(
+        req_id=req_id, tenant=node.tenants[tenant], kernel="SPMV",
+        input_name="trivial", arrived_us=node.sim.now, predicted_us=predicted,
+    ))
 
 
 class TestNodeCrash:
@@ -480,7 +476,7 @@ class TestChaos:
         # fleet-level ledger and per-node attribution must agree on
         # crash losses (front-door losses belong to no node)
         outage_losses = sum(
-            1 for r in fleet.requests
+            1 for r in fleet.tracker.requests
             if r.state == "lost" and r.node is None
         )
         assert report.lost == (

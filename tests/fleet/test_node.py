@@ -28,14 +28,10 @@ def make_node(suite, mode="flep-temporal", max_inflight=1, admission=False):
 
 
 def make_req(node, req_id, tenant="batch", predicted=500.0):
-    t = node.tenants[tenant]
-    node.tracker.open_request(
-        req_id, t.name, node.sim.now, "SPMV", "trivial", predicted,
-    )
-    return NodeRequest(
-        req_id=req_id, tenant=t, kernel="SPMV", input_name="trivial",
-        arrived_us=node.sim.now, predicted_us=predicted,
-    )
+    return node.tracker.open_request(NodeRequest(
+        req_id=req_id, tenant=node.tenants[tenant], kernel="SPMV",
+        input_name="trivial", arrived_us=node.sim.now, predicted_us=predicted,
+    ))
 
 
 class TestNodeConfig:
@@ -76,6 +72,10 @@ class TestDispatchWindow:
         assert node.stats.completed == 3
         assert not node.inflight and not node.queue
         assert node.idle
+        # the backend released each request's completion closure
+        invs = node.system.runtime.invocations
+        assert len(invs) == 3
+        assert all(inv.on_finished is None for inv in invs)
 
     def test_enqueue_requires_routed_state(self, suite):
         node = make_node(suite)

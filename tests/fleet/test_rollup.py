@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet import FleetConfig, FleetSystem, parse_fault_spec
+from repro.fleet import FleetConfig, FleetSystem, NodeRequest, parse_fault_spec
 from repro.serving import PoissonLoadGen, Tenant
 
 
@@ -38,7 +38,9 @@ class TestAttribution:
     def test_conservation_across_nodes(self, suite):
         fleet, report = run_small_fleet(suite)
         total = sum(t.requests for t in report.serving.tenants)
-        assert total == len(fleet.requests)        # no rate limits here
+        # the tracker's records are the fleet's only request objects
+        assert all(isinstance(r, NodeRequest) for r in fleet.tracker.requests)
+        assert total == len(fleet.tracker.requests)  # no rate limits here
         assert sum(n.routed for n in report.nodes) == total
         completed = sum(t.completed for t in report.serving.tenants)
         assert sum(n.completed for n in report.nodes) == completed
@@ -49,7 +51,9 @@ class TestAttribution:
     def test_stolen_requests_credit_the_finisher(self, suite):
         fleet, report = run_small_fleet(suite, routing="round-robin")
         for _, req_id, _src, dst in report.steals:
-            req = next(r for r in fleet.requests if r.req_id == req_id)
+            req = next(
+                r for r in fleet.tracker.requests if r.req_id == req_id
+            )
             if req.state == "done":
                 # finished where it last landed, not where it was routed
                 assert req.completed_node is not None

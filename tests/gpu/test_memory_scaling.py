@@ -16,10 +16,11 @@ from repro.fleet import FleetConfig, FleetSystem
 from repro.gpu.cta import CTAContext
 from repro.serving import PoissonLoadGen, Tenant
 
-#: Bytes a run may keep per added request. Grids that keep their peak
-#: per-CTA state after finishing cost ~36 KB per request on this trace;
-#: dropping it leaves ~3.6 KB (request records, grids).
-MAX_RETAINED_PER_REQUEST = 12 * 1024
+#: Bytes a run may keep per added request, about twice what a run keeps
+#: now: ~3.4 KB (one request record, the invocation and its grids).
+#: Grids that kept their peak per-CTA state after finishing cost ~36 KB
+#: per request on this trace.
+MAX_RETAINED_PER_REQUEST = 7 * 1024
 
 
 def small_fleet(suite, duration_ms):
@@ -53,7 +54,7 @@ def run_retained(suite, duration_ms):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    return len(fleet.requests), retained, live_contexts()
+    return len(fleet.tracker.requests), retained, live_contexts()
 
 
 def test_retained_memory_per_request_stays_flat(suite):

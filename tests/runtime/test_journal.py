@@ -141,3 +141,48 @@ class TestFleetDecisions:
         for e in completes:
             assert e.at_us == invocations[e.inv_id].record.finished_at
 
+    def test_drain_stalls_use_each_node_clock(self, suite):
+        """A temporal stall runs from the invocation's last preemption
+        request to its DRAINED decision, on its own node's clock."""
+        with EngineWindow(hub=True) as window:
+            fleet = FleetSystem(
+                [Tenant("web", priority=1, slo_us=3_000.0),
+                 Tenant("batch", priority=0)],
+                FleetConfig(
+                    node_modes=("flep-temporal", "flep-temporal"),
+                    routing="round-robin", seed=3, oracle_model=True,
+                    admission=False,
+                ),
+                device=suite.device, suite=suite,
+            )
+            for tenant, kernels, rate, inp, prio in (
+                ("batch", ("NN", "VA"), 0.3, "large", 0),
+                ("web", ("SPMV", "MM"), 1.0, "trivial", 1),
+            ):
+                fleet.add_generator(PoissonLoadGen(
+                    tenant=tenant, kernels=kernels, rate_per_ms=rate,
+                    duration_ms=20.0, seed=5, input_names=(inp,),
+                    priority=prio,
+                ))
+            fleet.run()
+        hub = window.hub
+        stalls = [s for s in hub.drain_stalls if s[0] == "temporal"]
+        nodes_with_stalls = {
+            node.index for node in fleet.nodes
+            for inv in node.system.runtime.invocations
+            if any(s[1] == inv.inv_id for s in stalls)
+        }
+        assert nodes_with_stalls == {0, 1}
+        for _, inv_id, start_us, end_us in stalls:
+            mine = [e for e in hub.decisions if e.inv_id == inv_id]
+            drained = [
+                i for i, e in enumerate(mine)
+                if e.kind is DecisionKind.DRAINED and e.at_us == end_us
+            ]
+            assert drained, (inv_id, end_us)
+            requests = [
+                e for e in mine[:drained[0]]
+                if e.kind is DecisionKind.PREEMPT_TEMPORAL
+            ]
+            assert requests and requests[-1].at_us == start_us
+

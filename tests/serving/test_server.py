@@ -156,6 +156,15 @@ class TestWiring:
         with pytest.raises(ServingError, match="nothing to serve"):
             server.run()
 
+    def test_finished_invocations_drop_their_callbacks(self, suite):
+        """The completion closure fires once and is released, so a
+        finished invocation does not keep its request alive."""
+        server = cloud_server(suite, "flep-spatial")
+        server.run()
+        invs = server.system.runtime.invocations
+        assert invs and all(inv.finished for inv in invs)
+        assert all(inv.on_finished is None for inv in invs)
+
     def test_runs_once(self, suite):
         server = cloud_server(suite, "flep-spatial")
         server.run()

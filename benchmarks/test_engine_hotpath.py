@@ -38,14 +38,14 @@ def _run_engine() -> float:
             state[i] -= 1
             if state[i] > 0:
                 if state[i] % CANCEL_EVERY == 0:
-                    sim.schedule_event(
+                    sim.schedule_at(
                         sim.clock._now + 5.0, hop, "decoy"
                     ).cancel()
-                sim.schedule_event(sim.clock._now + 1.0, hop, "hop")
+                sim.schedule_at(sim.clock._now + 1.0, hop, "hop")
         return hop
 
     for i in range(CHAINS):
-        sim.schedule_event(0.1 * i, make_hop(i), "hop")
+        sim.schedule_at(0.1 * i, make_hop(i), "hop")
     t0 = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - t0

@@ -55,7 +55,7 @@ def test_uninstalled_monitors_leave_no_trace_hook(benchmark):
     bare_wall_us = (time.perf_counter() - t0) * 1e6
 
     # the only residual cost is the guard the engine always carried
-    guard_total_us = _run_pair().sim.processed_events * _guard_cost_us()
+    guard_total_us = _run_pair().sim.stats.processed * _guard_cost_us()
     overhead = guard_total_us / bare_wall_us
     assert overhead < 0.05, (
         f"trace guards cost {guard_total_us:.0f}us "

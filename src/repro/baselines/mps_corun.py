@@ -1,7 +1,8 @@
 """The paper's baseline: untransformed kernels co-running under MPS.
 
-Each process gets its own MPS stream; kernels launch as ORIGINAL grids,
-so the hardware FIFO's head-of-line blocking applies — a large kernel
+Each process gets its own in-order :class:`~repro.gpu.stream.Stream`
+(all that MPS puts in front of the device); kernels launch as ORIGINAL
+grids, so the hardware FIFO's head-of-line blocking applies — a large kernel
 blocks every later kernel until all of its CTAs are dispatched (§2.1).
 This executor produces the "default co-runs based on MPS" numbers that
 Figures 1, 8, 10, 11, 12 normalize against.
@@ -17,8 +18,8 @@ from ..gpu.device import GPUDeviceSpec, tesla_k40
 from ..gpu.gpu import SimulatedGPU
 from ..gpu.grid import Grid
 from ..gpu.kernel import LaunchConfig
-from ..gpu.mps import MPSServer
 from ..gpu.sim import Simulator
+from ..gpu.stream import Stream
 from ..obs.recorder import adopt_hub
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 
@@ -81,16 +82,20 @@ class MPSCoRun:
         if hub.enabled:
             self.sim.obs = hub
             self.gpu.obs = hub
-        self.mps = MPSServer(self.gpu)
         self.with_jitter = with_jitter
-        self._streams: Dict[str, object] = {}
+        self._streams: Dict[str, Stream] = {}
         self._invocations: List[BaselineInvocation] = []
 
     # ------------------------------------------------------------------
-    def _stream_for(self, process: str):
-        if process not in self._streams:
-            self._streams[process] = self.mps.connect(process)
-        return self._streams[process]
+    def _stream_for(self, process: str) -> Stream:
+        """``process``'s stream, opened on its first kernel (§2.1: MPS
+        funnels each host process into its own in-order stream)."""
+        stream = self._streams.get(process)
+        if stream is None:
+            stream = self._streams[process] = Stream(
+                self.gpu, name=f"mps:{process}"
+            )
+        return stream
 
     def submit_at(
         self,

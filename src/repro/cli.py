@@ -373,17 +373,11 @@ def _cmd_bench(args) -> int:
     cmp = compare_reports(old, new, threshold=args.threshold)
     print()
     print(cmp.format())
-    if args.fail_on_drift and (cmp.drifts or cmp.unhashed):
+    if cmp.drifts:
         # schedule-hash drift is deterministic (never runner noise), so
-        # it hard-fails even under --warn-only; so does a baseline that
-        # leaves a schedule unchecked
-        if cmp.drifts:
-            names = ", ".join(r["scenario"] for r in cmp.drifts)
-            print(f"schedule-hash drift in: {names}", file=sys.stderr)
-        if cmp.unhashed:
-            names = ", ".join(r["scenario"] for r in cmp.unhashed)
-            print(f"no baseline schedule hash for: {names}",
-                  file=sys.stderr)
+        # it fails even under --warn-only
+        names = ", ".join(r["scenario"] for r in cmp.drifts)
+        print(f"schedule-hash drift in: {names}", file=sys.stderr)
         return 3
     if not cmp.ok and not args.warn_only:
         return 3
@@ -515,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="report path (default: BENCH_<date>_<sha>.json)")
     bench_p.add_argument("--compare", default=None, metavar="OLD.json",
                          help="diff against a previous snapshot; exit 3 on "
-                              "a gated-metric regression")
+                              "a gated-metric regression or on any "
+                              "scenario's schedule_hash drift")
     bench_p.add_argument("--against", default=None, metavar="NEW.json",
                          help="with --compare: diff two existing files "
                               "instead of running the suite")
@@ -523,12 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relative drop counted as a regression "
                               "(default: 0.15)")
     bench_p.add_argument("--warn-only", action="store_true",
-                         help="report regressions but exit 0 (CI smoke)")
-    bench_p.add_argument("--fail-on-drift", action="store_true",
-                         help="exit 3 when any scenario's schedule_hash "
-                              "differs from the baseline's (a kernel-level "
-                              "timeline change) or the baseline has none, "
-                              "even with --warn-only")
+                         help="report speed regressions but exit 0 (CI "
+                              "smoke); schedule-hash drift still exits 3")
     bench_p.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of a table")
     bench_p.set_defaults(fn=_cmd_bench)

@@ -55,14 +55,13 @@ sheds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import FleetError
 from ..gpu.device import GPUDeviceSpec, device_from_spec, tesla_k40
 from ..obs.recorder import Observability, adopt_hub
 from ..runtime.models import model_bank
-from ..serving.admission import TokenBucket
 from ..serving.loadgen import merge_traces
 from ..serving.server import TraceIntake
 from ..serving.slo import SLOTracker
@@ -70,14 +69,16 @@ from ..serving.tenants import Tenant, TenantSet
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 from ..workloads.synthetic import Arrival
 from .faults import FAULT_KINDS, FaultAction, FaultEvent, FaultPlan, expand_plan
-from .node import FleetNode, NodeConfig, NodeRequest
+from .node import FleetNode, NodeConfig, NodeKnobs, NodeRequest
 from .routing import RoutingPolicy, make_router
 from .rollup import FleetReport, build_report
 
 
 @dataclass
-class FleetConfig:
-    """Knobs of the whole fleet."""
+class FleetConfig(NodeKnobs):
+    """Knobs of the whole fleet: every node's front-end knobs and
+    dispatch window (``seed`` is offset by the node index), plus the
+    fleet's own."""
 
     #: Execution mode per node (one entry per GPU); a heterogeneous
     #: fleet mixes e.g. ``["mps", "flep-temporal", "flep-spatial", ...]``.
@@ -88,15 +89,6 @@ class FleetConfig:
     node_devices: Optional[Sequence[str]] = None
     #: Routing policy name (see :data:`repro.fleet.routing.ROUTERS`).
     routing: str = "deadline"
-    #: FLEP scheduling policy on each node.
-    policy: str = "edf"
-    #: Per-node admission override (``None`` = each mode's default).
-    admission: Optional[bool] = None
-    delay_headroom: float = 0.5
-    oracle_model: bool = False
-    seed: Optional[int] = None
-    #: Per-node dispatch window (requests inside the backend at once).
-    max_inflight: int = 4
     #: Work-stealing rebalancer on/off.
     steal: bool = True
     #: Simulated time between rebalance ticks (µs).
@@ -129,6 +121,13 @@ class FleetConfig:
     @property
     def n_nodes(self) -> int:
         return len(self.node_modes)
+
+    def node_config(self, index: int) -> NodeConfig:
+        """Node ``index``'s config: its mode and the shared knobs."""
+        knobs = {f.name: getattr(self, f.name) for f in fields(NodeKnobs)}
+        if self.seed is not None:
+            knobs["seed"] = self.seed + index
+        return NodeConfig(mode=self.node_modes[index], **knobs)
 
 
 class FleetHook:
@@ -275,37 +274,21 @@ class FleetSystem(TraceIntake):
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
         self.router: RoutingPolicy = make_router(self.config.routing)
         self.hooks: List[FleetHook] = []
-        seed = self.config.seed
         self.nodes: List[FleetNode] = [
             FleetNode(
                 index=i,
                 tenants=self.tenants,
-                config=NodeConfig(
-                    mode=mode,
-                    policy=self.config.policy,
-                    admission=self.config.admission,
-                    delay_headroom=self.config.delay_headroom,
-                    oracle_model=self.config.oracle_model,
-                    seed=(seed + i) if seed is not None else None,
-                    max_inflight=self.config.max_inflight,
-                ),
+                config=self.config.node_config(i),
                 tracker=self.tracker,
                 device=node_devices[i],
                 suite=node_suites[i],
                 hooks=self.hooks,
             )
-            for i, mode in enumerate(self.config.node_modes)
+            for i in range(self.config.n_nodes)
         ]
         self.stealer = WorkStealer(
             self.config.steal_threshold_us, self.config.max_steals_per_tick
         )
-        # Front-door rate limiting: one bucket per rate-limited tenant,
-        # enforced once for the whole fleet (nodes see no rate limits).
-        self._buckets: Dict[str, TokenBucket] = {
-            t.name: TokenBucket(t.rate_limit_rps, t.burst)
-            for t in self.tenants
-            if t.rate_limit_rps is not None
-        }
         self._models = None  # canonical duration predictor, built lazily
         self._next_req_id = 1
         self.steals: List[Tuple[float, int, int, int]] = []
@@ -313,10 +296,10 @@ class FleetSystem(TraceIntake):
         self.fault_log: List[Tuple[float, str, int]] = []
         #: (t_us, req_id, src, dst) per crash-reclaimed re-route.
         self.reroutes: List[Tuple[float, int, int, int]] = []
-        #: (t_us, node, queue_len, load_us) from steal ticks, one only
-        #: when a node's (queue_len, load_us) changed — the rollup
-        #: exports them as per-node Chrome counter tracks, and a counter
-        #: holds its value until the next sample
+        #: (t_us, node, queue_len, load_us) from observed steal ticks,
+        #: one only when a node's (queue_len, load_us) changed — the
+        #: rollup exports them as per-node Chrome counter tracks, and a
+        #: counter holds its value until the next sample
         self.load_samples: List[Tuple[float, int, int, float]] = []
         self._last_load: Dict[int, Tuple[int, float]] = {}
         self._ran = False
@@ -433,8 +416,7 @@ class FleetSystem(TraceIntake):
             ),
         ))
         self._next_req_id += 1
-        bucket = self._buckets.get(tenant.name)
-        if bucket is not None and not bucket.try_take(now):
+        if self.rate_limited(tenant, now):
             self.tracker.mark_shed(req, rate_limited=True)
             return
         idx = self._choose_node(req, now)
@@ -510,15 +492,16 @@ class FleetSystem(TraceIntake):
                 self._m_steals.inc(src=str(src), dst=str(dst))
 
         self.stealer.rebalance(self.nodes, on_steal=record)
+        if not self.obs.enabled:
+            return
         last = self._last_load
         for node in self.nodes:
             queue_len, load = node.queue_len, node.load_us()
             if last.get(node.index) != (queue_len, load):
                 last[node.index] = (queue_len, load)
                 self.load_samples.append((now, node.index, queue_len, load))
-            if self.obs.enabled:
-                self._m_load.set(load, node=str(node.index))
-                self._m_qlen.set(queue_len, node=str(node.index))
+            self._m_load.set(load, node=str(node.index))
+            self._m_qlen.set(queue_len, node=str(node.index))
 
     def run(self, until: Optional[float] = None) -> FleetReport:
         """Drive arrivals, faults, steal ticks, node drains; roll up."""

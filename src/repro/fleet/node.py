@@ -40,9 +40,9 @@ complete (they are accounted ``lost``).
 Per-node SLO accounting reuses the serving layer unchanged: a
 :class:`NodeRequest` is the request's one
 :class:`~repro.serving.slo.RequestLog` plus its routing state, and the
-node runs it through a (fleet-shared) SLO tracker and an
-:class:`~repro.serving.admission.AdmissionController` built over the
-same tenant set — admission budgets against *this node's*
+node runs it through a (fleet-shared) SLO tracker and its own
+:class:`~repro.serving.admission.AdmissionController` — admission
+budgets against *this node's*
 :class:`~repro.serving.admission.BacklogLedger`, so an overloaded node
 sheds while an idle one accepts. Admission-delayed (``held``) requests
 count toward the backlog the routing policies and the work stealer
@@ -52,13 +52,19 @@ observe: delayed work is still committed work.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import FleetError
 from ..core.flep import FlepSystem
 from ..serving.admission import AdmissionController, BacklogLedger, Decision
-from ..serving.server import MODES, ServingConfig, build_backend, submit_request
+from ..serving.server import (
+    MODES,
+    FrontEndKnobs,
+    ServingConfig,
+    build_backend,
+    submit_request,
+)
 from ..serving.slo import RequestLog, SLOTracker
 from ..serving.tenants import TenantSet
 
@@ -74,15 +80,21 @@ NODE_STATES = ("up", "stalled", "draining", "drained", "down")
 
 
 @dataclass
-class NodeConfig(ServingConfig):
-    """Knobs of one fleet node: a serving front end's, plus the
-    dispatch window."""
+class NodeKnobs(FrontEndKnobs):
+    """The front-end knobs plus the dispatch window: what a node's
+    config and a fleet's config (for every node) both declare."""
 
     #: Requests dispatched into the backend runtime at once; the rest
     #: wait in the (stealable) node queue. FLEP nodes exceed the window
     #: for requests that outrank everything in flight (preemptive
     #: dispatch — see ``_pump``).
     max_inflight: int = 4
+
+
+@dataclass
+class NodeConfig(NodeKnobs, ServingConfig):
+    """Knobs of one fleet node: a serving front end's, plus the
+    dispatch window."""
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -152,13 +164,7 @@ class FleetNode:
         #: Fleet-shared tracker (the dispatcher owns it); a standalone
         #: node builds its own so it stays usable in isolation/tests.
         self.tracker = tracker if tracker is not None else SLOTracker(tenants)
-        # Rate limiting is a *front-door* concern (a per-node bucket
-        # would multiply every tenant's budget by the fleet size), so
-        # node-level admission sees tenants without their rate limits.
-        self.admission = AdmissionController(
-            TenantSet([replace(t, rate_limit_rps=None) for t in tenants]),
-            delay_headroom=self.config.delay_headroom,
-        )
+        self.admission = AdmissionController(self.config.delay_headroom)
         #: dispatcher-owned hook list (monitors, metrics); shared object.
         self.hooks: List = hooks if hooks is not None else []
         self.queue: Deque[NodeRequest] = deque()

@@ -10,7 +10,7 @@ and the event-batching design.
 from .clock import Clock, MILLISECOND, SECOND
 from .cta import CTAContext, CTAState
 from .device import CostModel, GPUDeviceSpec, small_test_gpu, tesla_k40
-from .events import Event, EventHandle
+from .events import Event
 from .gpu import SimulatedGPU
 from .grid import Grid, GridState
 from .host import (
@@ -29,7 +29,6 @@ from .kernel import (
     TaskPool,
 )
 from .memory import DeviceMemory, PinnedFlag, should_yield
-from .mps import MPSServer
 from .occupancy import (
     OccupancyReport,
     active_slots,
@@ -54,7 +53,6 @@ __all__ = [
     "small_test_gpu",
     "tesla_k40",
     "Event",
-    "EventHandle",
     "SimulatedGPU",
     "Grid",
     "GridState",
@@ -72,7 +70,6 @@ __all__ = [
     "DeviceMemory",
     "PinnedFlag",
     "should_yield",
-    "MPSServer",
     "OccupancyReport",
     "active_slots",
     "max_ctas_per_sm",

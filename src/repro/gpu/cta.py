@@ -270,7 +270,7 @@ class CTAContext:
             claims.times.append(now + duration)
             claims.seqs.append(sim.reserve_seq())
             return
-        self._completion = sim.schedule_event(
+        self._completion = sim.schedule_at(
             now + duration,
             self._on_batch_complete,
             self._batch_label,
@@ -338,7 +338,7 @@ class CTAContext:
             if self._completion is None or self._completion.cancelled:
                 tc = self._batch_start + self._batch_duration(self._batch_size)
                 now = grid.sim.clock._now
-                self._completion = grid.sim.schedule_event(
+                self._completion = grid.sim.schedule_at(
                     tc if tc > now else now,
                     self._on_batch_complete,
                     self._batch_label,
@@ -442,7 +442,7 @@ class CTAContext:
     def _schedule_yield(self, at: float, finished_in_batch: int) -> None:
         sim = self.grid.sim
         now = sim.clock._now
-        self._yield_event = sim.schedule_event(
+        self._yield_event = sim.schedule_at(
             at if at > now else now,
             lambda: self._do_yield(finished_in_batch),
             self._yield_label,

@@ -57,35 +57,7 @@ class Event:
         return f"Event(t={self.time:.3f}, {self.label!r}, {state})"
 
 
-class EventHandle:
-    """Opaque handle returned by ``Simulator.schedule``.
-
-    Holding a handle lets a component cancel or inspect its own event
-    without reaching into the engine's heap.
-    """
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event):
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def label(self) -> str:
-        return self._event.label
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        self._event.cancel()
-
-
-def maybe_cancel(handle: Optional[EventHandle]) -> None:
-    """Cancel ``handle`` if it is not ``None`` (common idiom)."""
-    if handle is not None:
-        handle.cancel()
+def maybe_cancel(event: Optional[Event]) -> None:
+    """Cancel ``event`` if it is not ``None`` (common idiom)."""
+    if event is not None:
+        event.cancel()

@@ -25,9 +25,8 @@ from .device import CostModel, GPUDeviceSpec
 from .kernel import KernelImage, KernelMode, LaunchConfig, TaskPool
 from .macro import MacroCohort
 from .memory import PinnedFlag, should_yield
-from .occupancy import max_ctas_per_sm
+from .occupancy import cta_footprint, max_ctas_per_sm
 from .sim import Simulator
-from .sm import cta_footprint
 
 
 #: what a finished grid's ``contexts`` is rebound to (shared, immutable)

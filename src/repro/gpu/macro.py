@@ -308,7 +308,7 @@ class MacroCohort:
                 # pause: resume at the next completion instant (purely
                 # internal — the plan extension is invisible until a
                 # claim or final actually commits)
-                self._cont = self.sim.schedule_event(
+                self._cont = self.sim.schedule_at(
                     float(self._p_t[0]), self._continue, "macro-cont"
                 )
                 return
@@ -321,7 +321,7 @@ class MacroCohort:
         ctxs = self._ctxs
         for t, c in zip(self._p_t.tolist(), self._p_ctx.tolist()):
             ctx = ctxs[c]
-            ctx._completion = sim.schedule_event(
+            ctx._completion = sim.schedule_at(
                 t, self._make_final(ctx), ctx._batch_label
             )
         self._p_t = self._p_ctx = self._chain = None
@@ -595,7 +595,7 @@ class MacroCohort:
                     yields.append((ctx.ctx_id, ctx, plan))
                     continue
             t = cur_complete[c]
-            ctx._completion = sim.schedule_event(
+            ctx._completion = sim.schedule_at(
                 t if t > now else now,
                 ctx._on_batch_complete,
                 ctx._batch_label,

@@ -28,7 +28,7 @@ from typing import Any, Callable, List, Optional
 from ..errors import SimulationError
 from ..obs.recorder import NULL_OBS, register_simulator
 from .clock import Clock
-from .events import Event, EventHandle
+from .events import Event
 
 _EVENT_NEW = Event.__new__
 
@@ -37,9 +37,9 @@ class EventLoopStats:
     """The engine's one set of event-loop counters.
 
     A single instance per :class:`Simulator` is the shared source of
-    truth for event accounting: the ``max_events`` exhaustion check, the
-    ``processed_events`` property, and the run-summary ``engine`` block
-    (:class:`~repro.obs.recorder.EngineWindow`) all read the same
+    truth for event accounting: the ``max_events`` exhaustion check and
+    the run-summary ``engine`` block
+    (:class:`~repro.obs.recorder.EngineWindow`) both read the same
     fields, so there is no double bookkeeping between diagnostics and
     reporting.
     """
@@ -120,11 +120,6 @@ class Simulator:
         return self.clock._now
 
     @property
-    def processed_events(self) -> int:
-        """Number of events executed so far (cancelled pops not counted)."""
-        return self.stats.processed
-
-    @property
     def max_events(self) -> int:
         """Event budget before the engine declares a runaway loop."""
         return self._max_events
@@ -141,7 +136,7 @@ class Simulator:
         callback: Callable[[], Any],
         label: str = "",
         priority: int = 0,
-    ) -> EventHandle:
+    ) -> Event:
         """Schedule ``callback`` to run ``delay`` microseconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -155,21 +150,11 @@ class Simulator:
         callback: Callable[[], Any],
         label: str = "",
         priority: int = 0,
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulated time ``time``."""
-        return EventHandle(self.schedule_event(time, callback, label, priority))
-
-    def schedule_event(
-        self,
-        time: float,
-        callback: Callable[[], Any],
-        label: str = "",
-        priority: int = 0,
     ) -> Event:
-        """Fast-path variant of :meth:`schedule_at` returning the raw
-        :class:`Event` (no handle wrapper). Same validation, ordering and
-        accounting; internal hot callers (the CTA batch loop) use this to
-        skip one allocation per scheduled event."""
+        """Schedule ``callback`` at absolute simulated time ``time``.
+
+        Returns the queued :class:`Event`; ``cancel()`` on it is how a
+        component withdraws its own event."""
         seq = self._seq = self._seq + 1
         return self.schedule_reserved(time, seq, callback, label, priority)
 
@@ -191,7 +176,7 @@ class Simulator:
         label: str = "",
         priority: int = 0,
     ) -> Event:
-        """:meth:`schedule_event` with a sequence number taken earlier:
+        """:meth:`schedule_at` with a sequence number taken earlier:
         the event orders exactly as if it had been scheduled then."""
         if time < self.clock._now:
             raise SimulationError(

@@ -9,12 +9,11 @@ plain integer compares and indexing, no per-SM attribute chasing;
 spatial preemption uses the SM *id* (the paper reads it from the
 ``%smid`` register) to decide which CTAs must yield.
 
-Footprints are pure functions of ``(usage, spec)`` — both frozen
-dataclasses — computed once per pair and cached process-wide
-(:func:`repro.gpu.occupancy.cta_footprint`, shared with the occupancy
-calculator so admission and reporting can never disagree): the
-dispatcher admits and releases thousands of identical CTAs per run, and
-re-doing the ceil/div math each time dominated the admission path.
+An SM is charged precomputed footprints: each grid resolves its CTA
+footprint once (:func:`repro.gpu.occupancy.cta_footprint`, cached
+process-wide and shared with the occupancy calculator so admission and
+reporting can never disagree), because the dispatcher admits and
+releases thousands of identical CTAs per run.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from typing import List, Set
 from ..errors import ResourceError
 from ..obs.recorder import NULL_OBS
 from .device import GPUDeviceSpec
-from .kernel import ResourceUsage
-from .occupancy import cta_footprint
-
-__all__ = ["SM", "SMBank", "cta_footprint"]
+__all__ = ["SM", "SMBank"]
 
 
 class SMBank:
@@ -94,43 +90,12 @@ class SM:
     def used_smem(self) -> int:
         return self.bank.smem[self.sm_id]
 
-    # -- footprint math --------------------------------------------------
-    def _footprint(self, usage: ResourceUsage):
-        return cta_footprint(usage, self.spec)
-
-    def can_host(self, usage: ResourceUsage) -> bool:
-        """Would one more CTA of this footprint fit right now?"""
-        warps, regs, smem = cta_footprint(usage, self.spec)
-        return self.can_host_fp(usage.threads_per_cta, warps, regs, smem)
-
-    def can_host_fp(self, threads: int, warps: int, regs: int, smem: int) -> bool:
-        """``can_host`` with a precomputed footprint — the same flat-array
-        screen the dispatcher's scan applies, one SM at a time."""
-        bank = self.bank
-        i = self.sm_id
-        return (
-            bank.free[i] > 0
-            and bank.threads[i] + threads <= bank.max_threads
-            and bank.warps[i] + warps <= bank.max_warps
-            and bank.regs[i] + regs <= bank.max_regs
-            and bank.smem[i] + smem <= bank.max_smem
-        )
-
-    def admit(self, context, usage: ResourceUsage) -> None:
-        """Place a CTA context on this SM, charging its resources."""
-        if not self.can_host(usage):
-            raise ResourceError(
-                f"SM {self.sm_id} cannot host CTA {usage} "
-                f"(resident={len(self.resident)})"
-            )
-        warps, regs, smem = cta_footprint(usage, self.spec)
-        self.admit_fp(context, usage.threads_per_cta, warps, regs, smem)
-
     def admit_fp(
         self, context, threads: int, warps: int, regs: int, smem: int
     ) -> None:
-        """``admit`` with a precomputed footprint; the caller (the
-        dispatcher) has already verified ``can_host_fp``."""
+        """Place a CTA context on this SM, charging its precomputed
+        footprint; the caller (the dispatcher's scan) has already
+        checked that it fits."""
         resident = self.resident
         if context in resident:
             raise ResourceError(f"context already resident on SM {self.sm_id}")
@@ -146,15 +111,10 @@ class SM:
         if obs.enabled:
             obs.on_sm_admit(self.sm_id, len(resident))
 
-    def release(self, context, usage: ResourceUsage) -> None:
-        """Remove a CTA context, returning its resources."""
-        warps, regs, smem = cta_footprint(usage, self.spec)
-        self.release_fp(context, usage.threads_per_cta, warps, regs, smem)
-
     def release_fp(
         self, context, threads: int, warps: int, regs: int, smem: int
     ) -> None:
-        """``release`` with a precomputed footprint."""
+        """Remove a CTA context, returning its precomputed footprint."""
         resident = self.resident
         if context not in resident:
             raise ResourceError(f"context not resident on SM {self.sm_id}")

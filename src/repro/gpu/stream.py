@@ -17,7 +17,6 @@ from .gpu import SimulatedGPU
 from .grid import Grid
 from .kernel import KernelImage, LaunchConfig, TaskPool
 from .memory import PinnedFlag
-from .transfer import DMAEngine
 
 
 class Stream:
@@ -25,11 +24,8 @@ class Stream:
 
     _next_id = 1
 
-    def __init__(self, gpu: SimulatedGPU, dma: Optional[DMAEngine] = None,
-                 name: str = ""):
+    def __init__(self, gpu: SimulatedGPU, name: str = ""):
         self.gpu = gpu
-        self.sim = gpu.sim
-        self.dma = dma or DMAEngine(gpu.sim, gpu.spec.costs)
         self.stream_id = Stream._next_id
         Stream._next_id += 1
         self.name = name or f"stream{self.stream_id}"
@@ -73,25 +69,6 @@ class Stream:
             )
             if on_grid:
                 on_grid(grid)
-
-        self._push(run)
-
-    def enqueue_callback(self, fn: Callable[[], None]) -> None:
-        """Host-side callback; executes in order with zero duration."""
-
-        def run(advance: Callable[[], None]) -> None:
-            fn()
-            advance()
-
-        self._push(run)
-
-    def enqueue_delay(self, duration_us: float) -> None:
-        """An artificial in-stream delay (used by experiment harnesses)."""
-        if duration_us < 0:
-            raise SimulationError("delay cannot be negative")
-
-        def run(advance: Callable[[], None]) -> None:
-            self.sim.schedule(duration_us, advance, label=f"{self.name}:delay")
 
         self._push(run)
 

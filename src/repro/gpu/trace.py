@@ -217,7 +217,7 @@ class ScheduleHash:
     in retirement order — which the identity contract fixes, so two runs
     with the same schedule produce the same digest and any timeline or
     completion-order drift changes it. Two hexdigests comparing equal is
-    what ``flep bench --fail-on-drift`` gates on.
+    what ``flep bench --compare`` gates on.
     """
 
     __slots__ = ("crc", "count")

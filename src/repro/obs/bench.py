@@ -55,14 +55,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..errors import ObservabilityError
 from .recorder import EngineWindow
 
-#: Current report schema. v2 added the per-scenario ``schedule_hash``
-#: (crc32 over the kernel-level timeline, combined across devices) and
-#: re-keyed the drift gate to it; v1 files are still readable — their
-#: hash rows compare as ``no-baseline``.
+#: Report schema, the only one :meth:`BenchReport.from_dict` reads. v2
+#: added the per-scenario ``schedule_hash`` (crc32 over the kernel-level
+#: timeline, combined across devices) the drift gate compares.
 BENCH_SCHEMA = "flep-bench/2"
-
-#: Schemas :meth:`BenchReport.from_dict` accepts.
-COMPAT_SCHEMAS = ("flep-bench/1", "flep-bench/2")
 
 #: Workload scale factors per budget tier.
 BUDGETS: Dict[str, float] = {"small": 0.5, "default": 1.0, "large": 3.0}
@@ -285,10 +281,10 @@ class BenchReport:
     def from_dict(cls, data: Dict[str, object]) -> "BenchReport":
         """Parse a loaded JSON document, validating the schema stamp."""
         schema = data.get("schema")
-        if schema not in COMPAT_SCHEMAS:
+        if schema != BENCH_SCHEMA:
             raise ObservabilityError(
                 f"unsupported bench schema {schema!r} "
-                f"(this build reads {', '.join(map(repr, COMPAT_SCHEMAS))})"
+                f"(this build reads {BENCH_SCHEMA!r})"
             )
         return cls(
             budget=str(data.get("budget", "")),
@@ -441,15 +437,6 @@ class CompareResult:
         return [r for r in self.rows if r["status"] == "drift"]
 
     @property
-    def unhashed(self) -> List[Dict[str, object]]:
-        """``schedule_hash`` rows with no hash on one side (a
-        ``flep-bench/1`` baseline): schedules that were not compared."""
-        return [
-            r for r in self.rows
-            if r["metric"] == "schedule_hash" and r["status"] == "no-baseline"
-        ]
-
-    @property
     def ok(self) -> bool:
         """True when no gated metric regressed."""
         return not self.regressions
@@ -493,11 +480,10 @@ def compare_reports(
     rate: a relative drop beyond ``threshold`` marks the row
     ``regression``. Identity is gated on ``schedule_hash``: a mismatch
     means the kernel-level timeline changed (``drift``), which the
-    identity contract forbids across engine rework. A baseline without
-    hashes (a ``flep-bench/1`` file) yields ``no-baseline``. The
-    ``events`` count is engine-internal — macro fast-forward
-    legitimately collapses it — so a mismatch is reported as the
-    informational ``changed``, never ``drift``.
+    identity contract forbids across engine rework. The ``events``
+    count is engine-internal — macro fast-forward legitimately
+    collapses it — so a mismatch is reported as the informational
+    ``changed``, never ``drift``.
     """
     if threshold <= 0:
         raise ObservabilityError("threshold must be positive")
@@ -514,17 +500,13 @@ def compare_reports(
             continue
         old_hash = old_row.get("schedule_hash")
         new_hash = new_row.get("schedule_hash")
-        if old_hash is None or new_hash is None:
-            hash_status = "no-baseline"
-        else:
-            hash_status = "ok" if old_hash == new_hash else "drift"
         result.rows.append({
             "scenario": name,
             "metric": "schedule_hash",
             "old": str(old_hash or "-"),
             "new": str(new_hash or "-"),
             "delta": None,
-            "status": hash_status,
+            "status": "ok" if old_hash == new_hash else "drift",
         })
         old_events, new_events = old_row.get("events"), new_row.get("events")
         result.rows.append({

@@ -398,9 +398,6 @@ class FlepRuntime:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def results(self) -> Dict[int, ExecutionRecord]:
-        return {inv.inv_id: inv.record for inv in self.invocations}
-
     @property
     def all_finished(self) -> bool:
         return all(inv.finished for inv in self.invocations)

@@ -42,13 +42,6 @@ class PriorityQueues:
         q = self._queues.get(priority)
         return q[0] if q else None
 
-    def pop_head(self, priority: int):
-        inv = self.head(priority)
-        if inv is None:
-            raise RuntimeEngineError(f"queue for priority {priority} is empty")
-        self.remove(inv)
-        return inv
-
     def resort(self) -> None:
         """Re-sort all queues after T_r refreshes."""
         for p, q in self._queues.items():

@@ -14,20 +14,22 @@ SLO budget?
   for everyone than serving a guaranteed-late answer (Hummingbird's
   load-shedding argument).
 
-Best-effort tenants (no SLO) are always accepted. A tenant with a
-token-bucket rate limit is clipped *before* the SLO test; those sheds
-are reported with their own reason so rate-limit drops and overload
-drops stay distinguishable in the SLO report.
+Best-effort tenants (no SLO) are always accepted. Tenant rate limits
+(:class:`TokenBucket`) are not the controller's: the front door
+(:class:`~repro.serving.server.TraceIntake`) clips a request before it
+reaches admission, in every mode, and reports the drop as
+``rate_limited`` so rate-limit drops and overload drops stay
+distinguishable in the SLO report.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import ServingError
-from .tenants import Tenant, TenantSet
+from .tenants import Tenant
 
 
 class Decision(enum.Enum):
@@ -80,16 +82,10 @@ class TokenBucket:
 class AdmissionController:
     """Accept / delay / shed against each tenant's SLO budget."""
 
-    def __init__(self, tenants: TenantSet, delay_headroom: float = 0.5):
+    def __init__(self, delay_headroom: float = 0.5):
         if delay_headroom < 0:
             raise ServingError("delay_headroom must be non-negative")
-        self.tenants = tenants
         self.delay_headroom = delay_headroom
-        self._buckets: Dict[str, TokenBucket] = {
-            t.name: TokenBucket(t.rate_limit_rps, t.burst)
-            for t in tenants
-            if t.rate_limit_rps is not None
-        }
 
     # ------------------------------------------------------------------
     def decide(
@@ -107,12 +103,6 @@ class AdmissionController:
         """
         if predicted_us < 0 or backlog_us < 0:
             raise ServingError("predictions and backlog must be >= 0")
-        bucket = self._buckets.get(tenant.name)
-        if bucket is not None and not bucket.try_take(now_us):
-            return Verdict(
-                Decision.SHED, "rate_limit",
-                predicted_finish_us=now_us,
-            )
         finish = now_us + backlog_us + predicted_us
         if tenant.slo_us is None:
             return Verdict(

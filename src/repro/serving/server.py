@@ -2,11 +2,12 @@
 
 :class:`ServingSystem` turns the FLEP stack into a server: tenants
 (:mod:`.tenants`) send requests through load generators or explicit
-submissions; every arrival passes the SLO-aware admission controller
-(:mod:`.admission`); admitted requests are stamped with the tenant's
-priority and absolute deadline and handed to the runtime — so deadline
-urgency drives FLEP's temporal/spatial preemption via the EDF policy —
-and every outcome lands in the :class:`~repro.serving.slo.SLOTracker`.
+submissions; every arrival passes its tenant's rate limit, then the
+SLO-aware admission controller (:mod:`.admission`); admitted requests
+are stamped with the tenant's priority and absolute deadline and
+handed to the runtime — so deadline urgency drives FLEP's
+temporal/spatial preemption via the EDF policy — and every outcome
+lands in the :class:`~repro.serving.slo.SLOTracker`.
 
 Three execution modes share the one front-end:
 
@@ -41,7 +42,7 @@ from ..runtime.engine import RuntimeConfig
 from ..runtime.models import model_bank
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.synthetic import Arrival, ArrivalTrace
-from .admission import AdmissionController, BacklogLedger, Decision
+from .admission import AdmissionController, BacklogLedger, Decision, TokenBucket
 from .loadgen import ClosedLoopClient, LoadGenerator, merge_traces
 from .slo import RequestLog, ServingReport, SLOTracker
 from .tenants import Tenant, TenantSet
@@ -92,10 +93,11 @@ def submit_request(
 
 
 @dataclass
-class ServingConfig:
-    """Knobs of the serving layer."""
+class FrontEndKnobs:
+    """The backend and admission knobs every front end declares: a
+    serving system's, a fleet node's and (for all its nodes) a
+    fleet's."""
 
-    mode: str = "flep-spatial"
     #: Scheduling policy for the FLEP modes (EDF = deadline-aware).
     policy: str = "edf"
     #: Admission control on/off; ``None`` picks the mode's default
@@ -106,6 +108,13 @@ class ServingConfig:
     #: Use the oracle duration predictor instead of the ridge models.
     oracle_model: bool = False
     seed: Optional[int] = None
+
+
+@dataclass
+class ServingConfig(FrontEndKnobs):
+    """Knobs of the serving layer: the front-end knobs plus the mode."""
+
+    mode: str = "flep-spatial"
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -121,9 +130,9 @@ class ServingConfig:
 
 
 class TraceIntake:
-    """The tenant set and the open-loop arrival traces of a front door,
-    shared by :class:`ServingSystem` and the fleet's
-    :class:`~repro.fleet.dispatcher.FleetSystem`."""
+    """The tenant set, the open-loop arrival traces and the tenant rate
+    limits of a front door, shared by :class:`ServingSystem` and the
+    fleet's :class:`~repro.fleet.dispatcher.FleetSystem`."""
 
     #: raised for a trace naming a tenant outside the set
     error_type = ServingError
@@ -133,6 +142,21 @@ class TraceIntake:
             tenants if isinstance(tenants, TenantSet) else TenantSet(tenants)
         )
         self._traces: List[ArrivalTrace] = []
+        #: one token bucket per rate-limited tenant, whatever the mode
+        #: and admission setting (a fleet's nodes see no rate limits: a
+        #: per-node bucket would multiply every budget by the node count)
+        self._buckets: Dict[str, TokenBucket] = {
+            t.name: TokenBucket(t.rate_limit_rps, t.burst)
+            for t in self.tenants
+            if t.rate_limit_rps is not None
+        }
+
+    def rate_limited(self, tenant: Tenant, now_us: float) -> bool:
+        """Take a token for one of ``tenant``'s requests arriving at
+        ``now_us``; True when its bucket is empty (the request is
+        dropped as ``rate_limited`` before admission)."""
+        bucket = self._buckets.get(tenant.name)
+        return bucket is not None and not bucket.try_take(now_us)
 
     def add_trace(self, trace: ArrivalTrace) -> None:
         """Queue an open-loop arrival trace (tenants must be known)."""
@@ -182,9 +206,7 @@ class ServingSystem(TraceIntake):
             self.system = None
             self.obs = adopt_hub(observability, lambda: self.sim.now)
         self._models = None  # MPS only: built lazily if admission needs it
-        self.admission = AdmissionController(
-            self.tenants, delay_headroom=self.config.delay_headroom
-        )
+        self.admission = AdmissionController(self.config.delay_headroom)
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
         self._next_req_id = 1
         self.backlog = BacklogLedger(cfg.mode)
@@ -249,6 +271,9 @@ class ServingSystem(TraceIntake):
                 track=req.req_id,
                 predicted_us=req.predicted_us,
             )
+        if self.rate_limited(tenant, now):
+            self._reject(req, client, "rate_limit")
+            return
         if not self.config.admission_enabled:
             self._admit(req, client)
             return
@@ -256,14 +281,7 @@ class ServingSystem(TraceIntake):
             tenant, now, req.predicted_us, self.backlog_us(tenant.priority)
         )
         if verdict.decision is Decision.SHED:
-            self.tracker.mark_shed(
-                req, rate_limited=(verdict.reason == "rate_limit")
-            )
-            if self.obs.enabled:
-                self.obs.tracer.end(
-                    self._spans.pop(req.req_id), outcome=verdict.reason
-                )
-            self._client_continue(client)
+            self._reject(req, client, verdict.reason)
         elif verdict.decision is Decision.DELAY:
             self.tracker.mark_delayed(req)
             self.sim.schedule(
@@ -272,6 +290,17 @@ class ServingSystem(TraceIntake):
             )
         else:
             self._admit(req, client)
+
+    def _reject(
+        self, req: RequestLog, client: Optional[ClosedLoopClient],
+        reason: str,
+    ) -> None:
+        """Shed ``req`` (``reason`` ``"rate_limit"``: its tenant's
+        bucket was empty)."""
+        self.tracker.mark_shed(req, rate_limited=(reason == "rate_limit"))
+        if self.obs.enabled:
+            self.obs.tracer.end(self._spans.pop(req.req_id), outcome=reason)
+        self._client_continue(client)
 
     def _admit(
         self, req: RequestLog, client: Optional[ClosedLoopClient] = None

@@ -115,14 +115,12 @@ class TestBenchCommand:
         data = json.loads(old.read_text())
         data["scenarios"][0]["schedule_hash"] = "deadbeef"
         drifted.write_text(json.dumps(data))
-        # warn-only alone lets the drift through...
+        # drift is deterministic: it fails the compare, warn-only or not
         assert main(["bench", "--compare", str(old),
-                     "--against", str(drifted), "--warn-only"]) == 0
-        # ...but --fail-on-drift hard-fails it, warn-only or not
+                     "--against", str(drifted), "--warn-only"]) == 3
+        assert "schedule-hash drift in: tiny" in capsys.readouterr().err
         assert main(["bench", "--compare", str(old),
-                     "--against", str(drifted), "--warn-only",
-                     "--fail-on-drift"]) == 3
-        assert "schedule-hash drift" in capsys.readouterr().err
+                     "--against", str(drifted)]) == 3
 
     def test_fail_on_drift_passes_on_identical_hashes(
         self, tiny_scenarios, tmp_path
@@ -132,7 +130,7 @@ class TestBenchCommand:
         assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
         _write_slowed(old, slow, 0.8)  # rate drop, same schedules
         assert main(["bench", "--compare", str(old), "--against",
-                     str(slow), "--warn-only", "--fail-on-drift"]) == 0
+                     str(slow), "--warn-only"]) == 0
 
     def test_event_count_change_alone_is_not_drift(
         self, tiny_scenarios, tmp_path
@@ -146,13 +144,14 @@ class TestBenchCommand:
         data["scenarios"][0]["events"] += 1
         fewer.write_text(json.dumps(data))
         assert main(["bench", "--compare", str(old), "--against",
-                     str(fewer), "--warn-only", "--fail-on-drift"]) == 0
+                     str(fewer), "--warn-only"]) == 0
 
     def test_v1_baseline_fails_the_drift_gate(
         self, tiny_scenarios, tmp_path, capsys
     ):
         """A baseline without hashes checks no schedule, so the drift
-        gate must not pass on it: every hash row is ``no-baseline``."""
+        gate must not pass on it: only hashed ``flep-bench/2`` files
+        load."""
         new = tmp_path / "new.json"
         v1 = tmp_path / "v1.json"
         assert main(["bench", "--budget", "small", "-o", str(new)]) == 0
@@ -161,17 +160,13 @@ class TestBenchCommand:
         for s in data["scenarios"]:
             del s["schedule_hash"]
         v1.write_text(json.dumps(data))
-        # without the gate a v1 baseline still compares (rates only)...
         assert main(["bench", "--compare", str(v1), "--against",
-                     str(new), "--warn-only"]) == 0
-        # ...with it, the unchecked schedules fail the run
-        assert main(["bench", "--compare", str(v1), "--against",
-                     str(new), "--warn-only", "--fail-on-drift"]) == 3
-        assert "no baseline schedule hash for: tiny" in capsys.readouterr().err
+                     str(new), "--warn-only"]) == 1
+        assert "unsupported bench schema" in capsys.readouterr().err
 
     def test_ci_baseline_pins_every_scenario_hash(self):
         """The baseline CI's bench-smoke gates on carries a schedule hash
-        for every scenario of the suite, so --fail-on-drift checks them
+        for every scenario of the suite, so the drift gate checks them
         all."""
         from pathlib import Path
 

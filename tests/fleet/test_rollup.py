@@ -9,7 +9,7 @@ from repro.fleet import FleetConfig, FleetSystem, NodeRequest, parse_fault_spec
 from repro.serving import PoissonLoadGen, Tenant
 
 
-def run_small_fleet(suite, **overrides):
+def run_small_fleet(suite, observability=None, **overrides):
     cfg = dict(
         node_modes=("flep-spatial", "flep-temporal", "mps"),
         routing="deadline", seed=9, oracle_model=True,
@@ -21,7 +21,7 @@ def run_small_fleet(suite, **overrides):
             Tenant("batch", priority=0),
         ],
         FleetConfig(**cfg),
-        device=suite.device, suite=suite,
+        device=suite.device, suite=suite, observability=observability,
     )
     fleet.add_generator(PoissonLoadGen(
         tenant="web", kernels=("SPMV", "MM"), rate_per_ms=1.0,
@@ -147,8 +147,12 @@ class TestReportSurface:
 class TestTraceExport:
     def test_load_samples_only_record_changes(self, suite):
         """A counter track holds its value until the next sample, so a
-        steal tick records a node only when its (queue, load) moved."""
-        fleet, _ = run_small_fleet(suite)
+        steal tick records a node only when its (queue, load) moved —
+        and only while observed: the samples feed the trace export."""
+        from repro.obs import Observability
+
+        assert run_small_fleet(suite)[0].load_samples == []
+        fleet, _ = run_small_fleet(suite, observability=Observability())
         last = {}
         for _t, node, queue_len, load_us in fleet.load_samples:
             assert last.get(node) != (queue_len, load_us)

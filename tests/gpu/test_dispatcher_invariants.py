@@ -189,10 +189,16 @@ class TestPickOrder:
 
         sim = Simulator()
         gpu = SimulatedGPU(sim, tesla_k40())
+        slots = gpu.spec.num_sms * gpu.spec.max_ctas_per_sm
         for sm_id, other in prefill:
             sm = gpu.sms[sm_id]
-            if sm.can_host(ResourceUsage(*other)):
-                sm.admit(object(), ResourceUsage(*other))
+            filler = Grid(
+                sim, gpu.spec,
+                KernelImage("f", ResourceUsage(*other), TaskModel(1.0)),
+                LaunchConfig.original(1),
+            )
+            if sm in gpu._pick_order(filler, slots):
+                sm.admit_fp(object(), *filler._footprint)
         kernel = KernelImage("k", ResourceUsage(*usage), TaskModel(1.0))
         grid = Grid(sim, gpu.spec, kernel, LaunchConfig.original(n))
         got = [sm.sm_id for sm in gpu._pick_order(grid, n)]

@@ -1,7 +1,8 @@
-"""Event-primitive unit tests: handles and lazy cancellation (the
-engine's firing order is tested in ``test_sim.py``)."""
+"""Event-primitive unit tests: the event as its own handle and lazy
+cancellation (the engine's firing order is tested in ``test_sim.py``)."""
 
-from repro.gpu.events import Event, EventHandle, maybe_cancel
+from repro.gpu.events import Event, maybe_cancel
+from repro.gpu.sim import Simulator
 
 
 def make(time, seq=0, priority=0, label=""):
@@ -19,24 +20,30 @@ class TestCancellation:
 
 
 class TestHandle:
+    """``schedule``/``schedule_at`` hand back the queued Event itself."""
+
     def test_handle_exposes_event_fields(self):
-        ev = make(4.0, label="poll")
-        handle = EventHandle(ev)
+        sim = Simulator()
+        handle = sim.schedule_at(4.0, lambda: None, label="poll")
+        assert isinstance(handle, Event)
         assert handle.time == 4.0
         assert handle.label == "poll"
         assert not handle.cancelled
 
     def test_handle_cancel_reaches_event(self):
-        ev = make(4.0)
-        handle = EventHandle(ev)
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(4.0, lambda: fired.append(1))
         handle.cancel()
-        assert ev.cancelled
         assert handle.cancelled
+        assert sim.pending() == 0
+        sim.run()
+        assert fired == []
 
     def test_maybe_cancel_handles_none(self):
         maybe_cancel(None)  # must not raise
 
     def test_maybe_cancel_cancels_real_handle(self):
-        handle = EventHandle(make(1.0))
-        maybe_cancel(handle)
-        assert handle.cancelled
+        ev = make(1.0)
+        maybe_cancel(ev)
+        assert ev.cancelled

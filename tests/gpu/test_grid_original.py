@@ -62,7 +62,7 @@ class TestSoloExecution:
         sim.run()
         ideal = LAUNCH + 1_000_000 * 0.25 / 120
         assert done[0] == pytest.approx(ideal, rel=0.01)
-        assert sim.processed_events < 10_000
+        assert sim.stats.processed < 10_000
 
     def test_grid_state_lifecycle(self, sim, tiny, make_kernel):
         k = make_kernel(task_us=10.0)

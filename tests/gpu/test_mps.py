@@ -1,19 +1,13 @@
-"""MPS front-end tests: client bookkeeping plus the baseline dispatch
-behaviour the paper attributes to MPS (§2.1) — sharing when resources
-allow, head-of-line blocking otherwise."""
+"""MPS front-end tests: each host process gets its own in-order stream
+(:meth:`MPSCoRun._stream_for`), and the device's FIFO dispatcher then
+gives the baseline behaviour the paper attributes to MPS (§2.1) —
+sharing when resources allow, head-of-line blocking otherwise."""
 
-import pytest
-
-from repro.errors import SimulationError
+from repro.baselines.mps_corun import MPSCoRun
 from repro.gpu.device import small_test_gpu
 from repro.gpu.gpu import SimulatedGPU
 from repro.gpu.kernel import KernelImage, LaunchConfig, ResourceUsage, TaskModel
-from repro.gpu.mps import MPSServer
-
-
-@pytest.fixture
-def server(sim):
-    return MPSServer(SimulatedGPU(sim, small_test_gpu()))
+from repro.gpu.stream import Stream
 
 
 def light_kernel(name, task_us=10.0):
@@ -22,48 +16,31 @@ def light_kernel(name, task_us=10.0):
 
 
 class TestClients:
-    def test_connect_returns_named_stream(self, server):
-        stream = server.connect("proc_a")
+    def test_connect_returns_named_stream(self, suite):
+        corun = MPSCoRun(suite.device, suite)
+        stream = corun._stream_for("proc_a")
         assert stream.name == "mps:proc_a"
-        assert server.num_clients == 1
-        assert server.stream_of("proc_a") is stream
+        # a process keeps its one stream for every later kernel
+        assert corun._stream_for("proc_a") is stream
 
-    def test_each_client_gets_a_distinct_stream(self, server):
-        a = server.connect("a")
-        b = server.connect("b")
-        assert a is not b
-        assert server.num_clients == 2
-
-    def test_double_connect_rejected(self, server):
-        server.connect("a")
-        with pytest.raises(SimulationError, match="already connected"):
-            server.connect("a")
-
-    def test_disconnect_frees_the_name(self, server):
-        server.connect("a")
-        server.disconnect("a")
-        assert server.num_clients == 0
-        server.connect("a")  # reconnect works after disconnect
-
-    def test_disconnect_unknown_rejected(self, server):
-        with pytest.raises(SimulationError, match="not connected"):
-            server.disconnect("ghost")
-
-    def test_clients_share_one_dma_engine(self, server):
-        a = server.connect("a")
-        b = server.connect("b")
-        assert a.dma is b.dma is server.dma
+    def test_each_client_gets_a_distinct_stream(self, suite):
+        corun = MPSCoRun(suite.device, suite)
+        inv_a = corun.submit_at(0.0, "a", "SPMV", "trivial")
+        inv_b = corun.submit_at(0.0, "b", "SPMV", "trivial")
+        corun.run()
+        assert corun._stream_for("a") is not corun._stream_for("b")
+        assert inv_a.grid.tag["stream"] == "mps:a"
+        assert inv_b.grid.tag["stream"] == "mps:b"
 
 
 class TestSharedDispatch:
     def test_two_light_clients_overlap_on_the_device(self, sim):
         """Neither client fills the GPU, so MPS runs them concurrently:
         the co-run makespan is far below the serial sum."""
-        server = MPSServer(SimulatedGPU(sim, small_test_gpu()))
+        gpu = SimulatedGPU(sim, small_test_gpu())
         done = {}
         for proc in ("a", "b"):
-            stream = server.connect(proc)
-            stream.enqueue_kernel(
+            Stream(gpu, name=f"mps:{proc}").enqueue_kernel(
                 light_kernel(f"k_{proc}"),
                 LaunchConfig.original(2),
                 on_done=lambda g, p=proc: done.setdefault(p, sim.now),
@@ -73,7 +50,7 @@ class TestSharedDispatch:
         # 4 slots, 2+2 light CTAs of 10us each: both grids co-resident,
         # so they finish together instead of back-to-back
         assert abs(done["a"] - done["b"]) < 5.0
-        launch = server.gpu.spec.costs.kernel_launch_us
+        launch = gpu.spec.costs.kernel_launch_us
         serial = launch + 10.0 + 10.0  # b waits out a's wave
         assert end < serial
 
@@ -81,16 +58,16 @@ class TestSharedDispatch:
         """Head-of-line blocking: a device-filling kernel from client a
         delays client b's start until it finishes (the Figure 1 problem
         MPS cannot solve)."""
-        server = MPSServer(SimulatedGPU(sim, small_test_gpu()))
+        gpu = SimulatedGPU(sim, small_test_gpu())
         heavy = KernelImage(
             "heavy", ResourceUsage(1024, 16, 0), TaskModel(100.0)
         )
         order = []
-        server.connect("a").enqueue_kernel(
+        Stream(gpu, name="mps:a").enqueue_kernel(
             heavy, LaunchConfig.original(8),
             on_done=lambda g: order.append(("a", sim.now)),
         )
-        server.connect("b").enqueue_kernel(
+        Stream(gpu, name="mps:b").enqueue_kernel(
             light_kernel("late"), LaunchConfig.original(1),
             on_done=lambda g: order.append(("b", sim.now)),
         )

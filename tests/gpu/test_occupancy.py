@@ -154,9 +154,9 @@ class TestProperties:
 
 
 class TestAdmissionEquivalence:
-    """occupancy_report and the SM admission screen share one footprint
-    entry (repro.gpu.occupancy.cta_footprint) — reported occupancy must
-    match what repeated admission actually achieves."""
+    """occupancy_report and the dispatcher's placement scan share one
+    footprint entry (repro.gpu.occupancy.cta_footprint) — reported
+    occupancy must match what the scan actually places."""
 
     @given(
         threads=st.integers(1, 1024),
@@ -189,7 +189,10 @@ class TestAdmissionEquivalence:
     def test_admission_count_equals_reported_ctas_per_sm(
         self, threads, regs, smem
     ):
-        from repro.gpu.sm import SM
+        from repro.gpu.gpu import SimulatedGPU
+        from repro.gpu.grid import Grid
+        from repro.gpu.kernel import KernelImage, LaunchConfig, TaskModel
+        from repro.gpu.sim import Simulator
 
         k40 = tesla_k40()
         usage = ResourceUsage(threads, regs, smem)
@@ -197,9 +200,12 @@ class TestAdmissionEquivalence:
             report = occupancy_report(k40, usage)
         except OccupancyError:
             return
-        sm = SM(0, k40)
-        admitted = 0
-        while sm.can_host(usage):
-            sm.admit(object(), usage)
-            admitted += 1
-        assert admitted == report.ctas_per_sm
+        # the dispatcher's placement scan on an empty device
+        sim = Simulator()
+        gpu = SimulatedGPU(sim, k40)
+        slots = k40.num_sms * k40.max_ctas_per_sm
+        grid = Grid(sim, k40, KernelImage("k", usage, TaskModel(1.0)),
+                    LaunchConfig.original(slots))
+        order = gpu._pick_order(grid, slots)
+        for sm in gpu.sms:
+            assert order.count(sm) == report.ctas_per_sm

@@ -74,7 +74,7 @@ class TestCancellation:
         handle.cancel()
         sim.schedule(2.0, lambda: None)
         sim.run()
-        assert sim.processed_events == 1
+        assert sim.stats.processed == 1
 
     def test_peek_time_skips_cancelled(self, sim):
         h = sim.schedule(1.0, lambda: None)
@@ -151,7 +151,7 @@ class TestRun:
             sim.schedule(1.0, lambda: None)
         sim.max_events = 10  # raise the cap before running
         sim.run()
-        assert sim.processed_events == 6
+        assert sim.stats.processed == 6
 
     @pytest.mark.parametrize("bad", [0, -1])
     def test_max_events_rejects_nonpositive(self, sim, bad):

@@ -4,7 +4,11 @@ import pytest
 
 from repro.errors import ResourceError
 from repro.gpu.device import tesla_k40
-from repro.gpu.kernel import ResourceUsage
+from repro.gpu.gpu import SimulatedGPU
+from repro.gpu.grid import Grid
+from repro.gpu.kernel import KernelImage, LaunchConfig, ResourceUsage, TaskModel
+from repro.gpu.occupancy import cta_footprint
+from repro.gpu.sim import Simulator
 from repro.gpu.sm import SM
 
 
@@ -16,10 +20,18 @@ def sm():
 USAGE = ResourceUsage(256, 16, 1024)
 
 
+def footprint(usage):
+    """``(threads, warps, regs, smem)``: what the dispatcher charges."""
+    return (usage.threads_per_cta, *cta_footprint(usage, tesla_k40()))
+
+
+FP = footprint(USAGE)
+
+
 class TestAdmission:
     def test_admit_charges_resources(self, sm):
         ctx = object()
-        sm.admit(ctx, USAGE)
+        sm.admit_fp(ctx, *FP)
         assert sm.used_threads == 256
         assert sm.used_warps == 8
         assert not sm.idle
@@ -27,38 +39,42 @@ class TestAdmission:
 
     def test_release_returns_resources(self, sm):
         ctx = object()
-        sm.admit(ctx, USAGE)
-        sm.release(ctx, USAGE)
+        sm.admit_fp(ctx, *FP)
+        sm.release_fp(ctx, *FP)
         assert sm.idle
         assert sm.used_threads == 0
         assert sm.used_regs == 0
         assert sm.used_smem == 0
 
-    def test_can_host_respects_thread_limit(self, sm):
-        for i in range(8):  # 8 * 256 = 2048 threads: full
-            sm.admit(object(), USAGE)
-        assert not sm.can_host(USAGE)
-
-    def test_admit_when_full_raises(self, sm):
-        for i in range(8):
-            sm.admit(object(), USAGE)
-        with pytest.raises(ResourceError):
-            sm.admit(object(), USAGE)
+    def test_thread_limit_stops_the_dispatch_scan(self):
+        """A full SM drops out of the dispatcher's placement scan."""
+        sim = Simulator()
+        gpu = SimulatedGPU(sim, tesla_k40())
+        full = gpu.sms[3]
+        for _ in range(8):  # 8 * 256 = 2048 threads: full
+            full.admit_fp(object(), *FP)
+        kernel = KernelImage("k", USAGE, TaskModel(1.0))
+        grid = Grid(sim, gpu.spec, kernel, LaunchConfig.original(1000))
+        order = gpu._pick_order(grid, 1000)
+        assert full not in order
+        assert gpu.sms[2] in order
 
     def test_double_admit_rejected(self, sm):
         ctx = object()
-        sm.admit(ctx, USAGE)
+        sm.admit_fp(ctx, *FP)
         with pytest.raises(ResourceError):
-            sm.admit(ctx, USAGE)
+            sm.admit_fp(ctx, *FP)
 
     def test_release_unknown_rejected(self, sm):
         with pytest.raises(ResourceError):
-            sm.release(object(), USAGE)
+            sm.release_fp(object(), *FP)
 
     def test_mixed_footprints_coexist(self, sm):
-        big = ResourceUsage(1024, 32, 8192)
-        small = ResourceUsage(128, 8, 0)
-        sm.admit(object(), big)
-        assert sm.can_host(small)
-        sm.admit(object(), small)
+        big = footprint(ResourceUsage(1024, 32, 8192))
+        small = footprint(ResourceUsage(128, 8, 0))
+        sm.admit_fp(object(), *big)
+        sm.admit_fp(object(), *small)
         assert sm.used_threads == 1024 + 128
+        assert sm.used_warps == big[1] + small[1]
+        assert sm.used_regs == big[2] + small[2]
+        assert sm.free_cta_slots() == tesla_k40().max_ctas_per_sm - 2

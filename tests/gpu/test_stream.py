@@ -1,12 +1,11 @@
-"""Stream ordering, DMA, and MPS front-end tests."""
+"""Stream ordering and DMA tests (the MPS front end's per-process
+streams are tested in ``test_mps.py``)."""
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.gpu.device import small_test_gpu
 from repro.gpu.gpu import SimulatedGPU
 from repro.gpu.kernel import LaunchConfig
-from repro.gpu.mps import MPSServer
 from repro.gpu.stream import Stream
 from repro.gpu.transfer import DMAEngine, Direction
 
@@ -34,27 +33,20 @@ class TestStreamOrdering:
         assert finished[1][1] == pytest.approx(2 * (LAUNCH + 10.0))
 
     def test_callback_runs_in_order(self, sim, gpu, make_kernel):
+        """A kernel's ``on_done`` runs before the stream issues its
+        next command."""
         stream = Stream(gpu)
         order = []
         stream.enqueue_kernel(
-            make_kernel(task_us=10.0), LaunchConfig.original(4),
-            on_done=lambda g: order.append("kernel"),
+            make_kernel(name="first", task_us=10.0), LaunchConfig.original(4),
+            on_done=lambda g: order.append("first done"),
         )
-        stream.enqueue_callback(lambda: order.append("cb"))
+        stream.enqueue_kernel(
+            make_kernel(name="second", task_us=10.0), LaunchConfig.original(4),
+            on_grid=lambda g: order.append("second launched"),
+        )
         sim.run()
-        assert order == ["kernel", "cb"]
-
-    def test_delay_command(self, sim, gpu):
-        stream = Stream(gpu)
-        times = []
-        stream.enqueue_delay(25.0)
-        stream.enqueue_callback(lambda: times.append(sim.now))
-        sim.run()
-        assert times == [25.0]
-
-    def test_negative_delay_rejected(self, sim, gpu):
-        with pytest.raises(SimulationError):
-            Stream(gpu).enqueue_delay(-1.0)
+        assert order == ["first done", "second launched"]
 
     def test_two_streams_overlap(self, sim, gpu, make_kernel):
         s1, s2 = Stream(gpu), Stream(gpu)
@@ -107,30 +99,6 @@ class TestDMA:
         assert times == [pytest.approx(one), pytest.approx(one)]
 
 
-class TestMPS:
-    def test_each_client_gets_distinct_stream(self, sim, gpu):
-        mps = MPSServer(gpu)
-        s1 = mps.connect("p1")
-        s2 = mps.connect("p2")
-        assert s1 is not s2
-        assert mps.num_clients == 2
-        assert mps.stream_of("p1") is s1
-
-    def test_duplicate_connect_rejected(self, sim, gpu):
-        mps = MPSServer(gpu)
-        mps.connect("p")
-        with pytest.raises(SimulationError):
-            mps.connect("p")
-
-    def test_disconnect(self, sim, gpu):
-        mps = MPSServer(gpu)
-        mps.connect("p")
-        mps.disconnect("p")
-        assert mps.num_clients == 0
-        with pytest.raises(SimulationError):
-            mps.disconnect("p")
-
-
 class TestStreamPreemptionPath:
     def test_stream_advances_when_kernel_preempted(self, sim, gpu,
                                                    make_kernel):
@@ -150,7 +118,10 @@ class TestStreamPreemptionPath:
             k, LaunchConfig.persistent(1000, 4), pool=pool, flag=flag,
             on_done=lambda g: outcomes.append(g.state.value),
         )
-        stream.enqueue_callback(lambda: outcomes.append("next-command"))
+        stream.enqueue_kernel(
+            make_kernel(name="next", task_us=10.0), LaunchConfig.original(1),
+            on_grid=lambda g: outcomes.append("next-command"),
+        )
         sim.schedule(120.0, lambda: flag.host_write(99))
         sim.run()
         assert outcomes == ["preempted", "next-command"]

@@ -48,7 +48,7 @@ class TestLongHorizonHPF:
         # the overwhelming majority of queries stay responsive
         assert len(finished_in_time) / len(queries) > 0.9
         # the simulator stayed within a sane event budget
-        assert system.sim.processed_events < 2_000_000
+        assert system.sim.stats.processed < 2_000_000
 
     def test_journal_scales_linearly(self, suite):
         """The hub's decision log stays proportional to invocations (no

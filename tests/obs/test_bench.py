@@ -141,17 +141,15 @@ class TestReportSchema:
         with pytest.raises(ObservabilityError, match="unsupported"):
             load_bench_report(str(path))
 
-    def test_v1_files_still_load(self, tmp_path):
-        """Pre-hash trajectory snapshots must stay comparable."""
+    def test_v1_files_are_rejected(self, tmp_path):
+        """A pre-hash snapshot cannot be checked for drift, so it does
+        not load."""
         data = _report().as_dict()
         data["schema"] = "flep-bench/1"
-        for s in data["scenarios"]:
-            del s["schedule_hash"]
         path = tmp_path / "BENCH_v1.json"
         path.write_text(json.dumps(data))
-        loaded = load_bench_report(str(path))
-        assert loaded.schema == "flep-bench/1"
-        assert loaded.scenario("s1")["events"] == 1000
+        with pytest.raises(ObservabilityError, match="flep-bench/1"):
+            load_bench_report(str(path))
 
     def test_default_filename_embeds_date_and_sha(self):
         report = _report()
@@ -206,7 +204,7 @@ class TestCompare:
         assert len(drift) == 1
         assert drift[0]["scenario"] == "s1"
         assert drift[0]["metric"] == "schedule_hash"
-        # the drifts property is what the CLI's --fail-on-drift gates on
+        # the drifts property is what `flep bench --compare` gates on
         assert cmp.drifts == drift
         assert "deadbeef" in cmp.format()
 
@@ -224,22 +222,6 @@ class TestCompare:
         # events_per_sec is reported, never compared: an event count
         # change makes it measure a different workload decomposition
         assert "events_per_sec" not in {r["metric"] for r in cmp.rows}
-
-    def test_v1_baseline_without_hashes_is_no_baseline_not_drift(self):
-        old = _report()
-        data = old.as_dict()
-        data["schema"] = "flep-bench/1"
-        for s in data["scenarios"]:
-            del s["schedule_hash"]
-        v1 = BenchReport.from_dict(data)
-        cmp = compare_reports(v1, old)
-        assert cmp.drifts == []
-        hash_rows = [r for r in cmp.rows if r["metric"] == "schedule_hash"]
-        assert hash_rows and all(
-            r["status"] == "no-baseline" for r in hash_rows
-        )
-        # the unhashed property is the other half of --fail-on-drift
-        assert cmp.unhashed == hash_rows
 
     def test_no_drift_on_identical_counts(self):
         old = _report()

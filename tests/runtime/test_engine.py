@@ -163,7 +163,8 @@ class TestBookkeeping:
         assert not rt.all_finished
         rt.sim.run()
         assert rt.all_finished
-        assert set(rt.results()) == {a.inv_id}
+        assert [inv.inv_id for inv in rt.invocations] == [a.inv_id]
+        assert a.record.finished_at is not None
 
     def test_sms_required_for_trivial(self, rt):
         inv = rt.submit("p", "MD", "trivial")

@@ -33,13 +33,15 @@ class TestOrdering:
             q.enqueue(inv)
         assert q.head(0) is b
 
-    def test_pop_head_removes(self):
+    def test_removing_the_head_exposes_the_next(self):
         q = PriorityQueues()
         a, b = FakeInv(0, 10.0), FakeInv(0, 20.0)
         q.enqueue(b)
         q.enqueue(a)
-        assert q.pop_head(0) is a
-        assert q.pop_head(0) is b
+        assert q.head(0) is a
+        q.remove(a)
+        assert q.head(0) is b
+        q.remove(b)
         assert q.head(0) is None
 
     def test_highest_nonempty_priority(self):
@@ -81,10 +83,6 @@ class TestValidation:
         q = PriorityQueues()
         with pytest.raises(RuntimeEngineError):
             q.remove(FakeInv(0, 10.0))
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(RuntimeEngineError):
-            PriorityQueues().pop_head(0)
 
     def test_contains_and_len(self):
         q = PriorityQueues()

@@ -1,18 +1,18 @@
-"""Admission controller tests: accept, delay, and shed paths."""
+"""Admission controller tests: accept, delay, and shed paths, and the
+front door's token buckets that clip a request before admission."""
 
 import pytest
 
 from repro.errors import ServingError
 from repro.serving import AdmissionController, Decision, Tenant, TenantSet, TokenBucket
+from repro.serving.server import TraceIntake
 
 SLO = 2_000.0
 
 
 def controller(delay_headroom=0.5, **tenant_kwargs):
     tenant = Tenant("q", priority=1, slo_us=SLO, **tenant_kwargs)
-    return tenant, AdmissionController(
-        TenantSet([tenant]), delay_headroom=delay_headroom
-    )
+    return tenant, AdmissionController(delay_headroom=delay_headroom)
 
 
 class TestTokenBucket:
@@ -85,18 +85,23 @@ class TestDecide:
 
     def test_best_effort_always_accepted(self):
         tenant = Tenant("batch")
-        ctrl = AdmissionController(TenantSet([tenant]))
+        ctrl = AdmissionController()
         verdict = ctrl.decide(tenant, 0.0, predicted_us=1e9, backlog_us=1e9)
         assert verdict.decision is Decision.ACCEPT
         assert verdict.reason == "best_effort"
 
     def test_rate_limit_clips_before_slo_test(self):
+        """The front door takes the token; admission never sees the
+        bucket, so a clipped request is not an SLO shed."""
         tenant, ctrl = controller(rate_limit_rps=1_000.0, burst=1)
-        first = ctrl.decide(tenant, 0.0, predicted_us=10.0, backlog_us=0.0)
-        second = ctrl.decide(tenant, 0.0, predicted_us=10.0, backlog_us=0.0)
-        assert first.decision is Decision.ACCEPT
-        assert second.decision is Decision.SHED
-        assert second.reason == "rate_limit"
+        door = TraceIntake(TenantSet([tenant]))
+        assert not door.rate_limited(tenant, 0.0)
+        assert door.rate_limited(tenant, 0.0)
+        assert not door.rate_limited(tenant, 1_000.0)  # refilled
+        verdict = ctrl.decide(tenant, 0.0, predicted_us=10.0, backlog_us=0.0)
+        assert verdict.decision is Decision.ACCEPT
+        # tenants without a limit are never clipped
+        assert not door.rate_limited(Tenant("free"), 0.0)
 
     def test_negative_inputs_rejected(self):
         tenant, ctrl = controller()
@@ -107,4 +112,4 @@ class TestDecide:
 
     def test_negative_headroom_rejected(self):
         with pytest.raises(ServingError):
-            AdmissionController(TenantSet([Tenant("t")]), delay_headroom=-0.1)
+            AdmissionController(delay_headroom=-0.1)

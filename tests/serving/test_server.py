@@ -138,6 +138,31 @@ class TestAdmission:
         assert row.shed == 0
         assert row.completed + row.rate_limited == row.requests
 
+    @pytest.mark.parametrize("mode,admission", [
+        ("mps", False), ("mps", True),
+        ("flep-spatial", False), ("flep-spatial", True),
+    ])
+    def test_rate_limit_holds_whatever_the_admission_setting(
+        self, suite, mode, admission
+    ):
+        """The tenant's token bucket sits at the front door, so the
+        same arrivals are clipped the same way in every mode, with
+        admission on or off."""
+        server = ServingSystem(
+            two_tenants(rate_limit_rps=200.0),
+            ServingConfig(mode=mode, admission=admission, seed=7),
+            device=suite.device, suite=suite,
+        )
+        server.add_generator(PoissonLoadGen(
+            tenant="interactive", kernels=["SPMV"],
+            rate_per_ms=1.0, duration_ms=20.0, seed=3,
+            input_names=("trivial",), priority=1,
+        ))
+        row = server.run().tenant("interactive")
+        assert row.requests == 17
+        assert row.rate_limited == 6
+        assert row.completed + row.shed + row.rate_limited == row.requests
+
 
 class TestWiring:
     def test_unknown_tenant_in_trace_rejected(self, suite):

@@ -88,12 +88,14 @@ class MPSCoRun:
 
     # ------------------------------------------------------------------
     def _stream_for(self, process: str) -> Stream:
-        """``process``'s stream, opened on its first kernel (§2.1: MPS
-        funnels each host process into its own in-order stream)."""
+        """``process``'s stream (§2.1: MPS funnels each host process into
+        its own in-order stream), opened when it has work and dropped once
+        it has no queued or running command."""
         stream = self._streams.get(process)
         if stream is None:
             stream = self._streams[process] = Stream(
-                self.gpu, name=f"mps:{process}"
+                self.gpu, name=f"mps:{process}",
+                on_idle=lambda _: self._streams.pop(process),
             )
         return stream
 

@@ -104,7 +104,7 @@ def _cmd_trace(args) -> int:
     result = system.run()
     if args.export:
         n = system.obs.export_to_tracer(system.obs.tracer)
-        print(f"[profiler: {n} queue/SM/stall records added to the trace]",
+        print(f"[profiler: {n} queue/SM records added to the trace]",
               file=sys.stderr)
         system.obs.tracer.write_chrome_trace(args.export)
         print(f"wrote Chrome trace to {args.export} "

@@ -294,7 +294,7 @@ class Simulator:
                         trace(ev)
                     obs = self._obs
                     if obs.enabled:
-                        obs.on_event(ev.label, len(heap))
+                        obs.on_event(ev.label, len(heap), t)
                 ev.callback()
         finally:
             st.processed = processed
@@ -327,7 +327,7 @@ class Simulator:
         if self._trace is not None:
             self._trace(ev)
         if self._obs.enabled:
-            self._obs.on_event(ev.label, len(self._heap))
+            self._obs.on_event(ev.label, len(self._heap), ev.time)
 
     def _exhaustion_diagnostics(self, current: Event) -> str:
         """Diagnostic message for a blown event budget: what was running,

@@ -24,13 +24,20 @@ class Stream:
 
     _next_id = 1
 
-    def __init__(self, gpu: SimulatedGPU, name: str = ""):
+    def __init__(
+        self,
+        gpu: SimulatedGPU,
+        name: str = "",
+        on_idle: Optional[Callable[["Stream"], None]] = None,
+    ):
         self.gpu = gpu
         self.stream_id = Stream._next_id
         Stream._next_id += 1
         self.name = name or f"stream{self.stream_id}"
         self._commands: Deque[Callable[[Callable[[], None]], None]] = deque()
         self._busy = False
+        #: called each time the stream runs out of commands
+        self._on_idle = on_idle
 
     # ------------------------------------------------------------------
     # command enqueue API
@@ -85,6 +92,8 @@ class Stream:
     def _issue_next(self) -> None:
         if not self._commands:
             self._busy = False
+            if self._on_idle is not None:
+                self._on_idle(self)
             return
         self._busy = True
         cmd = self._commands.popleft()

@@ -38,7 +38,6 @@ from .metrics import (
 )
 from .recorder import (
     EngineWindow,
-    LatencyStat,
     NULL_OBS,
     NullObservability,
     Observability,
@@ -62,7 +61,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "InstantEvent",
-    "LatencyStat",
     "MetricsError",
     "MetricsRegistry",
     "NULL_OBS",

@@ -222,6 +222,11 @@ class Histogram(MetricFamily):
         s = self._series.get(_label_key(self.label_names, labels))
         return s.sum if s else 0.0
 
+    def bucket_counts(self, **labels) -> List[int]:
+        """Per-bucket (not cumulative) counts of one series, +Inf last."""
+        s = self._series.get(_label_key(self.label_names, labels))
+        return list(s.bucket_counts) if s else [0] * (len(self.buckets) + 1)
+
     def mean(self, **labels) -> float:
         s = self._series.get(_label_key(self.label_names, labels))
         if not s or s.count == 0:

@@ -26,11 +26,20 @@ admission) bump plain ints and a raw-label dict; the registry families
 they feed (``flep_sim_events_total``, ``flep_task_pulls_total``, ...)
 are built from those counters when read. The self-profile answers "how
 fast is the simulator itself?": events by kind, batches collapsed by
-macro cohorts, preemption-stall latency per mechanism, and three bounded
-timelines — event-queue depth, per-SM residency and drain stalls — that
-:meth:`Observability.export_to_tracer` renders next to the span tracks.
-The engine's own counters (events, peak queue depth, simulated time)
-are not hooked at all: the window reads them from its simulators.
+macro cohorts, and two bounded timelines — event-queue depth and per-SM
+residency — that :meth:`Observability.export_to_tracer` renders next to
+the span tracks. The engine's own counters (events, peak queue depth,
+simulated time) are not hooked at all: the window reads them from its
+simulators.
+
+Each observed fact has one record. A preemption stall is its
+``drain`` / ``spatial_yield`` span, and closing the span observes its
+duration once into ``flep_preempt_stall_us{kind}``, which the
+``profile`` block and ``flep stats --profile`` read. Invocation records
+(spans, instants, decisions) and queue samples carry the time of their
+own simulator, so the nodes of a fleet sharing one hub each keep their
+own clock. SM samples and ``flep_sm_resident_ctas{sm}`` still read the
+hub clock and are keyed by SM id only: the device hooks carry no node.
 
 Span model (exported via ``tracer.chrome_trace()``):
 
@@ -38,11 +47,11 @@ Span model (exported via ``tracer.chrome_trace()``):
   named track inside its submitting process;
 * ``wait`` / ``execute`` / ``resume`` segments inside it, following the
   tracker's (Figure 5) state machine;
-* a ``drain`` sub-span from each temporal preemption request to the
-  drain completing, nested inside the running segment;
+* a ``drain`` sub-span from the first temporal preemption request to
+  the drain completing, nested inside the running segment;
 * a ``spatial_yield`` sub-span while the victim cedes SMs to a guest;
-* instant markers for preemption requests and counter tracks for queue
-  depth and CTA residency.
+* instant markers for preemption requests and counter tracks for the
+  hardware and policy queue depths.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ TURNAROUND_US_BUCKETS: Tuple[float, ...] = (
     100_000.0, 500_000.0, 1_000_000.0, 5_000_000.0,
 )
 
-#: Fixed preemption-latency buckets (µs) of the self-profile: FLEP drains
+#: Fixed buckets (µs) of ``flep_preempt_stall_us``: FLEP drains
 #: span tens of µs (trivial inputs) to tens of ms (Table 1's worst cases).
 LATENCY_US_BUCKETS: Tuple[float, ...] = (
     10.0, 50.0, 100.0, 500.0, 1_000.0, 5_000.0,
@@ -69,49 +78,9 @@ LATENCY_US_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class LatencyStat:
-    """A tiny fixed-bucket histogram (no labels, no registry)."""
-
-    __slots__ = ("bucket_counts", "count", "sum", "min", "max")
-
-    def __init__(self):
-        self.bucket_counts = [0] * (len(LATENCY_US_BUCKETS) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, value_us: float) -> None:
-        """Record one latency sample (µs)."""
-        idx = len(LATENCY_US_BUCKETS)
-        for i, bound in enumerate(LATENCY_US_BUCKETS):
-            if value_us <= bound:
-                idx = i
-                break
-        self.bucket_counts[idx] += 1
-        self.count += 1
-        self.sum += value_us
-        if value_us < self.min:
-            self.min = value_us
-        if value_us > self.max:
-            self.max = value_us
-
-    @property
-    def mean(self) -> float:
-        """Mean of the recorded samples (0 when empty)."""
-        return self.sum / self.count if self.count else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-data snapshot (buckets are upper bounds, +Inf last)."""
-        return {
-            "buckets_us": list(LATENCY_US_BUCKETS),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum_us": self.sum,
-            "mean_us": self.mean,
-            "min_us": self.min if self.count else 0.0,
-            "max_us": self.max,
-        }
+#: The span of each mechanism's preemption stall, which runs from the
+#: first request to the drain (temporal) or the victim's top-up (spatial).
+STALL_SPANS: Dict[str, str] = {"temporal": "drain", "spatial": "spatial_yield"}
 
 
 def _event_kind(label: str) -> str:
@@ -153,7 +122,6 @@ class Observability:
         self._inv_spans: Dict[int, Dict[str, Span]] = {}
         #: the scheduler decision log, one entry per runtime decision
         self.decisions: List[DecisionEvent] = []
-        self._resident_ctas = 0
         # hot counters: plain ints and a raw-label dict, folded into their
         # registry families on read (_sync)
         self._by_label: Dict[str, int] = {}
@@ -164,26 +132,19 @@ class Observability:
         #: batches retired inside macro cohorts (no per-batch event fired
         #: for them); surfaced as the ``macro-batch`` kind
         self.batches_collapsed = 0
-        # bounded timelines: (t, depth), (t, sm, resident) and
-        # (kind, inv_id, start, end)
+        # bounded timelines: (t, depth) and (t, sm, resident)
         self._since_sample = 0
         self.queue_samples: List[Tuple[float, int]] = []
         self.sm_samples: List[Tuple[float, int, int]] = []
-        self.drain_stalls: List[Tuple[str, int, float, float]] = []
         self.dropped_samples = 0
-        self._open_stalls: Dict[Tuple[str, int], float] = {}
-        #: request-to-done preemption latency per mechanism
-        self.latency: Dict[str, LatencyStat] = {
-            "temporal": LatencyStat(),
-            "spatial": LatencyStat(),
-        }
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the span tracer at a (new) simulation clock.
 
         A window's hub, built before any system exists, starts on a
         zero clock; each system that adopts it re-binds the tracer to
-        its own simulator so span timestamps are meaningful."""
+        its own simulator, which the counter tracks, the SM samples and
+        ``finalize`` read (spans carry their own simulator's time)."""
         self.tracer._clock = clock
 
     # ------------------------------------------------------------------
@@ -244,10 +205,13 @@ class Observability:
             "victim topped back up), by kind",
             ("kind",),
         )
-        self.m_drain = m.histogram(
-            "flep_drain_latency_us",
-            "request-to-fully-yielded drain latency of temporal "
-            "preemptions (µs)",
+        self.m_stall = m.histogram(
+            "flep_preempt_stall_us",
+            "preemption stall from the first request to the drain "
+            "(temporal) or the victim's top-up (spatial), on the "
+            "invocation's own clock (µs), by kind",
+            ("kind",),
+            buckets=LATENCY_US_BUCKETS,
         )
         self.m_pred_err = m.histogram(
             "flep_predictor_abs_error_us",
@@ -308,15 +272,16 @@ class Observability:
     # ------------------------------------------------------------------
     # simulator / device hooks (hot paths: call only when ``enabled``)
     # ------------------------------------------------------------------
-    def on_event(self, label: str, queue_depth: int) -> None:
-        """One simulator event fired; ``queue_depth`` is the heap length
-        after the pop. One dict increment plus a decimation count."""
+    def on_event(self, label: str, queue_depth: int, at_us: float) -> None:
+        """One simulator event fired at ``at_us`` on its simulator's
+        clock; ``queue_depth`` is the heap length after the pop. One dict
+        increment plus a decimation count."""
         by_label = self._by_label
         by_label[label] = by_label.get(label, 0) + 1
         self._since_sample += 1
         if self._since_sample >= self.sample_every:
             self._since_sample = 0
-            self._sample(self.queue_samples, (self.tracer.now, queue_depth))
+            self._sample(self.queue_samples, (at_us, queue_depth))
 
     def on_batch(self, tasks: int, polls: int) -> None:
         """Persistent-kernel work retired: ``tasks`` pulled from a task
@@ -334,19 +299,11 @@ class Observability:
         """A CTA context was admitted onto ``sm_id``."""
         self.cta_admissions += 1
         self._sm_resident[sm_id] = resident
-        self._resident_ctas += 1
-        self.tracer.counter(
-            "resident_ctas", process="device", ctas=self._resident_ctas
-        )
         self._sample(self.sm_samples, (self.tracer.now, sm_id, resident))
 
     def on_sm_release(self, sm_id: int, resident: int) -> None:
         """A CTA context left ``sm_id``."""
         self._sm_resident[sm_id] = resident
-        self._resident_ctas -= 1
-        self.tracer.counter(
-            "resident_ctas", process="device", ctas=self._resident_ctas
-        )
         self._sample(self.sm_samples, (self.tracer.now, sm_id, resident))
 
     def _sample(self, timeline: list, sample: tuple) -> None:
@@ -371,48 +328,49 @@ class Observability:
     def _state(self, inv_id: int) -> Dict[str, Span]:
         return self._inv_spans.setdefault(inv_id, {})
 
+    def _begin(self, inv, name: str, at_us: float, cat: str, **args) -> Span:
+        return self.tracer.begin(
+            name, at_us, cat=cat, process=inv.process, track=inv.inv_id,
+            **args,
+        )
+
     def _decide(self, inv, kind: DecisionKind, detail: str = "") -> None:
-        # stamped with the invocation's own simulator: fleet nodes share
-        # one hub, whose clock is bound to the last node built
         self.decisions.append(DecisionEvent(
             inv.engine.sim.now, kind, inv.inv_id, inv.process,
             inv.kspec.name, detail,
         ))
 
+    # Every invocation record is stamped with the invocation's own
+    # simulator (``inv.engine.sim.now``): fleet nodes share one hub,
+    # whose clock is bound to the last node built.
     def inv_arrived(self, inv) -> None:
         detail = f"prio={inv.priority}, T_e={inv.record.predicted_us:.0f}us"
         if inv.deadline_us is not None:
             detail += f", deadline={inv.deadline_us:.0f}us"
         self._decide(inv, DecisionKind.ARRIVAL, detail)
         self.m_invocations.inc()
+        now = inv.engine.sim.now
         state = self._state(inv.inv_id)
         label = f"{inv.kspec.name}[{inv.inp.name}]"
         self.tracer.name_track(
             inv.process, inv.inv_id, f"inv#{inv.inv_id} {label}"
         )
-        state["inv"] = self.tracer.begin(
-            label,
-            cat="invocation",
-            process=inv.process,
-            track=inv.inv_id,
-            priority=inv.priority,
-            predicted_us=inv.record.predicted_us,
+        state["inv"] = self._begin(
+            inv, label, now, "invocation",
+            priority=inv.priority, predicted_us=inv.record.predicted_us,
         )
-        state["seg"] = self.tracer.begin(
-            "wait", cat="segment", process=inv.process, track=inv.inv_id
-        )
+        state["seg"] = self._begin(inv, "wait", now, "segment")
 
     def inv_scheduled(self, inv, resumed: bool, ctas: int) -> None:
         self._decide(
             inv, DecisionKind.RESUME if resumed else DecisionKind.LAUNCH,
             f"ctas={ctas}",
         )
+        now = inv.engine.sim.now
         state = self._state(inv.inv_id)
-        self._end_segment(state)
+        self._end_segment(state, now)
         name = "resume" if resumed else "execute"
-        state["seg"] = self.tracer.begin(
-            name, cat="segment", process=inv.process, track=inv.inv_id
-        )
+        state["seg"] = self._begin(inv, name, now, "segment")
         if resumed:
             self.kernel_relaunched("resume")
 
@@ -424,33 +382,16 @@ class Observability:
                 inv, DecisionKind.PREEMPT_SPATIAL, f"yield_sms={yield_sms}"
             )
         self.m_preempt_req.inc(kind=kind)
-        # a repeated request restarts the stall clock; both ends of a
-        # stall read the invocation's own simulator, as _decide does
-        self._open_stalls[(kind, inv.inv_id)] = inv.engine.sim.now
+        now = inv.engine.sim.now
         self.tracer.instant(
-            f"preempt_{kind}",
-            cat="preempt",
-            process=inv.process,
-            track=inv.inv_id,
-            yield_sms=yield_sms,
+            f"preempt_{kind}", now, cat="preempt", process=inv.process,
+            track=inv.inv_id, yield_sms=yield_sms,
         )
         state = self._state(inv.inv_id)
-        if kind == "temporal":
-            if "drain" not in state:
-                state["drain"] = self.tracer.begin(
-                    "drain",
-                    cat="preempt",
-                    process=inv.process,
-                    track=inv.inv_id,
-                    yield_sms=yield_sms,
-                )
-        elif "spatial" not in state:
-            state["spatial"] = self.tracer.begin(
-                "spatial_yield",
-                cat="preempt",
-                process=inv.process,
-                track=inv.inv_id,
-                yield_sms=yield_sms,
+        # the stall opens at the first request; a repeat joins it
+        if kind not in state:
+            state[kind] = self._begin(
+                inv, STALL_SPANS[kind], now, "preempt", yield_sms=yield_sms
             )
 
     def inv_drained(self, inv) -> None:
@@ -459,17 +400,11 @@ class Observability:
             inv, DecisionKind.DRAINED, f"T_r={inv.record.remaining_us:.0f}us"
         )
         self.m_preempt_done.inc(kind="temporal")
-        latency_us = self._close_stall("temporal", inv)
-        if latency_us is not None:
-            self.m_drain.observe(latency_us)
+        now = inv.engine.sim.now
         state = self._state(inv.inv_id)
-        drain = state.pop("drain", None)
-        if drain is not None:
-            self.tracer.end(drain, latency_us=latency_us)
-        self._end_segment(state)
-        state["seg"] = self.tracer.begin(
-            "wait", cat="segment", process=inv.process, track=inv.inv_id
-        )
+        self._close_stall(state, "temporal", now)
+        self._end_segment(state, now)
+        state["seg"] = self._begin(inv, "wait", now, "segment")
 
     def inv_topped_up(self, inv, ctas: int) -> None:
         """A spatial guest left; the victim reclaimed its SMs, launching
@@ -477,12 +412,10 @@ class Observability:
         if ctas:
             self._decide(inv, DecisionKind.TOP_UP, f"ctas={ctas}")
         self.m_preempt_done.inc(kind="spatial")
-        self._close_stall("spatial", inv)
         self.kernel_relaunched("top_up")
-        state = self._state(inv.inv_id)
-        spatial = state.pop("spatial", None)
-        if spatial is not None:
-            self.tracer.end(spatial)
+        self._close_stall(
+            self._state(inv.inv_id), "spatial", inv.engine.sim.now
+        )
 
     def inv_finished(self, inv) -> None:
         self._decide(inv, DecisionKind.COMPLETE)
@@ -493,15 +426,17 @@ class Observability:
         self.m_wait.observe(record.waited_us)
         if record.turnaround_us is not None:
             self.m_turnaround.observe(record.turnaround_us)
+        now = inv.engine.sim.now
         state = self._inv_spans.pop(inv.inv_id, {})
-        for key in ("drain", "spatial", "seg"):
+        for key in ("temporal", "spatial", "seg"):
             span = state.pop(key, None)
             if span is not None:
-                self.tracer.end(span)
+                self.tracer.end(span, now)
         outer = state.pop("inv", None)
         if outer is not None:
             self.tracer.end(
                 outer,
+                now,
                 waited_us=record.waited_us,
                 preemptions=record.preemptions,
                 predictor_abs_error_us=err,
@@ -513,21 +448,21 @@ class Observability:
             "policy_queue_depth", process="scheduler", waiting=depth
         )
 
-    def _close_stall(self, kind: str, inv) -> Optional[float]:
-        """End the stall opened by the preemption request; returns its
-        latency (µs), or None when no request was open."""
-        started = self._open_stalls.pop((kind, inv.inv_id), None)
-        if started is None:
-            return None
-        now = inv.engine.sim.now
-        self.latency[kind].observe(now - started)
-        self._sample(self.drain_stalls, (kind, inv.inv_id, started, now))
-        return now - started
+    def _close_stall(
+        self, state: Dict[str, Span], kind: str, at_us: float
+    ) -> None:
+        """End ``kind``'s open stall span, if any: its duration is the
+        stall, observed once into ``flep_preempt_stall_us``."""
+        span = state.pop(kind, None)
+        if span is not None:
+            latency_us = at_us - span.start_us
+            self.tracer.end(span, at_us, latency_us=latency_us)
+            self.m_stall.observe(latency_us, kind=kind)
 
-    def _end_segment(self, state: Dict[str, Span]) -> None:
+    def _end_segment(self, state: Dict[str, Span], at_us: float) -> None:
         seg = state.pop("seg", None)
         if seg is not None:
-            self.tracer.end(seg)
+            self.tracer.end(seg, at_us)
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
@@ -559,6 +494,31 @@ class Observability:
             key[0]: int(n) for key, n in self.m_preempt_req._values.items()
         }
 
+    def stall_latency(self) -> Dict[str, Dict[str, object]]:
+        """Per-kind preemption-stall summary: count, sum and buckets
+        from ``flep_preempt_stall_us``, extremes from the closed stall
+        spans (kinds with no completed stall are left out)."""
+        hist = self.m_stall
+        out: Dict[str, Dict[str, object]] = {}
+        for kind, name in sorted(STALL_SPANS.items()):
+            count = hist.count(kind=kind)
+            if not count:
+                continue
+            stalls = [
+                s.args["latency_us"] for s in self.tracer.spans_named(name)
+                if "latency_us" in s.args
+            ]
+            out[kind] = {
+                "buckets_us": list(hist.buckets),
+                "bucket_counts": hist.bucket_counts(kind=kind),
+                "count": count,
+                "sum_us": hist.sum(kind=kind),
+                "mean_us": hist.mean(kind=kind),
+                "min_us": min(stalls),
+                "max_us": max(stalls),
+            }
+        return out
+
     def profile_block(self) -> Dict[str, object]:
         """The hot-loop counts of a ``flep bench`` report row."""
         return {
@@ -567,11 +527,7 @@ class Observability:
             "flag_polls": self.flag_polls,
             "cta_admissions": self.cta_admissions,
             "preempt_requested": dict(sorted(self.preempt_requested.items())),
-            "preempt_latency_us": {
-                kind: stat.as_dict()
-                for kind, stat in sorted(self.latency.items())
-                if stat.count
-            },
+            "preempt_latency_us": self.stall_latency(),
         }
 
     def format_profile(self, window) -> str:
@@ -597,14 +553,12 @@ class Observability:
         for kind in sorted(by_kind):
             lines.append(f"  event[{kind:<12s}] {by_kind[kind]}")
         requested = self.preempt_requested
-        for kind, stat in sorted(self.latency.items()):
-            if not stat.count:
-                continue
+        for kind, stat in self.stall_latency().items():
             lines.append(
                 f"preempt[{kind}] requested={requested.get(kind, 0)} "
-                f"completed={stat.count} "
-                f"latency mean={stat.mean:.0f}us "
-                f"min={stat.min:.0f}us max={stat.max:.0f}us"
+                f"completed={stat['count']} "
+                f"latency mean={stat['mean_us']:.0f}us "
+                f"min={stat['min_us']:.0f}us max={stat['max_us']:.0f}us"
             )
         if self.dropped_samples:
             lines.append(
@@ -614,10 +568,10 @@ class Observability:
         return "\n".join(lines)
 
     def export_to_tracer(self, tracer: SpanTracer) -> int:
-        """Render the self-profile timelines into ``tracer`` as a
-        ``profiler`` process: event-queue depth and per-SM residency as
-        counter tracks, drain stalls as retrospective spans. Returns the
-        number of trace records added."""
+        """Render the self-profile timelines into ``tracer`` as counter
+        tracks of a ``profiler`` process: event-queue depth and per-SM
+        residency. Returns the number of trace records added (stalls
+        already are the ``drain`` / ``spatial_yield`` spans)."""
         for at_us, depth in self.queue_samples:
             tracer.counter_at(
                 "event_queue_depth", at_us, process="profiler", depth=depth
@@ -627,20 +581,7 @@ class Observability:
                 f"sm{sm_id}_resident", at_us, process="profiler",
                 ctas=resident,
             )
-        for kind, inv_id, start_us, end_us in self.drain_stalls:
-            tracer.complete(
-                f"{kind}_stall inv#{inv_id}",
-                start_us,
-                end_us,
-                cat="profiler",
-                process="profiler",
-                track=0,
-                latency_us=end_us - start_us,
-            )
-        return (
-            len(self.queue_samples) + len(self.sm_samples)
-            + len(self.drain_stalls)
-        )
+        return len(self.queue_samples) + len(self.sm_samples)
 
 
 class NullObservability(Observability):
@@ -652,7 +593,7 @@ class NullObservability(Observability):
 
     enabled = False
 
-    def on_event(self, label, queue_depth):  # noqa: D102 - no-op hooks
+    def on_event(self, label, queue_depth, at_us):  # noqa: D102 - no-op hooks
         pass
 
     def on_batch(self, tasks, polls):

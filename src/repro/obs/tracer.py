@@ -5,7 +5,8 @@ The tracer records what the hub's decision log
 each capture half of — nested, timed spans of the whole system: one
 outer span per kernel invocation (arrival to completion) with execute /
 preempt-drain / wait / resume segments inside it, plus instant markers
-(preemption requests) and counter tracks (queue depth, resident CTAs).
+(preemption requests) and counter tracks (queue depths, per-SM
+residency).
 
 Export is the Chrome ``trace_event`` JSON format, so a whole
 multi-program run opens directly in ``chrome://tracing`` or
@@ -73,10 +74,13 @@ class CounterSample:
 class SpanTracer:
     """Recorder of nested spans, instants and counter samples.
 
-    ``clock`` supplies the current (simulated) time in microseconds; the
-    tracer never advances time itself. ``track`` is a stable integer lane
-    within a process — the engine uses the invocation id, so every
-    invocation renders as its own named row.
+    Spans and instants are stamped with the explicit time the caller
+    passes, read from the clock of the simulator that owns the record (a
+    fleet's nodes share one tracer). ``clock`` supplies the current
+    (simulated) time in microseconds for :meth:`counter` and
+    :meth:`close_open`; the tracer never advances time itself. ``track``
+    is a stable integer lane within a process — the engine uses the
+    invocation id, so every invocation renders as its own named row.
     """
 
     def __init__(self, clock: Callable[[], float]):
@@ -98,6 +102,7 @@ class SpanTracer:
     def begin(
         self,
         name: str,
+        at_us: float,
         cat: str = "",
         process: str = "flep",
         track: int = 0,
@@ -108,21 +113,20 @@ class SpanTracer:
             cat=cat,
             process=process,
             track=track,
-            start_us=self.now,
+            start_us=at_us,
             args=dict(args),
         )
         self.spans.append(span)
         return span
 
-    def end(self, span: Span, **args) -> Span:
+    def end(self, span: Span, at_us: float, **args) -> Span:
         if span.end_us is not None:
             raise ObservabilityError(f"span {span.name!r} ended twice")
-        now = self.now
-        if now < span.start_us:
+        if at_us < span.start_us:
             raise ObservabilityError(
                 f"span {span.name!r} would end before it started"
             )
-        span.end_us = now
+        span.end_us = at_us
         if args:
             span.args.update(args)
         return span
@@ -149,6 +153,7 @@ class SpanTracer:
     def instant(
         self,
         name: str,
+        at_us: float,
         cat: str = "",
         process: str = "flep",
         track: int = 0,
@@ -156,7 +161,7 @@ class SpanTracer:
     ) -> None:
         self.instants.append(
             InstantEvent(
-                name, cat, process, track, self.now,
+                name, cat, process, track, at_us,
                 tuple(sorted(args.items())),
             )
         )

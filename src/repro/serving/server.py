@@ -266,6 +266,7 @@ class ServingSystem(TraceIntake):
         if self.obs.enabled:
             self._spans[req.req_id] = self.obs.tracer.begin(
                 f"req#{req.req_id} {kernel}[{input_name}]",
+                now,
                 cat="serving",
                 process=f"tenant:{tenant.name}",
                 track=req.req_id,
@@ -299,7 +300,9 @@ class ServingSystem(TraceIntake):
         bucket was empty)."""
         self.tracker.mark_shed(req, rate_limited=(reason == "rate_limit"))
         if self.obs.enabled:
-            self.obs.tracer.end(self._spans.pop(req.req_id), outcome=reason)
+            self.obs.tracer.end(
+                self._spans.pop(req.req_id), self.sim.now, outcome=reason
+            )
         self._client_continue(client)
 
     def _admit(
@@ -318,7 +321,8 @@ class ServingSystem(TraceIntake):
         self.backlog.sub(req)
         if self.obs.enabled:
             self.obs.tracer.end(
-                self._spans.pop(req.req_id), outcome="completed"
+                self._spans.pop(req.req_id), self.sim.now,
+                outcome="completed",
             )
         self._client_continue(client)
 

@@ -57,7 +57,6 @@ from .monitors import (
     ResourceBudgetMonitor,
     SpatialPartitionMonitor,
     WorkConservationMonitor,
-    install_invariant_checker,
     install_monitors,
 )
 from .oracles import (
@@ -83,7 +82,6 @@ __all__ = [
     "HPFContractMonitor",
     "FFSShareMonitor",
     "install_monitors",
-    "install_invariant_checker",
     # fleet
     "FleetConformanceMonitor",
     "FleetMonitorBundle",

@@ -68,7 +68,6 @@ __all__ = [
     "HPFContractMonitor",
     "FFSShareMonitor",
     "install_monitors",
-    "install_invariant_checker",
     "off_by_one_spec",
 ]
 
@@ -743,12 +742,4 @@ def install_monitors(target, monitors: Optional[List[Monitor]] = None,
             sim, gpu=gpu, runtime=runtime, policy=policy,
             spec=spec, require_complete=require_complete,
         )
-    return MonitorSet(sim, monitors).install()
-
-
-def install_invariant_checker(sim: Simulator, gpu, spec=None) -> MonitorSet:
-    """The promoted form of the old test-local helper: attach the
-    device-level monitors (budgets, conservation, monotonicity, spatial
-    partition) to a bare simulator + GPU pair."""
-    monitors = _default_monitors(sim, gpu=gpu, spec=spec)
     return MonitorSet(sim, monitors).install()

@@ -57,3 +57,40 @@ class TestCoRunSemantics:
         result = corun.run()
         assert len(result.of("p1")) == 1
         assert result.turnaround_us("p1") > 0
+
+
+class TestStreamLifetime:
+    def test_idle_streams_are_dropped(self, suite):
+        """An MPS server opens one stream per request's process; each is
+        dropped once it has no queued or running command, while the
+        invocation log stays whole."""
+        from repro.serving import (
+            PoissonLoadGen, ServingConfig, ServingSystem, Tenant, TenantSet,
+        )
+
+        server = ServingSystem(
+            TenantSet([Tenant("web", priority=1)]),
+            ServingConfig(mode="mps", seed=7),
+            device=suite.device, suite=suite,
+        )
+        server.add_generator(PoissonLoadGen(
+            tenant="web", kernels=("SPMV",), rate_per_ms=2.0,
+            duration_ms=25.0, seed=7, input_names=("trivial",),
+        ))
+        report = server.run()
+        corun = server.backend
+        (row,) = report.tenants
+        assert row.completed == row.requests > 20
+        assert len(corun.run().invocations) == row.requests
+        assert corun._streams == {}
+
+    def test_stream_reopens_for_later_work(self, suite):
+        corun = MPSCoRun(suite.device, suite)
+        first = corun.submit_at(0.0, "p", "SPMV", "small")
+        corun.run()
+        assert corun._streams == {}
+        second = corun.submit_at(corun.sim.now + 10.0, "p", "SPMV", "small")
+        result = corun.run()
+        assert result.all_finished
+        assert second.finished_at > first.finished_at
+        assert corun._streams == {}

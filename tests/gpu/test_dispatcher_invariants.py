@@ -22,7 +22,7 @@ from repro.gpu.kernel import (
     TaskPool,
 )
 from repro.gpu.sim import Simulator
-from repro.validate import install_invariant_checker
+from repro.validate import install_monitors
 
 
 @st.composite
@@ -55,7 +55,7 @@ class TestInvariantsUnderRandomWorkloads:
     def test_resources_and_conservation(self, spec):
         sim = Simulator()
         gpu = SimulatedGPU(sim, tesla_k40())
-        install_invariant_checker(sim, gpu)
+        install_monitors(gpu)
         pools = []
         for i, g in enumerate(spec):
             image = KernelImage(
@@ -111,7 +111,7 @@ class TestInvariantsUnderRandomWorkloads:
         rng = random.Random(seed)
         sim = Simulator()
         gpu = SimulatedGPU(sim, small_test_gpu())
-        install_invariant_checker(sim, gpu)
+        install_monitors(gpu)
         finish_order = []
         grids = []
         for i in range(n):

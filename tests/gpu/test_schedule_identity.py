@@ -87,7 +87,8 @@ def _run_golden(name: str, use_reference: bool):
         "cta_admissions": hub.cta_admissions,
         "preempt_requested": hub.preempt_requested,
         "preempt_completed": {
-            kind: stat.count for kind, stat in hub.latency.items()
+            kind: hub.m_stall.count(kind=kind)
+            for kind in ("temporal", "spatial")
         },
     }
 

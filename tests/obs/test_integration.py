@@ -59,7 +59,7 @@ class TestRecordedRun:
         assert m.m_finished.total == 2
         assert m.m_preempt_req.value(kind="temporal") == 1
         assert m.m_preempt_done.value(kind="temporal") == 1
-        assert m.m_drain.count() == 1
+        assert m.m_stall.count(kind="temporal") == 1
         assert m.m_relaunches.value(reason="resume") == 1
         assert m.m_launches.total == 3  # NN, SPMV, NN-resume
         assert m.m_task_pulls.total > 0
@@ -70,7 +70,9 @@ class TestRecordedRun:
         system, _ = observed_run
         nn = system.runtime.invocations[0]
         assert nn.record.preemptions == 1
-        assert system.obs.m_drain.count() == 1
+        assert system.obs.m_stall.count(kind="temporal") == 1
+        (drain,) = system.obs.tracer.spans_named("drain")
+        assert system.obs.m_stall.sum(kind="temporal") == drain.duration_us
 
     def test_invocation_spans_complete(self, observed_run):
         system, result = observed_run

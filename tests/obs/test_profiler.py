@@ -2,6 +2,8 @@
 timelines, and the engine window's shared event accounting — null path,
 a hand-built schedule, trace export, the window's hub."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines.mps_corun import MPSCoRun
@@ -17,7 +19,6 @@ from repro.gpu.trace import (
 from repro.obs import (
     NULL_OBS,
     EngineWindow,
-    LatencyStat,
     NullObservability,
     Observability,
     SpanTracer,
@@ -57,7 +58,7 @@ class TestNullProfiler:
 
     def test_null_hooks_record_nothing(self):
         null = NullObservability()
-        null.on_event("x/batch", 3)
+        null.on_event("x/batch", 3, 0.0)
         null.on_sm_admit(0, 1)
         null.on_batch(100, 5)
         null.on_macro_collapse(7)
@@ -206,13 +207,21 @@ class TestCounters:
     def test_temporal_preemption_latency_recorded(self, run):
         hub, _, _ = run
         assert hub.preempt_requested.get("temporal", 0) >= 1
-        stat = hub.latency["temporal"]
-        assert stat.count >= 1
-        assert 0.0 < stat.mean <= stat.max
-        # one drain-latency measurement: the registry histogram sees the
-        # same samples
-        assert stat.count == hub.m_drain.count()
-        assert stat.sum == pytest.approx(hub.m_drain.sum())
+        stat = hub.stall_latency()["temporal"]
+        assert stat["count"] >= 1
+        assert 0.0 < stat["mean_us"] <= stat["max_us"]
+        # one stall record: the histogram observes exactly the closed
+        # drain spans' durations
+        drains = [
+            s for s in hub.tracer.spans_named("drain")
+            if "latency_us" in s.args
+        ]
+        assert stat["count"] == len(drains) == hub.m_stall.count(
+            kind="temporal"
+        )
+        assert stat["sum_us"] == pytest.approx(
+            sum(s.duration_us for s in drains)
+        )
 
     def test_queue_and_sm_timelines_sampled(self, run):
         hub, _, _ = run
@@ -255,13 +264,22 @@ class TestCounters:
         hub, _, _ = run
         tracer = SpanTracer(clock=lambda: 0.0)
         n = hub.export_to_tracer(tracer)
-        assert n == (
-            len(hub.queue_samples) + len(hub.sm_samples)
-            + len(hub.drain_stalls)
-        )
-        assert len(tracer.counters) >= len(hub.sm_samples)
-        stalls = [s for s in tracer.spans if "temporal_stall" in s.name]
-        assert len(stalls) == len(hub.drain_stalls)
+        assert n == len(hub.queue_samples) + len(hub.sm_samples)
+        assert len(tracer.counters) == n
+        # stalls already are the hub's own drain spans: none is copied
+        assert tracer.spans == []
+        tracks = {c.name for c in tracer.counters}
+        assert "event_queue_depth" in tracks
+        assert {f"sm{sm}_resident" for _, sm, _ in hub.sm_samples} <= tracks
+
+    def test_counters_do_not_grow_with_cta_admissions(self, run):
+        """SM residency is recorded once, in the capped timeline: the
+        tracer holds no per-admission counter sample."""
+        hub, _, _ = run
+        assert hub.cta_admissions > len(hub.tracer.counters)
+        assert {c.name for c in hub.tracer.counters} <= {
+            "hw_queue_depth", "policy_queue_depth",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +291,7 @@ class TestSamplingBounds:
         hub.sample_every = 1
         hub.max_samples = 10
         for i in range(25):
-            hub.on_event("x", i)
+            hub.on_event("x", i, float(i))
         assert len(hub.queue_samples) == 10
         assert hub.dropped_samples == 15
         with EngineWindow() as window:
@@ -287,15 +305,24 @@ class TestSamplingBounds:
         assert _event_kind("") == "unlabelled"
 
     def test_latency_stat_buckets(self):
-        stat = LatencyStat()
-        stat.observe(5.0)
-        stat.observe(75.0)
-        stat.observe(1e9)  # beyond the last bound -> overflow bucket
-        d = stat.as_dict()
+        """The per-kind stall summary: buckets from the histogram, the
+        extremes from the stall spans."""
+        hub = Observability()
+        for inv_id, stall_us in enumerate((5.0, 75.0, 1e9)):
+            inv = SimpleNamespace(
+                inv_id=inv_id, process="p", kspec=SimpleNamespace(name="k"),
+                engine=SimpleNamespace(sim=SimpleNamespace(now=0.0)),
+                record=SimpleNamespace(remaining_us=0.0),
+            )
+            hub.inv_preempt_requested(inv, "temporal", 0)
+            inv.engine.sim.now = stall_us
+            hub.inv_drained(inv)
+        d = hub.stall_latency()["temporal"]
         assert d["count"] == 3
         assert d["bucket_counts"][0] == 1
-        assert d["bucket_counts"][-1] == 1
+        assert d["bucket_counts"][-1] == 1  # beyond the last bound
         assert d["min_us"] == 5.0 and d["max_us"] == 1e9
+        assert "spatial" not in hub.stall_latency()
 
 
 # ---------------------------------------------------------------------------

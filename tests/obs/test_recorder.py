@@ -46,23 +46,25 @@ class FakeInv:
 class TestDeviceHooks:
     def test_sim_event_kind_collapsing(self):
         hub = Observability()
-        hub.on_event("NN__flep/ctx3/batch", 0)
-        hub.on_event("launch:NN", 0)
-        hub.on_event("", 0)
+        hub.on_event("NN__flep/ctx3/batch", 0, 1.0)
+        hub.on_event("launch:NN", 0, 2.0)
+        hub.on_event("", 0, 3.0)
         c = hub.m_sim_events
         assert c.value(kind="batch") == 1
         assert c.value(kind="launch") == 1
         assert c.value(kind="unlabelled") == 1
 
     def test_sm_residency_tracks_gauge_and_counter(self):
+        """Residency has one record, the capped per-SM timeline; no
+        tracer counter sample is written per admission or release."""
         hub = Observability()
         hub.on_sm_admit(0, 1)
         hub.on_sm_admit(0, 2)
         hub.on_sm_release(0, 1)
         assert hub.m_cta_admissions.total == 2
         assert hub.m_sm_resident.value(sm="0") == 1
-        ctas = [dict(s.values)["ctas"] for s in hub.tracer.counters]
-        assert ctas == [1, 2, 1]
+        assert [r for _, _, r in hub.sm_samples] == [1, 2, 1]
+        assert hub.tracer.counters == []
 
     def test_task_pulls_and_polls_batched(self):
         hub = Observability()
@@ -79,7 +81,7 @@ class TestDeviceHooks:
         assert "flep_task_pulls_total 0" not in text
         hub.on_batch(10, 1)
         hub.on_macro_collapse(3)
-        hub.on_event("k/ctx0/batch", 0)
+        hub.on_event("k/ctx0/batch", 0, 0.0)
         text = hub.metrics.render_prometheus()
         assert "flep_task_pulls_total 10" in text
         assert "flep_batches_collapsed_total 3" in text
@@ -91,7 +93,9 @@ class TestDeviceHooks:
 class TestInvocationLifecycle:
     def test_temporal_story_produces_spans_and_metrics(self):
         inv = FakeInv()
-        hub = Observability(clock=lambda: inv.engine.sim.now)
+        # the hub clock stays at 0: every record reads the invocation's
+        # own simulator
+        hub = Observability()
 
         def at(us):
             inv.engine.sim.now = us
@@ -110,7 +114,13 @@ class TestInvocationLifecycle:
 
         assert hub.m_preempt_req.value(kind="temporal") == 1
         assert hub.m_preempt_done.value(kind="temporal") == 1
-        assert hub.m_drain.count() == 1 and hub.m_drain.sum() == 10.0
+        stall = hub.m_stall
+        assert stall.count(kind="temporal") == 1
+        assert stall.sum(kind="temporal") == 10.0
+        assert stall.count(kind="spatial") == 0
+        (drain,) = hub.tracer.spans_named("drain")
+        assert (drain.start_us, drain.end_us) == (50.0, 60.0)
+        assert drain.args["latency_us"] == drain.duration_us == 10.0
         assert hub.m_relaunches.value(reason="resume") == 1
         assert hub.m_pred_err.count() == 1
         assert hub.m_turnaround.count() == 1
@@ -134,17 +144,39 @@ class TestInvocationLifecycle:
         inv = FakeInv()
         hub.inv_arrived(inv)
         hub.inv_scheduled(inv, resumed=False, ctas=120)
+        inv.engine.sim.now = 30.0
         hub.inv_preempt_requested(inv, "spatial", 5)
+        inv.engine.sim.now = 75.0
         hub.inv_topped_up(inv, ctas=40)
         hub.inv_finished(inv)
         assert hub.m_preempt_done.value(kind="spatial") == 1
         assert hub.m_relaunches.value(reason="top_up") == 1
-        assert len(hub.tracer.spans_named("spatial_yield")) == 1
+        (span,) = hub.tracer.spans_named("spatial_yield")
+        assert span.duration_us == span.args["latency_us"] == 45.0
+        assert hub.m_stall.count(kind="spatial") == 1
+        assert hub.m_stall.sum(kind="spatial") == 45.0
         assert not hub.tracer.open_spans()
         assert [(e.kind, e.detail) for e in hub.decisions[2:4]] == [
             (DecisionKind.PREEMPT_SPATIAL, "yield_sms=5"),
             (DecisionKind.TOP_UP, "ctas=40"),
         ]
+
+    def test_repeated_request_joins_the_open_stall(self):
+        """A stall runs from the first request: a repeat while its span
+        is open is logged and counted but opens no second stall."""
+        hub = Observability()
+        inv = FakeInv()
+        inv.engine.sim.now = 10.0
+        hub.inv_preempt_requested(inv, "temporal", 15)
+        inv.engine.sim.now = 20.0
+        hub.inv_preempt_requested(inv, "temporal", 15)
+        inv.engine.sim.now = 35.0
+        hub.inv_drained(inv)
+        assert hub.m_preempt_req.value(kind="temporal") == 2
+        (drain,) = hub.tracer.spans_named("drain")
+        assert (drain.start_us, drain.end_us) == (10.0, 35.0)
+        assert hub.m_stall.count(kind="temporal") == 1
+        assert hub.m_stall.sum(kind="temporal") == 25.0
 
     def test_top_up_without_refill_is_not_a_decision(self):
         """A guest leaving always closes the victim's spatial yield, but
@@ -176,7 +208,7 @@ class TestNullRecorder:
         null = NullObservability()
         assert null.enabled is False
         inv = FakeInv()
-        null.on_event("x", 0)
+        null.on_event("x", 0, 0.0)
         null.kernel_launched("k")
         null.on_sm_admit(0, 1)
         null.on_batch(10, 1)

@@ -28,30 +28,30 @@ def tracer(clock):
 
 class TestSpans:
     def test_begin_end_stamps_clock(self, tracer, clock):
-        clock.t = 10.0
-        span = tracer.begin("exec", process="p", track=1, kernel="NN")
+        """Spans carry the caller's time, not the tracer's clock (a
+        fleet's nodes share one tracer, each on its own clock)."""
+        clock.t = 99.0
+        span = tracer.begin("exec", 10.0, process="p", track=1, kernel="NN")
         assert span.open
-        clock.t = 42.0
-        tracer.end(span, done=True)
+        tracer.end(span, 42.0, done=True)
+        assert span.start_us == 10.0
         assert span.end_us == 42.0
         assert span.duration_us == 32.0
         assert span.args == {"kernel": "NN", "done": True}
 
     def test_double_end_rejected(self, tracer):
-        span = tracer.begin("s")
-        tracer.end(span)
+        span = tracer.begin("s", 0.0)
+        tracer.end(span, 1.0)
         with pytest.raises(ObservabilityError):
-            tracer.end(span)
+            tracer.end(span, 2.0)
 
     def test_backwards_end_rejected(self, tracer, clock):
-        clock.t = 100.0
-        span = tracer.begin("s")
-        clock.t = 50.0
+        span = tracer.begin("s", 100.0)
         with pytest.raises(ObservabilityError):
-            tracer.end(span)
+            tracer.end(span, 50.0)
 
     def test_open_span_duration_rejected(self, tracer):
-        span = tracer.begin("s")
+        span = tracer.begin("s", 0.0)
         with pytest.raises(ObservabilityError):
             _ = span.duration_us
 
@@ -63,10 +63,9 @@ class TestSpans:
             tracer.complete("bad", 9.0, 5.0)
 
     def test_close_open_truncates(self, tracer, clock):
-        clock.t = 1.0
-        a = tracer.begin("a")
-        b = tracer.begin("b")
-        tracer.end(b)
+        a = tracer.begin("a", 1.0)
+        b = tracer.begin("b", 1.0)
+        tracer.end(b, 1.0)
         clock.t = 7.0
         assert tracer.close_open() == 1
         assert a.end_us == 7.0
@@ -74,24 +73,20 @@ class TestSpans:
         assert tracer.open_spans() == []
 
     def test_containment_query(self, tracer, clock):
-        clock.t = 0.0
-        outer = tracer.begin("inv", track=3)
-        clock.t = 2.0
-        inner = tracer.begin("drain", track=3)
-        other_lane = tracer.begin("drain", track=4)
-        clock.t = 5.0
-        tracer.end(inner)
-        tracer.end(other_lane)
-        clock.t = 10.0
-        tracer.end(outer)
+        outer = tracer.begin("inv", 0.0, track=3)
+        inner = tracer.begin("drain", 2.0, track=3)
+        other_lane = tracer.begin("drain", 2.0, track=4)
+        tracer.end(inner, 5.0)
+        tracer.end(other_lane, 5.0)
+        tracer.end(outer, 10.0)
         assert tracer.spans_in(outer) == [inner]
         assert tracer.spans_named("drain") == [inner, other_lane]
 
 
 class TestInstantsAndCounters:
     def test_instant_recorded(self, tracer, clock):
-        clock.t = 3.0
-        tracer.instant("preempt_req", kind="temporal")
+        clock.t = 99.0
+        tracer.instant("preempt_req", 3.0, kind="temporal")
         (inst,) = tracer.instants
         assert inst.at_us == 3.0
         assert dict(inst.args) == {"kind": "temporal"}
@@ -103,8 +98,8 @@ class TestInstantsAndCounters:
         assert tracer.counters[0].values == (("depth", 2.0),)
 
     def test_len_counts_everything(self, tracer):
-        tracer.begin("s")
-        tracer.instant("i")
+        tracer.begin("s", 0.0)
+        tracer.instant("i", 0.0)
         tracer.counter("c", v=1)
         assert len(tracer) == 3
 
@@ -114,15 +109,13 @@ class TestChromeExport:
         clock = FakeClock()
         tracer = SpanTracer(clock)
         tracer.name_track("runtime", 1, "#1 NN")
-        outer = tracer.begin("NN", process="runtime", track=1)
-        clock.t = 5.0
-        inner = tracer.begin("drain", process="runtime", track=1)
+        outer = tracer.begin("NN", 0.0, process="runtime", track=1)
+        inner = tracer.begin("drain", 5.0, process="runtime", track=1)
+        tracer.end(inner, 8.0)
+        tracer.instant("resume", 8.0, process="runtime", track=1)
         clock.t = 8.0
-        tracer.end(inner)
-        tracer.instant("resume", process="runtime", track=1)
         tracer.counter("queue_depth", process="runtime", waiting=2)
-        clock.t = 20.0
-        tracer.end(outer)
+        tracer.end(outer, 20.0)
         return tracer
 
     def test_complete_events_with_ts_dur(self):
@@ -156,7 +149,7 @@ class TestChromeExport:
 
     def test_open_spans_flagged_truncated(self):
         tracer = SpanTracer(FakeClock(4.0))
-        tracer.begin("hanging")
+        tracer.begin("hanging", 4.0)
         doc = tracer.chrome_trace()
         (ev,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert ev["dur"] == 0.0

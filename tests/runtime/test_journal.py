@@ -2,6 +2,8 @@
 
 import gc
 
+import pytest
+
 from repro.core.flep import FlepSystem
 from repro.fleet import FleetConfig, FleetSystem
 from repro.obs import (
@@ -141,9 +143,10 @@ class TestFleetDecisions:
         for e in completes:
             assert e.at_us == invocations[e.inv_id].record.finished_at
 
-    def test_drain_stalls_use_each_node_clock(self, suite):
-        """A temporal stall runs from the invocation's last preemption
-        request to its DRAINED decision, on its own node's clock."""
+    @staticmethod
+    def _two_node_drains(suite):
+        """Two temporal nodes under one window hub, with batch work for
+        web requests to preempt on both."""
         with EngineWindow(hub=True) as window:
             fleet = FleetSystem(
                 [Tenant("web", priority=1, slo_us=3_000.0),
@@ -165,24 +168,54 @@ class TestFleetDecisions:
                     priority=prio,
                 ))
             fleet.run()
-        hub = window.hub
-        stalls = [s for s in hub.drain_stalls if s[0] == "temporal"]
+        return fleet, window.hub
+
+    def test_drain_stalls_use_each_node_clock(self, suite):
+        """A temporal stall (its ``drain`` span) runs from the
+        invocation's first open preemption request to its DRAINED
+        decision, on its own node's clock."""
+        fleet, hub = self._two_node_drains(suite)
+        stalls = [
+            s for s in hub.tracer.spans_named("drain")
+            if "latency_us" in s.args
+        ]
         nodes_with_stalls = {
             node.index for node in fleet.nodes
             for inv in node.system.runtime.invocations
-            if any(s[1] == inv.inv_id for s in stalls)
+            if any(s.track == inv.inv_id for s in stalls)
         }
         assert nodes_with_stalls == {0, 1}
-        for _, inv_id, start_us, end_us in stalls:
-            mine = [e for e in hub.decisions if e.inv_id == inv_id]
+        for span in stalls:
+            mine = [e for e in hub.decisions if e.inv_id == span.track]
             drained = [
                 i for i, e in enumerate(mine)
-                if e.kind is DecisionKind.DRAINED and e.at_us == end_us
+                if e.kind is DecisionKind.DRAINED and e.at_us == span.end_us
             ]
-            assert drained, (inv_id, end_us)
+            assert drained, (span.track, span.end_us)
+            before = mine[:drained[0]]
+            opened = max(
+                (i for i, e in enumerate(before)
+                 if e.kind is DecisionKind.DRAINED),
+                default=-1,
+            )
             requests = [
-                e for e in mine[:drained[0]]
+                e for e in before[opened + 1:]
                 if e.kind is DecisionKind.PREEMPT_TEMPORAL
             ]
-            assert requests and requests[-1].at_us == start_us
+            assert requests and requests[0].at_us == span.start_us
 
+    def test_stall_histogram_is_the_drain_spans(self, suite):
+        """Each closed drain span is observed once into the stall
+        histogram, with its own duration, on its node's clock."""
+        _, hub = self._two_node_drains(suite)
+        drains = [s for s in hub.tracer.spans_named("drain") if not s.open]
+        closed = [s for s in drains if "latency_us" in s.args]
+        assert closed
+        for span in closed:
+            assert span.args["latency_us"] == span.duration_us
+        assert any(s.duration_us > 0.0 for s in closed)
+        assert hub.m_stall.count(kind="temporal") == len(closed)
+        assert hub.m_stall.sum(kind="temporal") == pytest.approx(
+            sum(s.duration_us for s in closed)
+        )
+        assert hub.m_preempt_done.value(kind="temporal") == len(closed)

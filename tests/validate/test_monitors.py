@@ -29,7 +29,6 @@ from repro.validate import (
     ResourceBudgetMonitor,
     SpatialPartitionMonitor,
     WorkConservationMonitor,
-    install_invariant_checker,
     install_monitors,
 )
 from repro.validate.monitors import off_by_one_spec
@@ -190,7 +189,7 @@ class TestWorkConservation:
         """A pool whose grid completed is no longer checked per event;
         a later rollback of its commits still fails the run."""
         gpu = SimulatedGPU(sim, small_test_gpu())
-        monitors = install_invariant_checker(sim, gpu)
+        monitors = install_monitors(gpu)
         short = gpu.launch(light("short"), LaunchConfig.original(2))
         gpu.launch(light("long", task_us=400.0), LaunchConfig.original(8))
 
@@ -318,19 +317,6 @@ class TestInvariantViolationContext:
         err = exc.value
         assert err.context["monitor"] == "resource-budget"
         assert "[" in str(err) and "]" in str(err)
-
-
-class TestPromotedChecker:
-    def test_install_invariant_checker_signature_is_preserved(self, sim):
-        """The shim promoted out of tests/gpu keeps its (sim, gpu) call
-        shape and now returns the installed MonitorSet."""
-        gpu = SimulatedGPU(sim, small_test_gpu())
-        monitors = install_invariant_checker(sim, gpu)
-        assert isinstance(monitors, MonitorSet)
-        assert any(isinstance(m, ResourceBudgetMonitor) for m in monitors)
-        gpu.launch(light(), LaunchConfig.original(4))
-        sim.run()
-        monitors.finalize()
 
 
 class TestEndToEnd:

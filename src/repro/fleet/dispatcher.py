@@ -95,8 +95,6 @@ class FleetConfig(NodeKnobs):
     steal_interval_us: float = 500.0
     #: Minimum hot/cold load gap before any migration happens (µs).
     steal_threshold_us: float = 200.0
-    #: Migration budget per tick (keeps rebalancing incremental).
-    max_steals_per_tick: int = 2
     #: Injected faults (``None``/empty plan = every node is immortal).
     faults: Optional[FaultPlan] = None
 
@@ -115,8 +113,6 @@ class FleetConfig(NodeKnobs):
             raise FleetError("steal_interval_us must be positive")
         if self.steal_threshold_us < 0:
             raise FleetError("steal_threshold_us must be >= 0")
-        if self.max_steals_per_tick < 1:
-            raise FleetError("max_steals_per_tick must be >= 1")
 
     @property
     def n_nodes(self) -> int:
@@ -182,8 +178,9 @@ class WorkStealer:
     from — the stealer doubles as a rescue path off degraded nodes.
     """
 
-    def __init__(self, threshold_us: float, max_per_tick: int):
+    def __init__(self, threshold_us: float, max_per_tick: int = 2):
         self.threshold_us = threshold_us
+        #: migration budget per tick (keeps rebalancing incremental)
         self.max_per_tick = max_per_tick
 
     def rebalance(
@@ -286,9 +283,7 @@ class FleetSystem(TraceIntake):
             )
             for i in range(self.config.n_nodes)
         ]
-        self.stealer = WorkStealer(
-            self.config.steal_threshold_us, self.config.max_steals_per_tick
-        )
+        self.stealer = WorkStealer(self.config.steal_threshold_us)
         self._models = None  # canonical duration predictor, built lazily
         self._next_req_id = 1
         self.steals: List[Tuple[float, int, int, int]] = []

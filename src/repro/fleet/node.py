@@ -164,7 +164,7 @@ class FleetNode:
         #: Fleet-shared tracker (the dispatcher owns it); a standalone
         #: node builds its own so it stays usable in isolation/tests.
         self.tracker = tracker if tracker is not None else SLOTracker(tenants)
-        self.admission = AdmissionController(self.config.delay_headroom)
+        self.admission = AdmissionController()
         #: dispatcher-owned hook list (monitors, metrics); shared object.
         self.hooks: List = hooks if hooks is not None else []
         self.queue: Deque[NodeRequest] = deque()

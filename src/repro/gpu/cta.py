@@ -219,20 +219,6 @@ class CTAContext:
         if remaining <= 0:
             self._finish(now)
             return
-        # Macro fast-forward: in steady state (flags steady, every pool
-        # worker accounted for) the whole remaining batch chain of a
-        # persistent pool is precomputed and this context's claim is
-        # absorbed into the cohort — see repro.gpu.macro. A placement
-        # pass collecting first claims tries once, when it ends.
-        claims = grid._first
-        if (
-            claims is None
-            and self._is_persistent
-            and grid._macro is None
-            and not sim.use_reference_loop
-            and grid.try_macro(self, now)
-        ):
-            return
         # Guided claim. The width is the larger of the grid's expected
         # concurrency and the pool-wide live worker count: a shared pool
         # may be drained by several grids at once (resume / top-up), and
@@ -262,10 +248,11 @@ class CTAContext:
             duration = polls * self._poll_cost + batch * per_task
         else:
             duration = batch * per_task
+        claims = grid._first
         if claims is not None:
             # a placement pass with a quiet flag: no replan can follow,
             # so the claim takes its seq now and its event is pushed
-            # when the pass ends, unless a cohort absorbs it first
+            # when the pass ends, unless a macro cohort takes it over
             claims.ctxs.append(self)
             claims.times.append(now + duration)
             claims.seqs.append(sim.reserve_seq())

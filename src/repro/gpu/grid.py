@@ -54,7 +54,7 @@ class Grid:
         "grid_id", "sim", "spec", "costs", "kernel", "config", "pool",
         "flag", "rng", "tag", "on_complete", "on_preempted", "device",
         "state", "launched_at", "first_dispatch_at", "ended_at",
-        "preempt_requested_at", "contexts", "_next_ctx_id", "_placed",
+        "preempt_requested_at", "contexts", "_placed",
         "yielded_contexts", "finished_contexts", "ctas_per_sm",
         "_footprint", "_terminal", "_persistent", "_amortize_l",
         "_parallel_width", "_macro", "_first",
@@ -102,7 +102,7 @@ class Grid:
         self.preempt_requested_at: Optional[float] = None
 
         self.contexts: Set[CTAContext] = set()
-        self._next_ctx_id = 0
+        #: CTAs placed so far; the next one's ctx_id
         self._placed = 0
         self.yielded_contexts = 0
         self.finished_contexts = 0
@@ -141,7 +141,7 @@ class Grid:
         """CTAs launched but not yet hosted on an SM."""
         if self._terminal:
             return 0
-        # the *synced* remaining: a partially-placed grid may be inside
+        # the *synced* remaining: a queued grid may share its pool with
         # a macro cohort whose claims commit lazily, and the dispatcher
         # must see exactly what the per-batch reference loop would.
         # (Inlined sync check — this runs per grid per dispatch scan.)
@@ -185,9 +185,8 @@ class Grid:
         # but placement still consumes the queue. Persistent kernels with
         # a yield-demanding flag visible *now* would quit instantly; the
         # dispatcher avoids that by consulting `wants_dispatch`.
+        ctx = CTAContext(self, self._placed, sm)
         self._placed += 1
-        ctx = CTAContext(self, self._next_ctx_id, sm)
-        self._next_ctx_id += 1
         self.contexts.add(ctx)
         return ctx
 
@@ -238,69 +237,51 @@ class Grid:
 
     def end_pass(self) -> None:
         """The placement pass is over: a macro cohort takes over the
-        deferred first claims if the pool is steady, else each is pushed
-        at the seq it took when claimed. Either way the schedule is the
-        one a claim-time push would give."""
+        deferred first claims if the pool is steady (:meth:`try_macro`),
+        else each is pushed at the seq it took when claimed and the grid
+        runs per batch. Either way the schedule is the one a claim-time
+        push would give."""
         claims = self._first
         if claims is None:
             return
-        if claims.ctxs and not self.try_macro(None, self.sim.clock._now):
+        if claims.ctxs and not self.try_macro(self.sim.clock._now):
             claims.push(self.sim)
         self._first = None
 
-    def try_macro(self, trigger: Optional[CTAContext], now: float) -> bool:
-        """Absorb the pool's batch chain into a macro-event cohort if it
-        is in steady state (see :mod:`repro.gpu.macro`): every grid
-        draining the pool persistent, every flag steady (no demanding
-        write in flight, and the visible value yields no live context),
-        and every pool worker accounted for by those grids. ``trigger``
-        is the context about to claim its next batch, or ``None`` at the
-        end of a placement pass, whose deferred first claims are taken
-        over instead. Returns True iff the cohort took over.
-
-        A partially-placed grid may absorb: a later CTA placement joins
-        the pool and dissolves the cohort *before* its first claim, so
-        the interleaving is unchanged. Inside a dispatch burst, though,
-        a partially-placed pool is rejected — the burst's next
-        placement would dissolve the cohort at once. Once every pool
-        grid is fully placed no same-pool join can follow in the burst,
-        so the pass that placed the last CTA may absorb."""
-        device = self.device
-        dispatching = device is not None and device._dispatching
+    def try_macro(self, now: float) -> bool:
+        """Hand the pool's batch chain to a macro-event cohort (see
+        :mod:`repro.gpu.macro`) at the end of this grid's placement
+        pass — the one place a cohort forms. The pool must have no
+        cohort yet; every grid draining it must be persistent and fully
+        placed, with its flag quiet at zero (no demanding write in
+        flight, and the newest visible value 0); and every pool worker
+        must be a context of those grids. Returns True iff the cohort
+        took over the pass's deferred first claims."""
         pool = self.pool
         if pool._cohort is not None:
             return False
         total = 0
         for g, cnt in pool._grids.items():
-            # only persistent chains are replayed; an original grid's
+            # only persistent chains are replayed: an original grid's
             # one-CTA-per-task chain interleaves with same-instant
-            # launches in an order the replay does not reproduce
-            if not g._persistent or len(g.contexts) != cnt:
+            # launches in an order the replay does not reproduce. A grid
+            # with CTAs still to place would join the pool in a later
+            # pass and dissolve the cohort before it replayed anything.
+            if (
+                not g._persistent
+                or len(g.contexts) != cnt
+                or g._placed < g.config.grid_ctas
+            ):
                 return False
-            if dispatching and g._placed < g.config.grid_ctas:
-                return False
-            total += cnt
             flag = g.flag
             if flag._demanding:
                 last = flag._history[-1]
-                if last[0] > now:
+                if last[1] != 0 or last[0] > now:
                     return False
-                value = last[1]
-                if value != 0:
-                    # A visible, steady non-zero value is inert when
-                    # every live context survives it (spatial:
-                    # sm_id >= value). Survivors poll, observe, and keep
-                    # claiming — exactly the chain the cohort
-                    # precomputes: the newest write shadows older ones
-                    # at every future poll, so replan is a no-op, and
-                    # any later write dissolves the cohort before it
-                    # becomes visible.
-                    for ctx in g.contexts:
-                        if should_yield(ctx.sm.sm_id, value, ctx._spatial):
-                            return False
+            total += cnt
         if total != pool._workers:
             return False
-        return MacroCohort.absorb(self, trigger, now)
+        return MacroCohort.absorb(self)
 
     def context_done(self, ctx: CTAContext) -> None:
         self.finished_contexts += 1

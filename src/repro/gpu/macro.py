@@ -2,18 +2,24 @@
 
 Without it every claimed batch costs one ``batch`` event in the global
 loop, and those events dominate every steady kernel's run. When the grids
-draining a task pool reach steady state — every CTA placed, the
-preemption flag quiescent, the pool drained only by those grids'
+draining a task pool reach steady state — every CTA placed, every
+preemption flag quiet at zero, the pool drained only by those grids'
 contexts — the remaining claim/complete interleaving is a *closed*
 deterministic system: batch sizes depend only on ``(remaining, width)``
 at each claim instant, completion times are ``t + polls*poll_cost +
 batch*per_task`` chains, and the global event loop would simply replay
 that interleaving one heap pop at a time.
 
-:class:`MacroCohort` solves it in numpy *windows* instead. The cohort
-keeps its contexts' pending completions as arrays sorted by ``(time,
-order)`` — exactly the engine's ``(time, seq)`` heap order, one entry per
-context — and replays them a window at a time:
+A cohort forms in one place only: where a placement pass ends
+(:meth:`Grid.end_pass <repro.gpu.grid.Grid.end_pass>`), which is where a
+persistent grid's steady chain starts. It takes over the pass's
+deferred first claims and every other pool context's pushed completion.
+A grid that misses that moment runs per batch until it ends.
+
+:class:`MacroCohort` solves the chain in numpy *windows* instead. The
+cohort keeps its contexts' pending completions as arrays sorted by
+``(time, order)`` — exactly the engine's ``(time, seq)`` heap order, one
+entry per context — and replays them a window at a time:
 
 * a window takes the next pending completions (at most one per
   context), completes each batch, claims the next guided batch and
@@ -71,9 +77,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .grid import Grid
 
 
-#: First replay burst (in claims after the trigger's own); each
-#: continuation grows it 4x, so a quiescent chain converges to full
-#: fast-forward in a handful of continuation events while an
+#: First replay burst (in claims after the placement pass's first
+#: claims); each continuation grows it 4x, so a quiescent chain converges
+#: to full fast-forward in a handful of continuation events while an
 #: interference-heavy one wastes at most a few tens of virtual claims
 #: per absorb/dissolve cycle.
 _CHUNK0 = 32
@@ -97,13 +103,13 @@ def _polls(since, batch, L):
 # deterministic, so the pools of one kernel at one width ask for the same
 # chunks; each entry holds at most one burst of sizes.
 @functools.lru_cache(maxsize=256)
-def _guided_chain(rem: int, width2: int, L_grid: int, need: int) -> np.ndarray:
+def _guided_chain(rem: int, width2: int, L: int, need: int) -> np.ndarray:
     """Sizes of the next ``need`` guided claims from ``rem`` unclaimed
     tasks (fewer if the pool runs out first). The returned array is
     shared through the cache, so it is read-only."""
     out = []
     while need > 0 and rem > 0:
-        b = guided_claim(rem, width2, L_grid)
+        b = guided_claim(rem, width2, L)
         out.append(b)
         rem -= b
         need -= 1
@@ -118,7 +124,8 @@ class MacroCohort:
     A cohort spans *every* grid draining the pool — a spatially-degraded
     grid's survivors plus its resume/top-up grids claim interleaved from
     one pool, and that interleaving is just as closed as the single-grid
-    case once each grid is fully placed and each flag steady.
+    case once each grid is fully placed and each flag quiet, as long as
+    every grid sizes its claims alike.
 
     Contexts are indexed by their position in ``_ctxs``; per-context
     state lives in arrays under that index."""
@@ -126,7 +133,7 @@ class MacroCohort:
     __slots__ = (
         "grids", "pool", "sim", "_dissolved", "_v_rem", "_chunk",
         "_cont", "_ctxs", "_obs", "_L", "_poll_cost", "_per_task",
-        "_uniform", "_width2", "_L_grid", "_chain", "_cpos",
+        "_width2", "_chain", "_cpos",
         "_crem", "_since", "_batch", "_p_t", "_p_ctx", "_pf", "_pi", "_n",
         "_idx", "_flushed", "_base", "_next_t", "_cur_complete",
         "_claim_order",
@@ -162,60 +169,51 @@ class MacroCohort:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def absorb(cls, grid: "Grid", trigger, now: float) -> bool:
-        """Take over the pool's batch chain at ``now``. Returns False
-        (changing nothing) if any precondition fails.
+    def absorb(cls, grid: "Grid") -> bool:
+        """Take over the pool's batch chain at the end of ``grid``'s
+        placement pass. Returns False (changing nothing) if any
+        precondition fails.
 
-        ``trigger`` is a context between batches whose next claim the
-        cohort makes (on True it must not claim itself), or ``None`` at
-        the end of a placement pass: then ``grid``'s deferred first
-        claims (:class:`~repro.gpu.cta.FirstClaims`) join the pending
+        ``grid``'s deferred first claims
+        (:class:`~repro.gpu.cta.FirstClaims`) join the pending
         completions straight from their rows — no event was ever pushed
-        for them, so there is none to cancel.
+        for them, so there is none to cancel. Every other context of a
+        pool grid must hold a pushed completion and no yield, and every
+        grid must claim with the same guided sizes — one ``(2·width,
+        L)`` — so that the claims form one size chain; otherwise the
+        pool stays per batch.
 
         Preconditions checked by the caller (:meth:`Grid.try_macro`):
-        every pool grid persistent and its flag steady, every pool
-        worker a context of those grids, ``pool._remaining > 0``. A CTA
-        placed later joins the pool, which dissolves the cohort before
-        its first claim.
+        every pool grid persistent and fully placed, every flag quiet at
+        zero, every pool worker a context of those grids.
         """
         pool = grid.pool
-        if trigger is None:
-            first = grid._first
-            obs = first.ctxs[0]._obs
-        elif trigger._completion is None and trigger._yield_event is None:
-            first = None
-            obs = trigger._obs
-        else:
-            return False
-        grids = []
+        first = grid._first
+        obs = first.ctxs[0]._obs
         ctxs = []
-        per_grid = []
         # pending completion of each context in ``ctxs``: (time, order)
         t = []
         order = []
         held = []
         workers = pool._workers
+        sizing = None
         for g in pool._grids:
-            grids.append(g)
-            # each grid claims with its own guided width (the larger of
-            # its expected concurrency and the pool-wide worker count —
-            # identical to CTAContext's own claim), constant while the
-            # cohort lives: any join/leave dissolves it first
+            # the guided width is the larger of the grid's expected
+            # concurrency and the pool-wide worker count — identical to
+            # CTAContext's own claim — and constant while the cohort
+            # lives: any join/leave dissolves it first
             width = g._parallel_width
             if workers > width:
                 width = workers
+            g_sizing = (2 * width, g._amortize_l)
+            if sizing is None:
+                sizing = g_sizing
+            elif g_sizing != sizing:
+                return False
             cs = g.contexts
-            any_ctx = next(iter(cs))
-            per_grid.append((
-                len(cs), any_ctx._amortize, any_ctx._poll_cost,
-                2 * width, g._amortize_l,
-            ))
             n = len(ctxs)
-            # every context but the trigger and the pass's has a pushed
-            # completion and no yield. The trigger claims first, inside
-            # the current event: any still-pending event at this
-            # instant has a larger seq (smaller ones already fired).
+            # every context but the pass's has a pushed completion and no
+            # yield
             for c in cs:
                 ev = c._completion
                 if ev is not None and c._yield_event is None and (
@@ -226,47 +224,32 @@ class MacroCohort:
                     t.append(ev.time)
                     order.append(ev.seq)
             if g is grid:
-                if first is not None:
-                    ctxs.extend(first.ctxs)
-                    t.extend(first.times)
-                    order.extend(first.seqs)
-                else:
-                    ctxs.append(trigger)
-                    t.append(now)
-                    order.append(-1)
+                ctxs.extend(first.ctxs)
+                t.extend(first.times)
+                order.extend(first.seqs)
             if len(ctxs) - n != len(cs):
                 return False
         for c in held:
             c._completion.cancel()
             c._completion = None
 
-        counts, L, poll_cost, width2, L_grid = zip(*per_grid)
-        rep = np.repeat
-        cohort = cls(grid, grids, ctxs)
+        cohort = cls(grid, list(pool._grids), ctxs)
         cohort._obs = obs
+        # one size chain, memoized in chunks (_guided_chain); a persistent
+        # context polls every L tasks, its grid's claim quantum, and the
+        # pool's grids share one device, so one poll cost
+        cohort._width2, cohort._L = sizing
+        cohort._poll_cost = grid.costs.pinned_poll_us
         cohort._since = np.array([c._since_poll for c in ctxs], np.int64)
         cohort._batch = np.array([c._batch_size for c in ctxs], np.int64)
         cohort._per_task = np.array([c._per_task for c in ctxs])
-        cohort._L = rep(np.array(L, np.int64), counts)
-        cohort._poll_cost = rep(np.array(poll_cost), counts)
-        cohort._uniform = len(set(zip(width2, L_grid))) == 1
-        if cohort._uniform:
-            # one guided-size class (always for a single grid): sizes
-            # form one chain, memoized in chunks (_guided_chain)
-            cohort._width2 = width2[0]
-            cohort._L_grid = L_grid[0]
-        else:
-            # each claim sizes with its claimer's grid (_sizes)
-            cohort._width2 = rep(width2, counts).tolist()
-            cohort._L_grid = rep(L_grid, counts).tolist()
         cohort._chain = np.empty(0, np.int64)
         cohort._cpos = 0
         cohort._crem = cohort._v_rem = pool._remaining
         # Pending completions, sorted by (time, order): pushed events
-        # and deferred first claims by their engine seq, a trigger's
-        # claim first (order -1). Virtual claims order after all of
-        # them, in claim order — how the engine would order events
-        # scheduled later.
+        # and deferred first claims by their engine seq. Virtual claims
+        # order after all of them, in claim order — how the engine would
+        # order events scheduled later.
         t = np.array(t)
         order = np.array(order)
         perm = np.lexsort((order, t))
@@ -279,9 +262,8 @@ class MacroCohort:
         cohort._cur_complete = t
         cohort._claim_order = order
 
-        # the first burst's budget counts the trigger's own claim
-        cohort._replay(_CHUNK0 + (trigger is not None))
-        for g in grids:
+        cohort._replay(_CHUNK0)
+        for g in cohort.grids:
             g._macro = cohort
         pool._cohort = cohort
         return True
@@ -301,8 +283,7 @@ class MacroCohort:
         collapse with only O(log) continuation events.
         """
         self._cont = None
-        if self._uniform:
-            self._extend_chain(budget)
+        self._extend_chain(budget)
         while self._v_rem > 0:
             if budget <= 0:
                 # pause: resume at the next completion instant (purely
@@ -340,30 +321,10 @@ class MacroCohort:
         rem = self._crem
         if need <= 0 or rem <= 0:
             return
-        sizes = _guided_chain(rem, self._width2, self._L_grid, need)
+        sizes = _guided_chain(rem, self._width2, self._L, need)
         self._crem = rem - int(sizes.sum())
         self._chain = np.concatenate((chain[self._cpos:], sizes))
         self._cpos = 0
-
-    def _sizes(self, ctx: np.ndarray) -> np.ndarray:
-        """Guided sizes of the next claims by ``ctx`` (claim order),
-        stopping at virtual exhaustion."""
-        if self._uniform:
-            pos = self._cpos
-            return self._chain[pos:pos + ctx.shape[0]]
-        # grids differ in width or L: each claim uses its claimer's
-        # plan, in claim order
-        width2 = self._width2
-        L_grid = self._L_grid
-        rem = self._v_rem
-        sizes = []
-        for c in ctx.tolist():
-            if rem <= 0:
-                break
-            b = guided_claim(rem, width2[c], L_grid[c])
-            sizes.append(b)
-            rem -= b
-        return np.array(sizes, np.int64)
 
     def _window(self, budget: int) -> int:
         """Replay the next window of claims; returns how many it kept.
@@ -375,19 +336,20 @@ class MacroCohort:
         times stays ``>=`` the next pop's time (ties go to the older
         entry — new order keys are always larger)."""
         n = self._p_t.shape[0]
-        ctx = self._p_ctx[:n if n < budget else budget]
-        b = self._sizes(ctx)
+        # the next guided sizes, stopping at virtual exhaustion
+        pos = self._cpos
+        b = self._chain[pos:pos + (n if n < budget else budget)]
         k = b.shape[0]
-        ctx = ctx[:k]
+        ctx = self._p_ctx[:k]
         t = self._p_t[:k]
-        L = self._L[ctx]
+        L = self._L
         s0 = self._since[ctx]
         done = self._batch[ctx]
         s1 = (s0 + done) % L
         # the reference float-op order: polls*poll_cost + batch*per_task,
         # then t + dur
         tn = t + (
-            _polls(s1, b, L) * self._poll_cost[ctx] + b * self._per_task[ctx]
+            _polls(s1, b, L) * self._poll_cost + b * self._per_task[ctx]
         )
         if k > 1:
             # validity is a prefix property (the running minimum only
@@ -418,8 +380,7 @@ class MacroCohort:
         front (the caller advances the contexts')."""
         k = ctx.shape[0]
         self._v_rem -= int(b.sum())
-        if self._uniform:
-            self._cpos += k
+        self._cpos += k
         n = self._n
         if n + k > self._pf.shape[1]:
             # drop the committed head, grow if still short
@@ -489,12 +450,12 @@ class MacroCohort:
         obs = self._obs
         if sum_done and obs.enabled:
             # polls from the offset before each completed batch
-            L = self._L[pi[_CTX, i:j]]
+            L = self._L
             polls = int(_polls((pi[_POST, i:j] - done) % L, done, L).sum())
             obs.on_batch(sum_done, polls)
-            # a claim that completed nothing is the trigger's; every
-            # other claim collapsed one batch event
-            obs.on_macro_collapse(int(np.count_nonzero(done)))
+            # every claim pops a pending completion, so each collapsed
+            # one batch event
+            obs.on_macro_collapse(j - i)
         self._idx = j
         if j < n:
             self._next_t = float(pf[_T, j])

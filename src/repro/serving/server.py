@@ -103,8 +103,6 @@ class FrontEndKnobs:
     #: Admission control on/off; ``None`` picks the mode's default
     #: (on for FLEP — it has the runtime's predictions — off for MPS).
     admission: Optional[bool] = None
-    #: DELAY verdicts allowed up to this fraction of the SLO overshoot.
-    delay_headroom: float = 0.5
     #: Use the oracle duration predictor instead of the ridge models.
     oracle_model: bool = False
     seed: Optional[int] = None
@@ -206,7 +204,7 @@ class ServingSystem(TraceIntake):
             self.system = None
             self.obs = adopt_hub(observability, lambda: self.sim.now)
         self._models = None  # MPS only: built lazily if admission needs it
-        self.admission = AdmissionController(self.config.delay_headroom)
+        self.admission = AdmissionController()
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
         self._next_req_id = 1
         self.backlog = BacklogLedger(cfg.mode)

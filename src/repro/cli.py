@@ -370,7 +370,7 @@ def _cmd_bench(args) -> int:
         print(new.format())
     if old is None:
         return 0
-    cmp = compare_reports(old, new, threshold=args.threshold)
+    cmp = compare_reports(old, new)
     print()
     print(cmp.format())
     if cmp.drifts:
@@ -514,9 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--against", default=None, metavar="NEW.json",
                          help="with --compare: diff two existing files "
                               "instead of running the suite")
-    bench_p.add_argument("--threshold", type=float, default=0.15,
-                         help="relative drop counted as a regression "
-                              "(default: 0.15)")
     bench_p.add_argument("--warn-only", action="store_true",
                          help="report speed regressions but exit 0 (CI "
                               "smoke); schedule-hash drift still exits 3")

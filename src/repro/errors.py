@@ -24,10 +24,6 @@ class ResourceError(SimulationError):
     """An SM or device resource budget was exceeded or under-released."""
 
 
-class MemoryError_(SimulationError):
-    """Device/pinned memory allocation failure (distinct from builtins)."""
-
-
 class CompilationError(ReproError):
     """The FLEP source-to-source compiler rejected the input program."""
 

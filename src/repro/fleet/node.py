@@ -124,7 +124,6 @@ class NodeStats:
     """Per-node counters the rollup aggregates."""
 
     routed: int = 0
-    dispatched: int = 0
     completed: int = 0
     shed: int = 0
     drain_shed: int = 0
@@ -543,7 +542,6 @@ class FleetNode:
     def _dispatch(self, req: NodeRequest) -> None:
         req.state = "dispatched"
         self.inflight[req.req_id] = req
-        self.stats.dispatched += 1
         self._notify("on_dispatch", req, self.index)
         submit_request(self.backend, req, lambda: self._on_complete(req))
 

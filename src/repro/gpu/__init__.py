@@ -28,7 +28,7 @@ from .kernel import (
     TaskModel,
     TaskPool,
 )
-from .memory import DeviceMemory, PinnedFlag, should_yield
+from .memory import PinnedFlag, should_yield
 from .occupancy import (
     OccupancyReport,
     active_slots,
@@ -67,7 +67,6 @@ __all__ = [
     "ResourceUsage",
     "TaskModel",
     "TaskPool",
-    "DeviceMemory",
     "PinnedFlag",
     "should_yield",
     "OccupancyReport",

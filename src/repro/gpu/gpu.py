@@ -1,4 +1,4 @@
-"""The simulated GPU: SMs + hardware dispatcher + memories.
+"""The simulated GPU: SMs + hardware dispatcher.
 
 The dispatcher reproduces the non-preemptive hardware semantics of §2.1:
 grids enter a device-wide FIFO; the head grid's CTAs are dispatched to
@@ -18,14 +18,14 @@ from ..obs.recorder import NULL_OBS, Observability, register_device
 from .device import GPUDeviceSpec, tesla_k40
 from .grid import Grid
 from .kernel import KernelImage, LaunchConfig, TaskPool
-from .memory import DeviceMemory, PinnedFlag
+from .memory import PinnedFlag
 from .sim import Simulator
 from .sm import SM, SMBank
 from .trace import ScheduleHash
 
 
 class SimulatedGPU:
-    """Device facade: owns the SMs, device memory and the grid FIFO."""
+    """Device facade: owns the SMs and the grid FIFO."""
 
     def __init__(
         self,
@@ -41,7 +41,6 @@ class SimulatedGPU:
         self.sms: List[SM] = [
             SM(i, self.spec, self.bank) for i in range(self.spec.num_sms)
         ]
-        self.memory = DeviceMemory(self.spec.device_memory_bytes)
         self.rng = random.Random(seed) if seed is not None else None
         self._queue: List[Grid] = []
         self._dispatching = False
@@ -259,9 +258,6 @@ class SimulatedGPU:
                 i = 0
                 while i < len(queue):
                     grid = queue[i]
-                    if grid._terminal:
-                        del queue[i]
-                        continue
                     # most queued grids are fully placed: one read each
                     if grid.unplaced_contexts:
                         self._place(grid)

@@ -1,74 +1,25 @@
-"""Device memory and pinned host memory.
+"""Pinned host memory: the preemption flag.
 
-Two pieces matter to FLEP:
-
-* :class:`DeviceMemory` — a byte-counting allocator for the 12 GB device
-  memory. The paper assumes combined working sets fit (§8 related work
-  discusses GPUSwap for the rest), so we only track capacity and fail
-  loudly on oversubscription.
-* :class:`PinnedFlag` — the ``temp_P`` / ``spa_P`` cell in pinned
-  (non-pageable) host memory that the CPU writes and the GPU polls. The
-  simulator models the write-to-visibility latency and notifies grid
-  contexts so they can re-plan their yield events.
+:class:`PinnedFlag` is the ``temp_P`` / ``spa_P`` cell in pinned
+(non-pageable) host memory that the CPU writes and the GPU polls. The
+simulator models the write-to-visibility latency and notifies grid
+contexts so they can re-plan their yield events. Device memory is not
+modelled: the paper assumes combined working sets fit (§8 defers the
+rest to GPUSwap).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
-from ..errors import MemoryError_, SimulationError
+from ..errors import SimulationError
 from .sim import Simulator
 
 #: Sentinel larger than any flag value, for bisecting ``(time, value)``
 #: histories by time alone (ties resolve to the *latest* same-time write,
 #: matching the linear scan the bisect replaced).
 _VALUE_INF = float("inf")
-
-
-class DeviceMemory:
-    """Byte-granular device memory allocator with named allocations."""
-
-    def __init__(self, capacity_bytes: int):
-        if capacity_bytes <= 0:
-            raise MemoryError_("device memory capacity must be positive")
-        self.capacity = capacity_bytes
-        self._used = 0
-        self._allocs: Dict[int, Tuple[str, int]] = {}
-        self._next_id = 1
-
-    @property
-    def used(self) -> int:
-        return self._used
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self._used
-
-    def alloc(self, nbytes: int, label: str = "") -> int:
-        """Allocate ``nbytes``; returns an allocation handle."""
-        if nbytes < 0:
-            raise MemoryError_(f"negative allocation {nbytes}")
-        if nbytes > self.free:
-            raise MemoryError_(
-                f"device OOM: requested {nbytes} bytes, {self.free} free "
-                f"(working set does not fit; see paper §8 / GPUSwap)"
-            )
-        handle = self._next_id
-        self._next_id += 1
-        self._allocs[handle] = (label, nbytes)
-        self._used += nbytes
-        return handle
-
-    def free_alloc(self, handle: int) -> None:
-        if handle not in self._allocs:
-            raise MemoryError_(f"double free or unknown handle {handle}")
-        _, nbytes = self._allocs.pop(handle)
-        self._used -= nbytes
-
-    def reset(self) -> None:
-        self._allocs.clear()
-        self._used = 0
 
 
 class PinnedFlag:

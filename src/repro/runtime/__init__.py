@@ -2,7 +2,6 @@
 queues, preemption-overhead estimation, and the runtime engine."""
 
 from .engine import FlepRuntime, KernelInvocation, RuntimeConfig
-from .memory_governor import MemoryGovernor
 from .models import (
     KernelPerformanceModel,
     ModelBank,
@@ -25,7 +24,6 @@ from .tracker import (
 
 __all__ = [
     "FlepRuntime",
-    "MemoryGovernor",
     "KernelInvocation",
     "RuntimeConfig",
     "KernelPerformanceModel",

@@ -45,10 +45,6 @@ class RuntimeConfig:
     model_seed: int = 0
     #: Enable per-CTA duration jitter inside co-run simulations.
     with_jitter: bool = False
-    #: Enforce device-memory admission control (§8's working-set
-    #: assumption): invocations whose footprint doesn't fit are parked
-    #: until memory frees, instead of being scheduled.
-    enforce_memory: bool = False
 
 
 class KernelInvocation:
@@ -170,11 +166,6 @@ class FlepRuntime:
         #: O(ever-submitted), which is what lets serving-scale runs
         #: (tens of thousands of requests) stay linear.
         self._live: Dict[int, KernelInvocation] = {}
-        self.memory_governor = None
-        if self.config.enforce_memory:
-            from .memory_governor import MemoryGovernor
-
-            self.memory_governor = MemoryGovernor(gpu.memory)
         policy.attach(self)
 
     # ------------------------------------------------------------------
@@ -211,16 +202,7 @@ class FlepRuntime:
         self._refresh_all()
         if self.obs.enabled:
             self.obs.inv_arrived(inv)
-        if self.memory_governor is not None:
-            from ..workloads.footprints import footprint_bytes
-
-            self.memory_governor.try_admit(
-                inv,
-                footprint_bytes(kspec.name, inp.name),
-                lambda: self.policy.on_kernel_arrival(inv),
-            )
-        else:
-            self.policy.on_kernel_arrival(inv)
+        self.policy.on_kernel_arrival(inv)
         if self.obs.enabled:
             self.obs.queue_depth(self.policy.name, self.policy.waiting_count())
         return inv
@@ -347,10 +329,6 @@ class FlepRuntime:
         self.policy.on_kernel_finished(inv)
         if self.obs.enabled:
             self.obs.queue_depth(self.policy.name, self.policy.waiting_count())
-        if self.memory_governor is not None:
-            # freeing the working set may admit parked invocations,
-            # which then reach the policy as fresh arrivals
-            self.memory_governor.release(inv)
         # fires once; a finished invocation keeps no front-end closure
         on_finished, inv.on_finished = inv.on_finished, None
         if on_finished:

@@ -2,13 +2,13 @@
 
 The subsystem the ROADMAP's north star asks for: tenants with
 priorities, weights, SLO targets and rate limits (:mod:`.tenants`);
-open-loop (Poisson, bursty MMPP, JSONL replay) and closed-loop load
-generation (:mod:`.loadgen`); SLO-budget admission control driven by the
-runtime's duration predictions (:mod:`.admission`); per-tenant latency
-percentiles, attainment, goodput and deadline accounting wired into
-:mod:`repro.obs` (:mod:`.slo`); and the :class:`ServingSystem` server
-that runs it all over MPS, FLEP-temporal or FLEP-spatial execution with
-the deadline-aware EDF policy.
+open-loop Poisson load generation (:mod:`.loadgen`); SLO-budget
+admission control driven by the runtime's duration predictions
+(:mod:`.admission`); per-tenant latency percentiles, attainment, goodput
+and deadline accounting wired into :mod:`repro.obs` (:mod:`.slo`); and
+the :class:`ServingSystem` server that runs it all over MPS,
+FLEP-temporal or FLEP-spatial execution with the deadline-aware EDF
+policy.
 
 Quick start::
 
@@ -30,17 +30,7 @@ Quick start::
 """
 
 from .admission import AdmissionController, Decision, TokenBucket, Verdict
-from .loadgen import (
-    ClosedLoopClient,
-    LoadGenerator,
-    MMPPLoadGen,
-    PoissonLoadGen,
-    ReplayLoadGen,
-    load_trace,
-    merge_traces,
-    save_trace,
-    split_trace,
-)
+from .loadgen import PoissonLoadGen, merge_traces
 from .server import MODES, ServingConfig, ServingSystem
 from .slo import (
     RequestLog,
@@ -53,13 +43,9 @@ from .tenants import Tenant, TenantSet
 
 __all__ = [
     "AdmissionController",
-    "ClosedLoopClient",
     "Decision",
-    "LoadGenerator",
-    "MMPPLoadGen",
     "MODES",
     "PoissonLoadGen",
-    "ReplayLoadGen",
     "RequestLog",
     "SERVING_LATENCY_BUCKETS",
     "SLOTracker",
@@ -71,8 +57,5 @@ __all__ = [
     "TenantSet",
     "TokenBucket",
     "Verdict",
-    "load_trace",
     "merge_traces",
-    "save_trace",
-    "split_trace",
 ]

@@ -1,46 +1,24 @@
-"""Load generators for the serving layer.
+"""Load generation for the serving layer.
 
-Open-loop generators materialise an
+:class:`PoissonLoadGen` materialises an open-loop
 :class:`~repro.workloads.synthetic.ArrivalTrace` up front — the offered
 load does not react to service times, exactly how a population of
-independent users behaves:
-
-* :class:`PoissonLoadGen` — memoryless arrivals (§2.2's query stream);
-* :class:`MMPPLoadGen` — a two-state Markov-modulated Poisson process:
-  exponentially-distributed quiet/burst dwell periods, each with its own
-  rate, for flash-crowd traffic;
-* :class:`ReplayLoadGen` — replay of a recorded JSONL trace file
-  (:func:`save_trace` / :func:`load_trace`), so production arrival logs
-  drive the simulator.
-
-:class:`ClosedLoopClient` is different: it describes a fixed population
-of clients that each keep exactly one request in flight (submit, wait,
-think, repeat). The server drives it from completion callbacks, so its
-arrival times depend on service — it cannot be a pre-materialised trace.
+independent users behaves (§2.2's query stream). :func:`merge_traces`
+folds several tenants' traces into one time-sorted stream.
 """
 
 from __future__ import annotations
 
-import abc
-import json
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..errors import ServingError
 from ..workloads.synthetic import Arrival, ArrivalTrace
 
 
-class LoadGenerator(abc.ABC):
-    """Open-loop generator: produces the full trace up front."""
-
-    @abc.abstractmethod
-    def generate(self) -> ArrivalTrace:
-        """Materialise the arrival trace (deterministic per seed)."""
-
-
 @dataclass
-class PoissonLoadGen(LoadGenerator):
+class PoissonLoadGen:
     """Memoryless open-loop arrivals for one tenant."""
 
     tenant: str
@@ -52,6 +30,7 @@ class PoissonLoadGen(LoadGenerator):
     priority: int = 0
 
     def generate(self) -> ArrivalTrace:
+        """Materialise the arrival trace (deterministic per seed)."""
         if self.rate_per_ms <= 0 or self.duration_ms <= 0:
             raise ServingError("rate and duration must be positive")
         if not self.kernels:
@@ -76,156 +55,6 @@ class PoissonLoadGen(LoadGenerator):
         return trace
 
 
-@dataclass
-class MMPPLoadGen(LoadGenerator):
-    """Two-state Markov-modulated Poisson process (bursty traffic).
-
-    The process alternates between a *quiet* state (``base_rate_per_ms``)
-    and a *burst* state (``burst_rate_per_ms``); dwell times in each
-    state are exponential with means ``mean_quiet_ms`` and
-    ``mean_burst_ms``. Within a state, arrivals are Poisson at that
-    state's rate — the standard MMPP(2) flash-crowd model.
-    """
-
-    tenant: str
-    kernels: Sequence[str]
-    base_rate_per_ms: float
-    burst_rate_per_ms: float
-    duration_ms: float
-    mean_quiet_ms: float = 10.0
-    mean_burst_ms: float = 2.0
-    seed: int = 0
-    input_names: Sequence[str] = ("small",)
-    priority: int = 0
-
-    def generate(self) -> ArrivalTrace:
-        if min(self.base_rate_per_ms, self.burst_rate_per_ms) <= 0:
-            raise ServingError("MMPP rates must be positive")
-        if self.duration_ms <= 0:
-            raise ServingError("duration must be positive")
-        if min(self.mean_quiet_ms, self.mean_burst_ms) <= 0:
-            raise ServingError("MMPP dwell times must be positive")
-        rng = random.Random(self.seed)
-        trace = ArrivalTrace()
-        horizon = self.duration_ms * 1000.0
-        t = 0.0
-        bursting = False
-        # end of the current state's dwell period (µs)
-        state_end = rng.expovariate(1.0 / self.mean_quiet_ms) * 1000.0
-        while t < horizon:
-            rate = self.burst_rate_per_ms if bursting else self.base_rate_per_ms
-            nxt = t + rng.expovariate(rate) * 1000.0
-            if nxt >= state_end:
-                # no arrival before the state flips; advance the phase
-                t = state_end
-                bursting = not bursting
-                mean = self.mean_burst_ms if bursting else self.mean_quiet_ms
-                state_end = t + rng.expovariate(1.0 / mean) * 1000.0
-                continue
-            t = nxt
-            if t > horizon:
-                break
-            trace.arrivals.append(
-                Arrival(
-                    at_us=t,
-                    kernel_name=rng.choice(list(self.kernels)),
-                    input_name=rng.choice(list(self.input_names)),
-                    priority=self.priority,
-                    tenant=self.tenant,
-                )
-            )
-        return trace
-
-
-@dataclass
-class ReplayLoadGen(LoadGenerator):
-    """Replay a JSONL trace file recorded with :func:`save_trace`."""
-
-    path: str
-    #: Remap every arrival onto this tenant (``None`` keeps the file's).
-    tenant: Optional[str] = None
-
-    def generate(self) -> ArrivalTrace:
-        trace = load_trace(self.path)
-        if self.tenant is None:
-            return trace
-        return ArrivalTrace(
-            arrivals=[
-                Arrival(a.at_us, a.kernel_name, a.input_name, a.priority,
-                        self.tenant)
-                for a in trace.arrivals
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class ClosedLoopClient:
-    """A population of clients, each with one request in flight.
-
-    The server submits ``concurrency`` initial requests at ``start_us``;
-    whenever one completes it thinks for ``think_us`` and submits the
-    next, until ``max_requests`` have been issued in total.
-    """
-
-    tenant: str
-    kernel: str
-    input_name: str = "small"
-    concurrency: int = 1
-    think_us: float = 0.0
-    max_requests: int = 16
-    start_us: float = 0.0
-
-    def __post_init__(self):
-        if self.concurrency < 1:
-            raise ServingError("closed loop needs concurrency >= 1")
-        if self.max_requests < 1:
-            raise ServingError("closed loop needs max_requests >= 1")
-        if self.think_us < 0 or self.start_us < 0:
-            raise ServingError("closed loop times must be non-negative")
-
-
-# ---------------------------------------------------------------------------
-# JSONL record / replay
-# ---------------------------------------------------------------------------
-def save_trace(trace: ArrivalTrace, path: str) -> None:
-    """Record a trace as one JSON object per line (sorted by time)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in trace.sorted():
-            fh.write(json.dumps({
-                "at_us": a.at_us,
-                "kernel": a.kernel_name,
-                "input": a.input_name,
-                "priority": a.priority,
-                "tenant": a.tenant,
-            }) + "\n")
-
-
-def load_trace(path: str) -> ArrivalTrace:
-    """Load a JSONL trace written by :func:`save_trace`."""
-    trace = ArrivalTrace()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                trace.arrivals.append(
-                    Arrival(
-                        at_us=float(row["at_us"]),
-                        kernel_name=str(row["kernel"]),
-                        input_name=str(row.get("input", "small")),
-                        priority=int(row.get("priority", 0)),
-                        tenant=str(row.get("tenant", "default")),
-                    )
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ServingError(
-                    f"{path}:{lineno}: bad trace record ({exc})"
-                ) from None
-    return trace
-
-
 def merge_traces(*traces: ArrivalTrace) -> ArrivalTrace:
     """One time-sorted trace from several per-tenant traces."""
     merged = ArrivalTrace()
@@ -233,23 +62,3 @@ def merge_traces(*traces: ArrivalTrace) -> ArrivalTrace:
         merged.arrivals.extend(trace.arrivals)
     merged.arrivals.sort(key=lambda a: a.at_us)
     return merged
-
-
-def split_trace(trace: ArrivalTrace, n: int, seed: int = 0) -> List[ArrivalTrace]:
-    """Shard one trace into ``n`` per-node streams, deterministically.
-
-    Each arrival is assigned to a shard by a seeded RNG (uniform,
-    memoryless — splitting a Poisson stream this way yields ``n``
-    thinned Poisson streams); within a shard, arrivals keep their time
-    order. The split is a partition: :func:`merge_traces` over the
-    shards reproduces the original trace exactly (same arrivals, same
-    times), and the same ``(trace, n, seed)`` always produces the same
-    shards — the property ``tests/serving/test_loadgen.py`` pins down.
-    """
-    if n < 1:
-        raise ServingError(f"split_trace needs n >= 1, got {n}")
-    rng = random.Random(seed)
-    shards = [ArrivalTrace() for _ in range(n)]
-    for a in trace.sorted():
-        shards[rng.randrange(n)].arrivals.append(a)
-    return shards

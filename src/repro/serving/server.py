@@ -43,7 +43,7 @@ from ..runtime.models import model_bank
 from ..workloads.benchmarks import BenchmarkSuite
 from ..workloads.synthetic import Arrival, ArrivalTrace
 from .admission import AdmissionController, BacklogLedger, Decision, TokenBucket
-from .loadgen import ClosedLoopClient, LoadGenerator, merge_traces
+from .loadgen import PoissonLoadGen, merge_traces
 from .slo import RequestLog, ServingReport, SLOTracker
 from .tenants import Tenant, TenantSet
 
@@ -165,7 +165,7 @@ class TraceIntake:
                 )
         self._traces.append(trace)
 
-    def add_generator(self, gen: LoadGenerator) -> None:
+    def add_generator(self, gen: PoissonLoadGen) -> None:
         self.add_trace(gen.generate())
 
     def submit_at(
@@ -208,19 +208,9 @@ class ServingSystem(TraceIntake):
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
         self._next_req_id = 1
         self.backlog = BacklogLedger(cfg.mode)
-        self._clients: List[ClosedLoopClient] = []
-        self._client_issued: Dict[int, int] = {}
         #: req_id -> open request span, kept only while observed
         self._spans: Dict[int, Span] = {}
         self._ran = False
-
-    # ------------------------------------------------------------------
-    # workload wiring (traces: TraceIntake)
-    # ------------------------------------------------------------------
-    def add_closed_loop(self, client: ClosedLoopClient) -> None:
-        if client.tenant not in self.tenants:
-            raise ServingError(f"unknown tenant {client.tenant!r}")
-        self._clients.append(client)
 
     # ------------------------------------------------------------------
     # predictions and backlog
@@ -244,8 +234,7 @@ class ServingSystem(TraceIntake):
     # request lifecycle
     # ------------------------------------------------------------------
     def _on_arrival(
-        self, tenant: Tenant, kernel: str, input_name: str,
-        client: Optional[ClosedLoopClient] = None,
+        self, tenant: Tenant, kernel: str, input_name: str
     ) -> None:
         now = self.sim.now
         req = self.tracker.open_request(RequestLog(
@@ -271,29 +260,26 @@ class ServingSystem(TraceIntake):
                 predicted_us=req.predicted_us,
             )
         if self.rate_limited(tenant, now):
-            self._reject(req, client, "rate_limit")
+            self._reject(req, "rate_limit")
             return
         if not self.config.admission_enabled:
-            self._admit(req, client)
+            self._admit(req)
             return
         verdict = self.admission.decide(
             tenant, now, req.predicted_us, self.backlog_us(tenant.priority)
         )
         if verdict.decision is Decision.SHED:
-            self._reject(req, client, verdict.reason)
+            self._reject(req, verdict.reason)
         elif verdict.decision is Decision.DELAY:
             self.tracker.mark_delayed(req)
             self.sim.schedule(
-                verdict.hold_us, lambda: self._admit(req, client),
+                verdict.hold_us, lambda: self._admit(req),
                 label=f"serve-delay:{tenant.name}",
             )
         else:
-            self._admit(req, client)
+            self._admit(req)
 
-    def _reject(
-        self, req: RequestLog, client: Optional[ClosedLoopClient],
-        reason: str,
-    ) -> None:
+    def _reject(self, req: RequestLog, reason: str) -> None:
         """Shed ``req`` (``reason`` ``"rate_limit"``: its tenant's
         bucket was empty)."""
         self.tracker.mark_shed(req, rate_limited=(reason == "rate_limit"))
@@ -301,20 +287,13 @@ class ServingSystem(TraceIntake):
             self.obs.tracer.end(
                 self._spans.pop(req.req_id), self.sim.now, outcome=reason
             )
-        self._client_continue(client)
 
-    def _admit(
-        self, req: RequestLog, client: Optional[ClosedLoopClient] = None
-    ) -> None:
+    def _admit(self, req: RequestLog) -> None:
         """Hand an admitted request to the backend."""
         self.backlog.add(req)
-        submit_request(
-            self.backend, req, lambda: self._on_complete(req, client)
-        )
+        submit_request(self.backend, req, lambda: self._on_complete(req))
 
-    def _on_complete(
-        self, req: RequestLog, client: Optional[ClosedLoopClient] = None
-    ) -> None:
+    def _on_complete(self, req: RequestLog) -> None:
         self.tracker.mark_completed(req, self.sim.now)
         self.backlog.sub(req)
         if self.obs.enabled:
@@ -322,30 +301,6 @@ class ServingSystem(TraceIntake):
                 self._spans.pop(req.req_id), self.sim.now,
                 outcome="completed",
             )
-        self._client_continue(client)
-
-    # ------------------------------------------------------------------
-    # closed loops
-    # ------------------------------------------------------------------
-    def _client_issue(self, client: ClosedLoopClient) -> None:
-        key = id(client)
-        issued = self._client_issued.get(key, 0)
-        if issued >= client.max_requests:
-            return
-        self._client_issued[key] = issued + 1
-        self._on_arrival(
-            self.tenants[client.tenant], client.kernel, client.input_name,
-            client=client,
-        )
-
-    def _client_continue(self, client: Optional[ClosedLoopClient]) -> None:
-        """After a closed-loop request resolves, think then re-issue."""
-        if client is None:
-            return
-        self.sim.schedule(
-            client.think_us, lambda: self._client_issue(client),
-            label=f"serve-think:{client.tenant}",
-        )
 
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> ServingReport:
@@ -353,25 +308,16 @@ class ServingSystem(TraceIntake):
         if self._ran:
             raise ServingError("a ServingSystem runs once; build a new one")
         self._ran = True
-        merged = merge_traces(*self._traces) if self._traces else None
-        if merged is not None:
-            for a in merged.sorted():
-                tenant = self.tenants[a.tenant]
-                self.sim.schedule_at(
-                    a.at_us,
-                    lambda t=tenant, k=a.kernel_name, i=a.input_name:
-                        self._on_arrival(t, k, i),
-                    label=f"serve-arrival:{a.tenant}",
-                )
-        for client in self._clients:
-            for _ in range(client.concurrency):
-                self.sim.schedule_at(
-                    client.start_us,
-                    lambda c=client: self._client_issue(c),
-                    label=f"serve-start:{client.tenant}",
-                )
-        if not self._traces and not self._clients:
-            raise ServingError("nothing to serve: add a trace or a client")
+        if not self._traces:
+            raise ServingError("nothing to serve: add a trace")
+        for a in merge_traces(*self._traces).sorted():
+            tenant = self.tenants[a.tenant]
+            self.sim.schedule_at(
+                a.at_us,
+                lambda t=tenant, k=a.kernel_name, i=a.input_name:
+                    self._on_arrival(t, k, i),
+                label=f"serve-arrival:{a.tenant}",
+            )
         self.result = self.backend.run(until=until)
         if self.obs.enabled:
             self.obs.finalize()

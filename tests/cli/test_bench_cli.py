@@ -93,16 +93,6 @@ class TestBenchCommand:
                      "--against", str(slow), "--warn-only"]) == 0
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_threshold_is_tunable_from_the_cli(
-        self, tiny_scenarios, tmp_path
-    ):
-        old = tmp_path / "old.json"
-        slow = tmp_path / "slow.json"
-        assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
-        _write_slowed(old, slow, 0.8)
-        assert main(["bench", "--compare", str(old), "--against",
-                     str(slow), "--threshold", "0.3"]) == 0
-
     def test_against_requires_compare(self, tmp_path):
         assert main(["bench", "--against", str(tmp_path / "x.json")]) == 2
 

@@ -1,46 +1,10 @@
-"""Device-memory and pinned-flag tests."""
+"""Pinned-flag tests."""
 
 import pytest
 
-from repro.errors import MemoryError_, SimulationError
-from repro.gpu.memory import DeviceMemory, PinnedFlag, should_yield
+from repro.errors import SimulationError
+from repro.gpu.memory import PinnedFlag, should_yield
 from repro.gpu.sim import Simulator
-
-
-class TestDeviceMemory:
-    def test_alloc_free_cycle(self):
-        mem = DeviceMemory(1000)
-        h = mem.alloc(400, "a")
-        assert mem.used == 400 and mem.free == 600
-        mem.free_alloc(h)
-        assert mem.used == 0
-
-    def test_oom_raises(self):
-        mem = DeviceMemory(100)
-        mem.alloc(60)
-        with pytest.raises(MemoryError_, match="OOM"):
-            mem.alloc(50)
-
-    def test_double_free_rejected(self):
-        mem = DeviceMemory(100)
-        h = mem.alloc(10)
-        mem.free_alloc(h)
-        with pytest.raises(MemoryError_):
-            mem.free_alloc(h)
-
-    def test_negative_alloc_rejected(self):
-        with pytest.raises(MemoryError_):
-            DeviceMemory(100).alloc(-1)
-
-    def test_reset_clears_everything(self):
-        mem = DeviceMemory(100)
-        mem.alloc(50)
-        mem.reset()
-        assert mem.used == 0
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(MemoryError_):
-            DeviceMemory(0)
 
 
 class TestPinnedFlag:

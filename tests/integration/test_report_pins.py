@@ -2,7 +2,7 @@
 
 A mixed flep-spatial/flep-temporal/mps fleet with a crash, a rejoin, a
 drain, a rate-limited tenant and work stealing, and an MPS server with
-admission on and a closed-loop client, each reduced to a digest of its
+admission on and a stream of batch jobs, each reduced to a digest of its
 report's sorted-key JSON (per-node rows and per-tenant rows included).
 Any change to how requests are recorded, attributed or aggregated moves
 a digest; a change that means to move one must update the pin and say
@@ -14,7 +14,6 @@ import json
 
 from repro.fleet import FleetConfig, FleetSystem, parse_fault_spec
 from repro.serving import (
-    ClosedLoopClient,
     PoissonLoadGen,
     ServingConfig,
     ServingSystem,
@@ -25,7 +24,7 @@ PLAN = "crash@4000:n1,rejoin@8000:n1,drain@10000:n2+100"
 
 #: sha256 prefixes of ``json.dumps(report.as_dict(), sort_keys=True)``
 PINNED_FLEET = "e986f7da6aed11a8"
-PINNED_SERVING = "1bd5a35579961ba5"
+PINNED_SERVING = "3d2271eeffe1aff0"
 
 
 def digest(report) -> str:
@@ -72,10 +71,8 @@ def serving_run(suite):
         tenant="interactive", kernels=("SPMV", "PL"), rate_per_ms=1.5,
         duration_ms=20.0, seed=5, input_names=("trivial",), priority=1,
     ))
-    server.add_closed_loop(ClosedLoopClient(
-        tenant="batch", kernel="MM", input_name="small",
-        concurrency=2, think_us=300.0, max_requests=12,
-    ))
+    for k in range(12):
+        server.submit_at(k * 1500.0, "batch", "MM", "small")
     return server.run()
 
 

@@ -1,20 +1,9 @@
-"""Load generator tests: determinism, trace record/replay, validation."""
+"""Load generator tests: determinism, validation, trace merging."""
 
 import pytest
 
-from hypothesis import given, strategies as st
-
 from repro.errors import ServingError
-from repro.serving import (
-    ClosedLoopClient,
-    MMPPLoadGen,
-    PoissonLoadGen,
-    ReplayLoadGen,
-    load_trace,
-    merge_traces,
-    save_trace,
-    split_trace,
-)
+from repro.serving import PoissonLoadGen, merge_traces
 
 
 class TestPoissonLoadGen:
@@ -52,84 +41,7 @@ class TestPoissonLoadGen:
             PoissonLoadGen("q", [], 1.0, 10.0).generate()
 
 
-class TestMMPPLoadGen:
-    def test_deterministic_per_seed(self):
-        def arrivals(seed):
-            gen = MMPPLoadGen("q", ["SPMV"], base_rate_per_ms=0.2,
-                              burst_rate_per_ms=5.0, duration_ms=50.0,
-                              seed=seed)
-            return [a.at_us for a in gen.generate().arrivals]
-
-        assert arrivals(3) == arrivals(3)
-        assert arrivals(3) != arrivals(4)
-
-    def test_within_horizon_and_sorted(self):
-        gen = MMPPLoadGen("q", ["SPMV"], 0.5, 4.0, duration_ms=40.0, seed=2)
-        times = [a.at_us for a in gen.generate().arrivals]
-        assert times == sorted(times)
-        assert all(0 < t <= 40_000.0 for t in times)
-
-    def test_bursts_raise_the_arrival_count(self):
-        """MMPP with a hot burst state offers more load than pure quiet."""
-        quiet = MMPPLoadGen("q", ["SPMV"], 0.2, 0.2, duration_ms=200.0,
-                            seed=7)
-        bursty = MMPPLoadGen("q", ["SPMV"], 0.2, 8.0, duration_ms=200.0,
-                             mean_quiet_ms=5.0, mean_burst_ms=5.0, seed=7)
-        assert (len(bursty.generate().arrivals)
-                > len(quiet.generate().arrivals))
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(base_rate_per_ms=0.0, burst_rate_per_ms=1.0, duration_ms=10.0),
-        dict(base_rate_per_ms=1.0, burst_rate_per_ms=1.0, duration_ms=0.0),
-        dict(base_rate_per_ms=1.0, burst_rate_per_ms=1.0, duration_ms=10.0,
-             mean_quiet_ms=0.0),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ServingError):
-            MMPPLoadGen("q", ["SPMV"], **kwargs).generate()
-
-
-class TestTraceRecordReplay:
-    def test_round_trip(self, tmp_path):
-        gen = PoissonLoadGen("interactive", ["SPMV", "MM"], 1.0, 20.0,
-                             seed=9, priority=1)
-        original = gen.generate()
-        path = tmp_path / "trace.jsonl"
-        save_trace(original, str(path))
-        replayed = load_trace(str(path))
-        assert [
-            (a.at_us, a.kernel_name, a.input_name, a.priority, a.tenant)
-            for a in replayed.arrivals
-        ] == [
-            (a.at_us, a.kernel_name, a.input_name, a.priority, a.tenant)
-            for a in original.sorted()
-        ]
-
-    def test_replay_loadgen_remaps_tenant(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_trace(
-            PoissonLoadGen("old", ["SPMV"], 1.0, 10.0, seed=0).generate(),
-            str(path),
-        )
-        trace = ReplayLoadGen(str(path), tenant="new").generate()
-        assert trace.arrivals
-        assert all(a.tenant == "new" for a in trace.arrivals)
-
-    def test_bad_record_reports_line(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"at_us": 1.0, "kernel": "SPMV"}\n{"at_us": "x"}\n')
-        with pytest.raises(ServingError, match="bad.jsonl:2"):
-            load_trace(str(path))
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('\n{"at_us": 5.0, "kernel": "MM"}\n\n')
-        trace = load_trace(str(path))
-        assert len(trace.arrivals) == 1
-        assert trace.arrivals[0].tenant == "default"
-
-
-class TestMergeAndClosedLoop:
+class TestMergeTraces:
     def test_merge_sorts_by_time(self):
         a = PoissonLoadGen("a", ["SPMV"], 1.0, 10.0, seed=1).generate()
         b = PoissonLoadGen("b", ["MM"], 1.0, 10.0, seed=2).generate()
@@ -137,59 +49,3 @@ class TestMergeAndClosedLoop:
         times = [x.at_us for x in merged.arrivals]
         assert times == sorted(times)
         assert len(merged.arrivals) == len(a.arrivals) + len(b.arrivals)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(concurrency=0),
-        dict(max_requests=0),
-        dict(think_us=-1.0),
-        dict(start_us=-1.0),
-    ])
-    def test_closed_loop_validation(self, kwargs):
-        with pytest.raises(ServingError):
-            ClosedLoopClient("t", "SPMV", **kwargs)
-
-
-def _key(a):
-    return (a.at_us, a.kernel_name, a.input_name, a.priority, a.tenant)
-
-
-class TestSplitTrace:
-    @given(seed=st.integers(0, 2**20), n=st.integers(1, 8),
-           gen_seed=st.integers(0, 50))
-    def test_split_is_a_partition(self, seed, n, gen_seed):
-        """Merging the shards reproduces the original trace exactly."""
-        trace = PoissonLoadGen("t", ["SPMV", "MM"], 1.0, 15.0,
-                               seed=gen_seed).generate()
-        shards = split_trace(trace, n, seed=seed)
-        assert len(shards) == n
-        merged = merge_traces(*shards)
-        assert list(map(_key, merged.arrivals)) == \
-            list(map(_key, trace.sorted()))
-
-    @given(seed=st.integers(0, 2**20), n=st.integers(2, 6))
-    def test_shards_preserve_time_order(self, seed, n):
-        trace = PoissonLoadGen("t", ["SPMV"], 2.0, 10.0, seed=1).generate()
-        for shard in split_trace(trace, n, seed=seed):
-            times = [a.at_us for a in shard.arrivals]
-            assert times == sorted(times)
-
-    def test_deterministic_per_seed(self):
-        trace = PoissonLoadGen("t", ["SPMV"], 2.0, 20.0, seed=4).generate()
-
-        def shapes(seed):
-            return [list(map(_key, s.arrivals))
-                    for s in split_trace(trace, 4, seed=seed)]
-
-        assert shapes(7) == shapes(7)
-        assert shapes(7) != shapes(8)
-
-    def test_single_shard_is_identity(self):
-        trace = PoissonLoadGen("t", ["SPMV"], 1.0, 10.0, seed=2).generate()
-        (only,) = split_trace(trace, 1)
-        assert list(map(_key, only.arrivals)) == \
-            list(map(_key, trace.sorted()))
-
-    def test_rejects_bad_shard_count(self):
-        trace = PoissonLoadGen("t", ["SPMV"], 1.0, 5.0, seed=0).generate()
-        with pytest.raises(ServingError, match="n >= 1"):
-            split_trace(trace, 0)

@@ -1,11 +1,10 @@
 """ServingSystem integration tests: the one front-end over the MPS and
-FLEP backends, admission wiring, closed loops, determinism."""
+FLEP backends, admission wiring, determinism."""
 
 import pytest
 
 from repro.errors import ServingError
 from repro.serving import (
-    ClosedLoopClient,
     PoissonLoadGen,
     ServingConfig,
     ServingSystem,
@@ -195,28 +194,6 @@ class TestWiring:
         server.run()
         with pytest.raises(ServingError, match="runs once"):
             server.run()
-
-    def test_closed_loop_issues_all_requests(self, suite):
-        server = ServingSystem(
-            two_tenants(), ServingConfig(mode="flep-spatial", seed=1),
-            device=suite.device, suite=suite,
-        )
-        server.add_closed_loop(ClosedLoopClient(
-            tenant="interactive", kernel="SPMV", input_name="trivial",
-            concurrency=2, think_us=50.0, max_requests=6,
-        ))
-        row = server.run().tenant("interactive")
-        assert row.requests == 6
-        assert row.completed == 6
-        assert row.attainment == 1.0
-
-    def test_closed_loop_unknown_tenant_rejected(self, suite):
-        server = ServingSystem(
-            two_tenants(), ServingConfig(mode="flep-spatial"),
-            device=suite.device, suite=suite,
-        )
-        with pytest.raises(ServingError, match="unknown tenant"):
-            server.add_closed_loop(ClosedLoopClient("nobody", "SPMV"))
 
 
 class TestObservability:

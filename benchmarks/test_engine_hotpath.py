@@ -39,9 +39,9 @@ def _run_engine() -> float:
             if state[i] > 0:
                 if state[i] % CANCEL_EVERY == 0:
                     sim.schedule_at(
-                        sim.clock._now + 5.0, hop, "decoy"
+                        sim._now + 5.0, hop, "decoy"
                     ).cancel()
-                sim.schedule_at(sim.clock._now + 1.0, hop, "hop")
+                sim.schedule_at(sim._now + 1.0, hop, "hop")
         return hop
 
     for i in range(CHAINS):

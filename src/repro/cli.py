@@ -3,8 +3,8 @@
     flep list                      # enumerate the experiments
     flep run fig8 [fig10 ...]      # regenerate specific tables/figures
     flep run all --json            # the whole evaluation section, as JSON
-    flep bench --budget small      # macro-benchmarks -> BENCH_<date>_<sha>.json
-    flep bench --compare OLD.json  # per-metric deltas; exit 3 on regression
+    flep bench --budget small      # seeded scenarios: hashes + engine numbers
+    flep bench --compare OLD.json  # exit 3 on any schedule-hash drift
     flep compile VA                # show a benchmark's transformed source
     flep tune NN                   # run the offline amortizing-factor tuner
     flep trace --export out.json   # co-run + Chrome/Perfetto trace export
@@ -338,32 +338,21 @@ def _cmd_fleet(args) -> int:
 def _cmd_bench(args) -> int:
     import json as _json
 
-    from .obs import (
-        compare_reports,
-        default_bench_filename,
-        load_bench_report,
-        run_bench,
-    )
+    from .obs import compare_reports, load_bench_report, run_bench
 
     old = load_bench_report(args.compare) if args.compare else None
-    if args.against:
-        # File-vs-file mode: compare two existing reports, run nothing.
-        if old is None:
-            print("--against requires --compare OLD.json", file=sys.stderr)
-            return 2
-        new = load_bench_report(args.against)
-    else:
-        def progress(name, row):
-            print(f"  [{name}: {row['events']} events in "
-                  f"{row['wall_s']:.2f}s]", file=sys.stderr)
 
-        new = run_bench(
-            budget=args.budget, only=args.scenario or None,
-            on_progress=progress,
-        )
-        path = args.output or default_bench_filename(new)
-        new.write(path)
-        print(f"wrote {path}", file=sys.stderr)
+    def progress(name, row):
+        print(f"  [{name}: {row['events']} events in "
+              f"{row['wall_s']:.2f}s]", file=sys.stderr)
+
+    new = run_bench(
+        budget=args.budget, only=args.scenario or None,
+        on_progress=progress,
+    )
+    if args.output:
+        new.write(args.output)
+        print(f"wrote {args.output}", file=sys.stderr)
     if args.json:
         print(_json.dumps(new.as_dict(), indent=2))
     else:
@@ -374,12 +363,8 @@ def _cmd_bench(args) -> int:
     print()
     print(cmp.format())
     if cmp.drifts:
-        # schedule-hash drift is deterministic (never runner noise), so
-        # it fails even under --warn-only
         names = ", ".join(r["scenario"] for r in cmp.drifts)
         print(f"schedule-hash drift in: {names}", file=sys.stderr)
-        return 3
-    if not cmp.ok and not args.warn_only:
         return 3
     return 0
 
@@ -496,27 +481,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="run the deterministic macro-benchmark suite and write a "
-             "schema-versioned BENCH_<date>_<sha>.json snapshot",
+        help="run the seeded scenario suite and check its schedule hashes",
     )
     bench_p.add_argument("--budget", default="default",
                          choices=["small", "default", "large"],
-                         help="workload scale (small: CI smoke)")
+                         help="workload scale (small: the pinned baseline)")
     bench_p.add_argument("--scenario", action="append", default=None,
                          metavar="NAME",
                          help="run only this scenario (repeatable)")
     bench_p.add_argument("-o", "--output", default=None, metavar="PATH",
-                         help="report path (default: BENCH_<date>_<sha>.json)")
+                         help="write the report to PATH as JSON")
     bench_p.add_argument("--compare", default=None, metavar="OLD.json",
-                         help="diff against a previous snapshot; exit 3 on "
-                              "a gated-metric regression or on any "
-                              "scenario's schedule_hash drift")
-    bench_p.add_argument("--against", default=None, metavar="NEW.json",
-                         help="with --compare: diff two existing files "
-                              "instead of running the suite")
-    bench_p.add_argument("--warn-only", action="store_true",
-                         help="report speed regressions but exit 0 (CI "
-                              "smoke); schedule-hash drift still exits 3")
+                         help="check against a previous report; exit 3 "
+                              "on any scenario's schedule_hash drift")
     bench_p.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of a table")
     bench_p.set_defaults(fn=_cmd_bench)

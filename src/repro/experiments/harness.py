@@ -16,14 +16,16 @@ from ..baselines.mps_corun import MPSCoRun, solo_exec_us
 from ..baselines.reordering import ReorderingCoRun
 from ..core.flep import FlepSystem
 from ..errors import ExperimentError
-from ..gpu.device import GPUDeviceSpec, tesla_k40
+from ..gpu.device import CostModel, GPUDeviceSpec, tesla_k40
 from ..metrics.multiprogram import antt
 from ..runtime.engine import RuntimeConfig
 from ..workloads.benchmarks import BenchmarkSuite, standard_suite
 
 #: "We invoke A's kernel immediately after B's kernel is launched": the
-#: follow-up invocation arrives this long after the first (µs).
-LAUNCH_FOLLOW_US = 10.0
+#: follow-up invocation arrives this long after the first (µs), 10 µs
+#: after the first launch completes, so B's CTAs are already running
+#: when A preempts them (60 µs on the K40 cost model).
+LAUNCH_FOLLOW_US = CostModel().kernel_launch_us + 10.0
 
 
 @dataclass(frozen=True)

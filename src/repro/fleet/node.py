@@ -208,7 +208,7 @@ class FleetNode:
             return
         self.sim.run(until=until)
         if self.sim.now < until:
-            self.sim.clock.advance_to(until)
+            self.sim.advance_to(until)
 
     def drain(self) -> None:
         """Run this node to completion (no more control points)."""
@@ -337,7 +337,7 @@ class FleetNode:
             )
         self._retired_preemptions = self.preemptions()
         self._build_backend()
-        self.sim.clock.advance_to(now)
+        self.sim.advance_to(now)
         self.state = "up"
         self.down_at = None
         self.stats.rejoins += 1

@@ -7,7 +7,6 @@ and PCIe transfers. See DESIGN.md §2/§4 for the substitution argument
 and the event-batching design.
 """
 
-from .clock import Clock, MILLISECOND, SECOND
 from .cta import CTAContext, CTAState
 from .device import CostModel, GPUDeviceSpec, small_test_gpu, tesla_k40
 from .events import Event
@@ -43,9 +42,6 @@ from .trace import Interval, Timeline
 from .transfer import DMAEngine, Direction
 
 __all__ = [
-    "Clock",
-    "MILLISECOND",
-    "SECOND",
     "CTAContext",
     "CTAState",
     "CostModel",

@@ -196,7 +196,7 @@ class CTAContext:
         next batch. Between boundaries the flag is never observed."""
         grid = self.grid
         sim = grid.sim
-        now = sim.clock._now
+        now = sim._now
         if self._is_persistent and self._since_poll == 0:
             flag = grid.flag
             # _demanding empty => every visible value is 0 => no yield;
@@ -324,7 +324,7 @@ class CTAContext:
             self._yield_event = None
             if self._completion is None or self._completion.cancelled:
                 tc = self._batch_start + self._batch_duration(self._batch_size)
-                now = grid.sim.clock._now
+                now = grid.sim._now
                 self._completion = grid.sim.schedule_at(
                     tc if tc > now else now,
                     self._on_batch_complete,
@@ -428,7 +428,7 @@ class CTAContext:
 
     def _schedule_yield(self, at: float, finished_in_batch: int) -> None:
         sim = self.grid.sim
-        now = sim.clock._now
+        now = sim._now
         self._yield_event = sim.schedule_at(
             at if at > now else now,
             lambda: self._do_yield(finished_in_batch),

@@ -139,7 +139,7 @@ class SimulatedGPU:
         """The device stops at the current time (a crashed fleet node):
         commit what every macro cohort replayed up to now, so its
         counters hold exactly the batches the reference loop ran."""
-        now = self.sim.clock._now
+        now = self.sim._now
         for grid in self._queue:
             cohort = grid._macro
             if cohort is not None:

@@ -148,7 +148,7 @@ class Grid:
         pool = self.pool
         c = pool._cohort
         if c is not None:
-            c.sync(c.sim.clock._now)
+            c.sync(c.sim._now)
         if self._persistent:
             remaining = self.config.grid_ctas - self._placed
             # don't place more workers than tasks left to claim
@@ -231,7 +231,7 @@ class Grid:
         flag = self.flag
         if flag._demanding:
             last = flag._history[-1]
-            if last[1] != 0 or last[0] > self.sim.clock._now:
+            if last[1] != 0 or last[0] > self.sim._now:
                 return
         self._first = FirstClaims()
 
@@ -244,7 +244,7 @@ class Grid:
         claims = self._first
         if claims is None:
             return
-        if claims.ctxs and not self.try_macro(self.sim.clock._now):
+        if claims.ctxs and not self.try_macro(self.sim._now):
             claims.push(self.sim)
         self._first = None
 
@@ -315,7 +315,7 @@ class Grid:
             # observes still happens. The dissolve replans this grid's
             # contexts as it goes: each gets one event, a completion or
             # a yield.
-            cohort.dissolve(self.sim.clock._now, replan=self)
+            cohort.dissolve(self.sim._now, replan=self)
         else:
             # replan in ctx-id order: `contexts` is a set whose
             # iteration order varies between processes (id-based
@@ -371,7 +371,7 @@ class Grid:
 
     def _finish(self, state: GridState) -> None:
         if self._macro is not None:
-            self._macro.dissolve(self.sim.clock._now)
+            self._macro.dissolve(self.sim._now)
         self.state = state
         self._terminal = True
         self.ended_at = self.sim.now

@@ -181,7 +181,7 @@ class TaskPool:
     def _sync_cohort(self) -> None:
         c = self._cohort
         if c is not None:
-            c.sync(c.sim.clock._now)
+            c.sync(c.sim._now)
 
     # -- queries -------------------------------------------------------
     @property
@@ -238,7 +238,7 @@ class TaskPool:
         # per-batch eventing before the join is visible
         c = self._cohort
         if c is not None:
-            c.dissolve(c.sim.clock._now)
+            c.dissolve(c.sim._now)
         self._workers += 1
         if grid is not None:
             self._grids[grid] = self._grids.get(grid, 0) + 1
@@ -259,7 +259,7 @@ class TaskPool:
         """Claim up to ``n`` tasks; returns how many were claimed."""
         c = self._cohort
         if c is not None:
-            c.dissolve(c.sim.clock._now)
+            c.dissolve(c.sim._now)
         if n < 0:
             raise SimulationError("cannot take a negative batch")
         got = min(n, self._remaining)
@@ -271,7 +271,7 @@ class TaskPool:
         """Report ``n`` claimed tasks as processed."""
         c = self._cohort
         if c is not None:
-            c.dissolve(c.sim.clock._now)
+            c.dissolve(c.sim._now)
         if n < 0 or n > self._outstanding:
             raise SimulationError(
                 f"finishing {n} tasks but only {self._outstanding} outstanding"
@@ -283,7 +283,7 @@ class TaskPool:
         """Return ``n`` claimed-but-unprocessed tasks (preemption path)."""
         c = self._cohort
         if c is not None:
-            c.dissolve(c.sim.clock._now)
+            c.dissolve(c.sim._now)
         if n < 0 or n > self._outstanding:
             raise SimulationError(
                 f"giving back {n} tasks but only {self._outstanding} outstanding"

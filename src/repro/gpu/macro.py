@@ -415,7 +415,7 @@ class MacroCohort:
             # every claim precedes every final completion (claims stop
             # at pool exhaustion), so this sync commits the whole plan
             if not self._dissolved:
-                self.sync(self.sim.clock._now)
+                self.sync(self.sim._now)
             ctx._on_batch_complete()
         return fire
 

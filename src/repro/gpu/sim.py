@@ -27,7 +27,6 @@ from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
 from ..obs.recorder import NULL_OBS, register_simulator
-from .clock import Clock
 from .events import Event
 
 _EVENT_NEW = Event.__new__
@@ -70,8 +69,12 @@ class Simulator:
         start_time: float = 0.0,
         max_events: int = 50_000_000,
     ):
-        self.clock = Clock(start_time)
-        self.start_time = self.clock._now
+        if start_time < 0:
+            raise SimulationError(
+                f"clock cannot start at negative time {start_time}"
+            )
+        #: simulated time in µs; only the run loops and advance_to move it
+        self._now = self.start_time = float(start_time)
         #: heap of ``(time, priority, seq, Event)`` entries. The seq is
         #: unique per engine, so ties never reach the Event field and
         #: every comparison is a C-level tuple compare.
@@ -117,7 +120,20 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self.clock._now
+        return self._now
+
+    def advance_to(self, t: float) -> None:
+        """Move the clock forward to ``t`` with no event (run's
+        ``until`` edge, a fleet node's alignment to fleet time).
+
+        Raises :class:`SimulationError` on attempts to move backwards,
+        which would indicate a corrupted event queue.
+        """
+        if t < self._now:
+            raise SimulationError(
+                f"clock would move backwards: {self._now} -> {t}"
+            )
+        self._now = t
 
     @property
     def max_events(self) -> int:
@@ -141,7 +157,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(
-            self.clock._now + delay, callback, label, priority
+            self._now + delay, callback, label, priority
         )
 
     def schedule_at(
@@ -178,7 +194,7 @@ class Simulator:
     ) -> Event:
         """:meth:`schedule_at` with a sequence number taken earlier:
         the event orders exactly as if it had been scheduled then."""
-        if time < self.clock._now:
+        if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}"
             )
@@ -228,7 +244,7 @@ class Simulator:
             return False
         ev = heapq.heappop(heap)[3]
         ev._q = None
-        self.clock.advance_to(ev.time)
+        self.advance_to(ev.time)
         st = self.stats
         st.processed += 1
         if st.processed > self._max_events:
@@ -257,7 +273,6 @@ class Simulator:
         # monotonicity re-check (DESIGN.md §12).
         heap = self._heap
         pop = heapq.heappop
-        clock = self.clock
         st = self.stats
         max_events = self._max_events
         limit = float("inf") if until is None else until
@@ -277,11 +292,11 @@ class Simulator:
                     continue
                 t = head[0]
                 if t > limit:
-                    clock.advance_to(until)
+                    self.advance_to(until)
                     break
                 pop(heap)
                 ev._q = None
-                clock._now = t
+                self._now = t
                 processed += 1
                 if processed > max_events:
                     st.processed = processed
@@ -299,7 +314,7 @@ class Simulator:
         finally:
             st.processed = processed
             self._running = False
-        return clock._now
+        return self._now
 
     def _run_reference(self, until: Optional[float]) -> float:
         """Step-by-step loop: one peek + one step per event; the
@@ -312,12 +327,12 @@ class Simulator:
                 if nxt is None:
                     break
                 if until is not None and nxt > until:
-                    self.clock.advance_to(until)
+                    self.advance_to(until)
                     break
                 self.step()
         finally:
             self._running = False
-        return self.clock._now
+        return self._now
 
     # ------------------------------------------------------------------
     # internals

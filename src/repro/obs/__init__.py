@@ -22,7 +22,6 @@ from .bench import (
     CompareResult,
     SCENARIOS,
     compare_reports,
-    default_bench_filename,
     load_bench_report,
     run_bench,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "compare_reports",
-    "default_bench_filename",
     "format_decisions",
     "get_global",
     "load_bench_report",

@@ -1,25 +1,23 @@
-"""`flep bench`: the deterministic macro-benchmark suite.
+"""`flep bench`: the deterministic schedule-drift gate.
 
-FLEP's argument is about overhead, so the reproduction must be able to
-measure *itself*: this module runs a fixed set of simulator workloads
-and reports, per scenario, the kernel-level ``schedule_hash``, the
-engine block — events, **simulated-seconds per wall-second** (how much
-GPU time one CPU second buys), peak queue depth — and the hot-loop
-counts of the self-profile.
+This module runs a fixed set of seeded simulator workloads and reports,
+per scenario, the kernel-level ``schedule_hash`` and the engine block:
+events, wall time, **simulated µs per wall-second** and peak queue
+depth. ``flep bench --compare OLD.json`` fails (exit 3) on any scenario
+whose hash differs from the old report's, and names it: schedules are
+bit-reproducible at a budget, so a changed hash is a changed schedule,
+never runner noise. The engine numbers are informational only; the
+repository benchmark (``perfbench/``: fresh processes, alternating
+runs, noise bounds) is the one speed ruler.
 
-Each scenario runs twice, each inside its own
-:class:`~repro.obs.recorder.EngineWindow`. The first run is observed
-(the window's :class:`~repro.obs.recorder.Observability` hub takes the
-``profile`` counts) and untimed; it also warms imports and memo caches.
-The second run is the timed one: hook-free, its window only reading the
-simulators' own counters and the devices' schedule digests, so its wall
-time measures the path users run. Results are
-written as schema-versioned ``BENCH_<date>_<git-sha>.json`` files,
-forming the repo's tracked performance trajectory; ``flep bench
---compare OLD.json`` diffs two snapshots and exits nonzero on a >15 %
-drop in sim-µs per wall-second. ``events_per_sec`` is still reported
-but not gated: macro cohorts collapse events, so event rates of two
-engine versions measure different work.
+Each scenario runs twice, hook-free, each inside its own
+:class:`~repro.obs.recorder.EngineWindow` that reads only the
+simulators' own counters and the devices' schedule digests. The first
+run is untimed: it warms lazy imports and memo caches so that one-time
+cost stays out of the timed second run. The two runs must produce the
+same hash, an in-process reproducibility check that costs nothing
+extra. Reports are schema-versioned JSON files, written only when asked
+for (``-o``).
 
 Scenarios (all seeded, so the simulated *workload* — event counts, task
 pulls, preemptions — is bit-identical between runs; only wall time
@@ -28,7 +26,8 @@ varies with the machine):
 * ``serving_sweep`` — the multi-tenant serving stack under Poisson load
   at two offered rates (flep-spatial + EDF + admission);
 * ``fig8_mix`` — canonical high-priority-first co-run pairs, the shape
-  behind Figure 8's temporal preemptions;
+  behind Figure 8's temporal preemptions (the follower arrives while the
+  low kernel's launch is still in flight, so its drains are 0 µs);
 * ``preempt_storm`` — one long batch kernel preempted by a train of
   short high-priority arrivals (drain mechanics dominated);
 * ``fuzz_stress`` — seeded cases from the conformance fuzzer's
@@ -37,18 +36,15 @@ varies with the machine):
   temporal / MPS) under Poisson load with deadline routing and work
   stealing: the multi-simulator co-simulation path.
 
-The workload sizes scale with ``--budget`` (``small`` for CI smoke,
-``default`` for the tracked trajectory, ``large`` for profiling
-sessions). Heavy subsystem imports stay inside the scenario bodies so
-``repro.obs`` remains importable from the simulator core.
+The workload sizes scale with ``--budget`` (``small`` is the one the
+checked-in baseline pins). Heavy subsystem imports stay inside the
+scenario bodies so ``repro.obs`` remains importable from the simulator
+core.
 """
 
 from __future__ import annotations
 
 import json
-import platform
-import subprocess
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -57,17 +53,12 @@ from .recorder import EngineWindow
 
 #: Report schema, the only one :meth:`BenchReport.from_dict` reads. v2
 #: added the per-scenario ``schedule_hash`` (crc32 over the kernel-level
-#: timeline, combined across devices) the drift gate compares.
-BENCH_SCHEMA = "flep-bench/2"
+#: timeline, combined across devices) the drift gate compares; v3
+#: dropped the environment stamps and the per-scenario ``profile``.
+BENCH_SCHEMA = "flep-bench/3"
 
 #: Workload scale factors per budget tier.
 BUDGETS: Dict[str, float] = {"small": 0.5, "default": 1.0, "large": 3.0}
-
-#: Relative drop in a gated metric that counts as a regression.
-DEFAULT_REGRESSION_THRESHOLD = 0.15
-
-#: Metrics compared between reports; all are higher-is-better rates.
-GATED_METRICS = ("sim_us_per_wall_s",)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +241,9 @@ SCENARIOS: Dict[str, BenchScenario] = {
 # ---------------------------------------------------------------------------
 @dataclass
 class BenchReport:
-    """One bench run: environment stamp plus per-scenario measurements."""
+    """One bench run: the budget plus per-scenario measurements."""
 
     budget: str
-    created: str
-    git_sha: str
-    python: str
     scenarios: List[Dict[str, object]] = field(default_factory=list)
     schema: str = BENCH_SCHEMA
 
@@ -267,13 +255,10 @@ class BenchReport:
         raise ObservabilityError(f"no scenario {name!r} in this report")
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-data view, exactly what lands in ``BENCH_*.json``."""
+        """Plain-data view, exactly what the report file holds."""
         return {
             "schema": self.schema,
             "budget": self.budget,
-            "created": self.created,
-            "git_sha": self.git_sha,
-            "python": self.python,
             "scenarios": [dict(s) for s in self.scenarios],
         }
 
@@ -288,9 +273,6 @@ class BenchReport:
             )
         return cls(
             budget=str(data.get("budget", "")),
-            created=str(data.get("created", "")),
-            git_sha=str(data.get("git_sha", "")),
-            python=str(data.get("python", "")),
             scenarios=[dict(s) for s in data.get("scenarios", [])],
             schema=schema,
         )
@@ -308,44 +290,22 @@ class BenchReport:
             f"{'events/s':>12s} {'sim-s/wall-s':>12s} {'peak_q':>7s} "
             f"{'sched_hash':>10s}"
         )
-        lines = [
-            f"flep bench [{self.budget}] @ {self.git_sha} ({self.created})",
-            header,
-            "-" * len(header),
-        ]
+        lines = [f"flep bench [{self.budget}]", header, "-" * len(header)]
         for s in self.scenarios:
             lines.append(
                 f"{s['name']:16s} {s['events']:10d} {s['wall_s']:8.3f} "
                 f"{s['events_per_sec']:12,.0f} "
                 f"{s['sim_us_per_wall_s'] / 1e6:12.3f} "
                 f"{s['peak_queue_depth']:7d} "
-                f"{str(s.get('schedule_hash', '-')):>10s}"
+                f"{s['schedule_hash']:>10s}"
             )
         return "\n".join(lines)
 
 
 def load_bench_report(path: str) -> BenchReport:
-    """Load and schema-check a ``BENCH_*.json`` file."""
+    """Load and schema-check a bench report file."""
     with open(path, "r", encoding="utf-8") as fh:
         return BenchReport.from_dict(json.load(fh))
-
-
-def git_sha(short: bool = True) -> str:
-    """The current git commit (short) hash, or ``"unknown"``."""
-    cmd = ["git", "rev-parse", "--short" if short else "--verify", "HEAD"]
-    try:
-        out = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=10, check=True
-        )
-        return out.stdout.strip() or "unknown"
-    except Exception:  # noqa: BLE001 - environment probe, never fatal
-        return "unknown"
-
-
-def default_bench_filename(report: BenchReport) -> str:
-    """``BENCH_<yyyymmdd>_<sha>.json`` — the tracked-trajectory name."""
-    date = report.created.split("T", 1)[0].replace("-", "")
-    return f"BENCH_{date}_{report.git_sha}.json"
 
 
 # ---------------------------------------------------------------------------
@@ -354,55 +314,50 @@ def default_bench_filename(report: BenchReport) -> str:
 def run_bench(
     budget: str = "default",
     only: Optional[Sequence[str]] = None,
-    scenarios: Optional[Dict[str, BenchScenario]] = None,
     on_progress: Optional[Callable[[str, Dict[str, object]], None]] = None,
 ) -> BenchReport:
-    """Execute the suite: per scenario, one observed run for the
-    ``profile`` counts, then one hook-free timed run.
+    """Execute the suite: per scenario, one untimed warm-up run, then
+    one timed run; both hook-free. ``only`` selects a subset by name.
 
-    ``only`` selects a subset by name; ``scenarios`` swaps the whole
-    table (the tests inject tiny synthetic workloads this way).
-
-    The observed run comes first and doubles as the warm-up: scenario
-    functions import their subsystems lazily, and in a cold process that
-    one-time import/bytecode cost would otherwise land inside the timed
-    window. Schedules are unaffected (runs are bit-deterministic at a
-    budget, observed or not).
+    The warm-up keeps the scenario's one-time import and memo-cache
+    cost out of the timed window, and its schedule hash must equal the
+    timed run's: a scenario that does not replay its own schedule in
+    one process raises :class:`ObservabilityError`.
     """
     if budget not in BUDGETS:
         raise ObservabilityError(
             f"unknown budget {budget!r} (have {sorted(BUDGETS)})"
         )
     scale = BUDGETS[budget]
-    table = scenarios if scenarios is not None else SCENARIOS
-    names = list(only) if only else list(table)
-    unknown = [n for n in names if n not in table]
+    names = list(only) if only else list(SCENARIOS)
+    unknown = [n for n in names if n not in SCENARIOS]
     if unknown:
         raise ObservabilityError(
-            f"unknown scenarios {unknown} (have {sorted(table)})"
+            f"unknown scenarios {unknown} (have {sorted(SCENARIOS)})"
         )
-    report = BenchReport(
-        budget=budget,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        git_sha=git_sha(),
-        python=platform.python_version(),
-    )
+    report = BenchReport(budget=budget)
     for name in names:
-        with EngineWindow(hub=True) as window:
-            table[name].run(scale)
-        profile = window.hub.profile_block()
+        scenario = SCENARIOS[name]
         # every device built by the scenario registers its always-on
         # O(1)-memory digest here, and every simulator its event-loop
-        # counters; neither adds a hook to the timed window
+        # counters; neither adds a hook to the run
+        with EngineWindow() as warm:
+            scenario.run(scale)
         with EngineWindow() as window:
-            extras = table[name].run(scale) or {}
+            extras = scenario.run(scale) or {}
+        schedule_hash = window.schedule_hash()
+        if schedule_hash != warm.schedule_hash():
+            raise ObservabilityError(
+                f"scenario {name!r} is not reproducible: its warm-up run "
+                f"hashed {warm.schedule_hash()}, its timed run "
+                f"{schedule_hash}"
+            )
         row: Dict[str, object] = {
             "name": name,
-            "description": table[name].description,
-            "schedule_hash": window.schedule_hash(),
+            "description": scenario.description,
+            "schedule_hash": schedule_hash,
             **window.engine_block(),
             "extras": dict(extras),
-            "profile": profile,
         }
         report.scenarios.append(row)
         if on_progress is not None:
@@ -411,128 +366,56 @@ def run_bench(
 
 
 # ---------------------------------------------------------------------------
-# comparison (the regression gate)
+# comparison (the drift gate)
 # ---------------------------------------------------------------------------
 @dataclass
 class CompareResult:
-    """Old-vs-new delta table plus the regression verdict."""
+    """Old-vs-new schedule hashes, one row per old scenario."""
 
-    threshold: float
     rows: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[Dict[str, object]]:
-        """Rows whose gated metric dropped by more than the threshold."""
-        return [r for r in self.rows if r["status"] == "regression"]
 
     @property
     def drifts(self) -> List[Dict[str, object]]:
         """Rows whose ``schedule_hash`` changed: the kernel-level
         timeline differs from the baseline's, which no amount of runner
         noise (or engine rework that honours the identity contract) can
-        explain — schedules are bit-reproducible at a given budget.
-        Event *counts* are engine-internal and may legitimately change
-        (macro fast-forward collapses them); they compare as ``changed``,
-        never ``drift``."""
+        explain — schedules are bit-reproducible at a given budget."""
         return [r for r in self.rows if r["status"] == "drift"]
 
-    @property
-    def ok(self) -> bool:
-        """True when no gated metric regressed."""
-        return not self.regressions
-
     def format(self) -> str:
-        """Per-metric delta table (one row per scenario × metric)."""
-        header = (
-            f"{'scenario':16s} {'metric':18s} {'old':>12s} {'new':>12s} "
-            f"{'delta':>8s}  status"
-        )
+        """One row per scenario: old hash, new hash, status."""
+        header = f"{'scenario':16s} {'old':>10s} {'new':>10s}  status"
         lines = [header, "-" * len(header)]
         for r in self.rows:
-            old, new = r["old"], r["new"]
-            delta = f"{100.0 * r['delta']:+.1f}%" if r["delta"] is not None \
-                else "-"
-            # schedule_hash rows carry hex digests, not rates
-            old_s = old if isinstance(old, str) else f"{old:12,.0f}"
-            new_s = new if isinstance(new, str) else f"{new:12,.0f}"
             lines.append(
-                f"{r['scenario']:16s} {r['metric']:18s} "
-                f"{old_s:>12s} {new_s:>12s} {delta:>8s}  {r['status']}"
+                f"{r['scenario']:16s} {r['old']:>10s} {r['new']:>10s}  "
+                f"{r['status']}"
             )
-        verdict = (
-            "OK: no gated metric regressed"
-            if self.ok
-            else f"REGRESSION: {len(self.regressions)} metric(s) dropped "
-                 f">{100.0 * self.threshold:.0f}%"
-        )
-        lines.append(verdict)
         return "\n".join(lines)
 
 
-def compare_reports(
-    old: BenchReport,
-    new: BenchReport,
-    threshold: float = DEFAULT_REGRESSION_THRESHOLD,
-) -> CompareResult:
-    """Diff two bench reports scenario by scenario.
+def compare_reports(old: BenchReport, new: BenchReport) -> CompareResult:
+    """Diff two bench reports' schedule hashes scenario by scenario.
 
-    The gated metric (sim-µs per wall-second) is a higher-is-better
-    rate: a relative drop beyond ``threshold`` marks the row
-    ``regression``. Identity is gated on ``schedule_hash``: a mismatch
-    means the kernel-level timeline changed (``drift``), which the
-    identity contract forbids across engine rework. The ``events``
-    count is engine-internal — macro fast-forward legitimately
-    collapses it — so a mismatch is reported as the informational
-    ``changed``, never ``drift``.
+    A mismatch is ``drift``: the kernel-level timeline changed, which
+    the identity contract forbids across engine rework. A scenario the
+    new report did not run (``--scenario``) is ``missing-in-new`` and
+    not gated. Event counts and rates are engine-internal and
+    host-dependent, so they are not compared.
     """
-    if threshold <= 0:
-        raise ObservabilityError("threshold must be positive")
-    result = CompareResult(threshold=threshold)
+    result = CompareResult()
     new_by_name = {s["name"]: s for s in new.scenarios}
     for old_row in old.scenarios:
         name = old_row["name"]
+        old_hash = str(old_row.get("schedule_hash") or "-")
         new_row = new_by_name.get(name)
         if new_row is None:
-            result.rows.append({
-                "scenario": name, "metric": "-", "old": 0.0, "new": 0.0,
-                "delta": None, "status": "missing-in-new",
-            })
-            continue
-        old_hash = old_row.get("schedule_hash")
-        new_hash = new_row.get("schedule_hash")
+            new_hash, status = "-", "missing-in-new"
+        else:
+            new_hash = str(new_row.get("schedule_hash") or "-")
+            status = "ok" if old_hash == new_hash else "drift"
         result.rows.append({
-            "scenario": name,
-            "metric": "schedule_hash",
-            "old": str(old_hash or "-"),
-            "new": str(new_hash or "-"),
-            "delta": None,
-            "status": "ok" if old_hash == new_hash else "drift",
+            "scenario": name, "old": old_hash, "new": new_hash,
+            "status": status,
         })
-        old_events, new_events = old_row.get("events"), new_row.get("events")
-        result.rows.append({
-            "scenario": name,
-            "metric": "events",
-            "old": float(old_events or 0),
-            "new": float(new_events or 0),
-            "delta": None,
-            "status": "ok" if old_events == new_events else "changed",
-        })
-        for metric in GATED_METRICS:
-            old_v = float(old_row.get(metric) or 0.0)
-            new_v = float(new_row.get(metric) or 0.0)
-            if old_v <= 0.0:
-                delta, status = None, "no-baseline"
-            else:
-                delta = new_v / old_v - 1.0
-                if delta < -threshold:
-                    status = "regression"
-                elif delta > threshold:
-                    status = "improved"
-                else:
-                    status = "ok"
-            result.rows.append({
-                "scenario": name, "metric": metric,
-                "old": old_v, "new": new_v,
-                "delta": delta, "status": status,
-            })
     return result

@@ -34,8 +34,8 @@ simulators.
 
 Each observed fact has one record. A preemption stall is its
 ``drain`` / ``spatial_yield`` span, and closing the span observes its
-duration once into ``flep_preempt_stall_us{kind}``, which the
-``profile`` block and ``flep stats --profile`` read. Invocation records
+duration once into ``flep_preempt_stall_us{kind}``, which ``flep stats
+--profile`` reads. Invocation records
 (spans, instants, decisions) and queue samples carry the time of their
 own simulator, so the nodes of a fleet sharing one hub each keep their
 own clock. SM samples and ``flep_sm_resident_ctas{sm}`` still read the
@@ -518,17 +518,6 @@ class Observability:
                 "max_us": max(stalls),
             }
         return out
-
-    def profile_block(self) -> Dict[str, object]:
-        """The hot-loop counts of a ``flep bench`` report row."""
-        return {
-            "events_by_kind": dict(sorted(self.events_by_kind.items())),
-            "task_pulls": self.task_pulls,
-            "flag_polls": self.flag_polls,
-            "cta_admissions": self.cta_admissions,
-            "preempt_requested": dict(sorted(self.preempt_requested.items())),
-            "preempt_latency_us": self.stall_latency(),
-        }
 
     def format_profile(self, window) -> str:
         """Human-readable self-profile (``flep stats --profile``); the

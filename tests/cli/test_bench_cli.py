@@ -1,18 +1,22 @@
 """`flep bench` / engine-block CLI tests, driven in process.
 
 The bench subcommand runs against a tiny injected scenario table
-(monkeypatched ``SCENARIOS``) so the whole file costs well under a
-second; the regression-exit-code tests compare two files and run no
-simulation at all.
+(monkeypatched ``SCENARIOS``) so most of the file costs well under a
+second; one test runs the real ``fig8_mix`` scenario against the
+checked-in baseline.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.obs import BENCH_SCHEMA, BenchScenario
 from repro.obs import bench as bench_mod
+
+SEED = (Path(__file__).resolve().parents[2]
+        / "benchmarks" / "baseline" / "BENCH_seed.json")
 
 
 def _tiny_scenario(scale):
@@ -35,7 +39,7 @@ def tiny_scenarios(monkeypatch):
     )
 
 
-def _write_slowed(src_path, dst_path, factor):
+def _write_scaled(src_path, dst_path, factor):
     with open(src_path, encoding="utf-8") as fh:
         data = json.load(fh)
     for s in data["scenarios"]:
@@ -66,61 +70,43 @@ class TestBenchCommand:
         printed = json.loads(capsys.readouterr().out)
         assert printed["schema"] == BENCH_SCHEMA
 
+    def test_report_is_written_only_when_asked(
+        self, tiny_scenarios, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--budget", "small"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_compare_against_self_passes(
         self, tiny_scenarios, tmp_path
     ):
         out = tmp_path / "b.json"
         assert main(["bench", "--budget", "small", "-o", str(out)]) == 0
-        assert main(["bench", "--compare", str(out),
-                     "--against", str(out)]) == 0
+        assert main(["bench", "--budget", "small",
+                     "--compare", str(out)]) == 0
 
-    def test_synthetic_slowdown_exits_3(self, tiny_scenarios, tmp_path):
-        old = tmp_path / "old.json"
-        slow = tmp_path / "slow.json"
-        assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
-        _write_slowed(old, slow, 0.8)  # 20% drop > 15% threshold
-        assert main(["bench", "--compare", str(old),
-                     "--against", str(slow)]) == 3
-
-    def test_warn_only_reports_but_exits_0(
+    def test_drift_exits_3_and_names_the_scenario(
         self, tiny_scenarios, tmp_path, capsys
     ):
         old = tmp_path / "old.json"
-        slow = tmp_path / "slow.json"
-        assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
-        _write_slowed(old, slow, 0.8)
-        assert main(["bench", "--compare", str(old),
-                     "--against", str(slow), "--warn-only"]) == 0
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_against_requires_compare(self, tmp_path):
-        assert main(["bench", "--against", str(tmp_path / "x.json")]) == 2
-
-    def test_fail_on_drift_overrides_warn_only(
-        self, tiny_scenarios, tmp_path, capsys
-    ):
-        old = tmp_path / "old.json"
-        drifted = tmp_path / "drifted.json"
         assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
         data = json.loads(old.read_text())
         data["scenarios"][0]["schedule_hash"] = "deadbeef"
-        drifted.write_text(json.dumps(data))
-        # drift is deterministic: it fails the compare, warn-only or not
-        assert main(["bench", "--compare", str(old),
-                     "--against", str(drifted), "--warn-only"]) == 3
+        old.write_text(json.dumps(data))
+        assert main(["bench", "--budget", "small",
+                     "--compare", str(old)]) == 3
         assert "schedule-hash drift in: tiny" in capsys.readouterr().err
-        assert main(["bench", "--compare", str(old),
-                     "--against", str(drifted)]) == 3
 
     def test_fail_on_drift_passes_on_identical_hashes(
         self, tiny_scenarios, tmp_path
     ):
         old = tmp_path / "old.json"
-        slow = tmp_path / "slow.json"
+        fast = tmp_path / "fast.json"
         assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
-        _write_slowed(old, slow, 0.8)  # rate drop, same schedules
-        assert main(["bench", "--compare", str(old), "--against",
-                     str(slow), "--warn-only"]) == 0
+        # a baseline recorded on a host 5x faster, same schedules
+        _write_scaled(old, fast, 5.0)
+        assert main(["bench", "--budget", "small",
+                     "--compare", str(fast)]) == 0
 
     def test_event_count_change_alone_is_not_drift(
         self, tiny_scenarios, tmp_path
@@ -128,43 +114,36 @@ class TestBenchCommand:
         """The gate is the kernel-level timeline hash, not the engine's
         event count (macro fast-forward collapses the latter)."""
         old = tmp_path / "old.json"
-        fewer = tmp_path / "fewer.json"
         assert main(["bench", "--budget", "small", "-o", str(old)]) == 0
         data = json.loads(old.read_text())
         data["scenarios"][0]["events"] += 1
-        fewer.write_text(json.dumps(data))
-        assert main(["bench", "--compare", str(old), "--against",
-                     str(fewer), "--warn-only"]) == 0
+        old.write_text(json.dumps(data))
+        assert main(["bench", "--budget", "small",
+                     "--compare", str(old)]) == 0
 
     def test_v1_baseline_fails_the_drift_gate(
         self, tiny_scenarios, tmp_path, capsys
     ):
         """A baseline without hashes checks no schedule, so the drift
-        gate must not pass on it: only hashed ``flep-bench/2`` files
-        load."""
-        new = tmp_path / "new.json"
+        gate must not pass on it: only current-schema files load."""
         v1 = tmp_path / "v1.json"
-        assert main(["bench", "--budget", "small", "-o", str(new)]) == 0
-        data = json.loads(new.read_text())
+        assert main(["bench", "--budget", "small", "-o", str(v1)]) == 0
+        data = json.loads(v1.read_text())
         data["schema"] = "flep-bench/1"
         for s in data["scenarios"]:
             del s["schedule_hash"]
         v1.write_text(json.dumps(data))
-        assert main(["bench", "--compare", str(v1), "--against",
-                     str(new), "--warn-only"]) == 1
+        assert main(["bench", "--budget", "small",
+                     "--compare", str(v1)]) == 1
         assert "unsupported bench schema" in capsys.readouterr().err
 
     def test_ci_baseline_pins_every_scenario_hash(self):
         """The baseline CI's bench-smoke gates on carries a schedule hash
         for every scenario of the suite, so the drift gate checks them
         all."""
-        from pathlib import Path
-
         from repro.obs import SCENARIOS, load_bench_report
 
-        path = (Path(__file__).resolve().parents[2]
-                / "benchmarks" / "baseline" / "BENCH_seed.json")
-        baseline = load_bench_report(str(path))
+        baseline = load_bench_report(str(SEED))
         assert baseline.schema == BENCH_SCHEMA
         assert baseline.budget == "small"
         assert {s["name"] for s in baseline.scenarios} == set(SCENARIOS)
@@ -176,6 +155,24 @@ class TestBenchCommand:
                      "--scenario", "tiny"]) == 0
         data = json.loads(out.read_text())
         assert [s["name"] for s in data["scenarios"]] == ["tiny"]
+
+
+class TestSeedBaseline:
+    def test_real_fig8_mix_holds_the_seed_hash(self, tmp_path, capsys):
+        """The real scenario, at the baseline's budget: it matches the
+        checked-in hash, and a baseline with that one hash edited makes
+        the gate exit 3 and name it."""
+        args = ["bench", "--budget", "small", "--scenario", "fig8_mix"]
+        assert main(args + ["--compare", str(SEED)]) == 0
+        data = json.loads(SEED.read_text())
+        for row in data["scenarios"]:
+            if row["name"] == "fig8_mix":
+                row["schedule_hash"] = "00000000"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(args + ["--compare", str(edited)]) == 3
+        assert "schedule-hash drift in: fig8_mix" in capsys.readouterr().err
 
 
 class TestEngineBlocks:

@@ -8,6 +8,9 @@ from repro.experiments.harness import (
     Entry,
     Scenario,
 )
+from repro.experiments.pairs import hpf_priority_pairs
+from repro.gpu.device import tesla_k40
+from repro.obs import EngineWindow
 
 
 class TestScenario:
@@ -70,3 +73,23 @@ class TestOutcomes:
         flep = harness.run_flep(sc)
         key = ("proc_SPMV", "SPMV", "small")
         assert flep.turnaround_us[key] < mps.turnaround_us[key] / 5
+
+
+class TestFollowDelay:
+    def test_follower_arrives_after_the_first_launch(self):
+        assert LAUNCH_FOLLOW_US > tesla_k40().costs.kernel_launch_us
+
+    @pytest.mark.parametrize(
+        "pair", hpf_priority_pairs(), ids=lambda p: p.name
+    )
+    def test_every_fig8_pair_drains_running_ctas(self, harness, pair):
+        """Figure 8's high-priority follower lands after the low kernel's
+        CTAs exist, so its temporal preemption drains real work."""
+        with EngineWindow(hub=True) as window:
+            harness.run_flep(
+                Scenario.pair(low=pair.low, high=pair.high), policy="hpf"
+            )
+        drains = window.hub.stall_latency()["temporal"]
+        assert drains["count"] == 1
+        assert drains["min_us"] > 0.0
+

@@ -1,52 +1,45 @@
-"""Clock unit tests: monotonicity, unit constants, bad inputs."""
+"""The simulator's clock: start time, forward-only advance, bad inputs."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpu.clock import MILLISECOND, SECOND, Clock
+from repro.gpu.sim import Simulator
 
 
 class TestConstruction:
     def test_starts_at_zero_by_default(self):
-        assert Clock().now == 0.0
+        assert Simulator().now == 0.0
 
     def test_custom_start_time(self):
-        assert Clock(42.5).now == 42.5
+        assert Simulator(42.5).now == 42.5
 
     def test_integer_start_coerced_to_float(self):
-        now = Clock(7).now
+        now = Simulator(7).now
         assert now == 7.0
         assert isinstance(now, float)
 
     def test_negative_start_rejected(self):
         with pytest.raises(SimulationError, match="negative"):
-            Clock(-1.0)
+            Simulator(-1.0)
 
 
 class TestAdvance:
     def test_advance_moves_forward(self):
-        clock = Clock()
-        clock.advance_to(10.0)
-        assert clock.now == 10.0
-        clock.advance_to(25.5)
-        assert clock.now == 25.5
+        sim = Simulator()
+        sim.advance_to(10.0)
+        assert sim.now == 10.0
+        sim.advance_to(25.5)
+        assert sim.now == 25.5
 
     def test_advance_to_same_time_is_allowed(self):
         """Zero-delay events advance to the current time; not an error."""
-        clock = Clock(5.0)
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
+        sim = Simulator(5.0)
+        sim.advance_to(5.0)
+        assert sim.now == 5.0
 
     def test_advance_backwards_rejected(self):
-        clock = Clock(10.0)
+        sim = Simulator(10.0)
         with pytest.raises(SimulationError, match="backwards"):
-            clock.advance_to(9.999)
+            sim.advance_to(9.999)
         # a failed advance must not corrupt the clock
-        assert clock.now == 10.0
-
-
-class TestUnits:
-    def test_unit_constants_are_microseconds(self):
-        assert MILLISECOND == 1_000.0
-        assert SECOND == 1_000_000.0
-        assert SECOND == 1_000 * MILLISECOND
+        assert sim.now == 10.0

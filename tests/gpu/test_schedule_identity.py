@@ -15,6 +15,7 @@ would pass them. The pins below make them absolute.
 """
 
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,22 +34,16 @@ from repro.gpu.kernel import (
 from repro.gpu.sim import Simulator
 from repro.gpu.trace import combined_schedule_hash
 from repro.obs import EngineWindow, Observability
-from repro.obs.bench import BUDGETS, SCENARIOS
+from repro.obs.bench import BUDGETS, SCENARIOS, load_bench_report
 
 #: CI-smoke scale; big enough that every scenario exercises dispatch,
 #: preemption, cancellations and the batch loop.
 SCALE = BUDGETS["small"]
 
-#: Each bench scenario's ``combined_schedule_hash`` at the small budget —
-#: the hashes CI's bench baseline (``benchmarks/baseline/BENCH_seed.json``)
-#: holds. A change that moves a schedule must update the pin and say why.
-PINNED_SCENARIO_HASHES = {
-    "serving_sweep": "e813aab5",
-    "fig8_mix": "760f6575",
-    "preempt_storm": "373065b2",
-    "fuzz_stress": "7fac2e32",
-    "fleet_sweep": "0b75f927",
-}
+#: The one table of bench scenario hashes: CI's small-budget baseline. A
+#: change that moves a schedule must re-record it and say why.
+SEED = (Path(__file__).resolve().parents[2]
+        / "benchmarks" / "baseline" / "BENCH_seed.json")
 
 #: Per-device schedule hashes of :func:`_run_faulted_fleet` (two nodes,
 #: then node 0's rejoined device).
@@ -117,7 +112,8 @@ def test_scenario_schedule_hashes_are_pinned(name):
     """The absolute small-budget schedule hash of every bench scenario,
     on the run the identity test above already made."""
     _, hashes, _ = _golden(name, False)
-    assert combined_schedule_hash(hashes) == PINNED_SCENARIO_HASHES[name]
+    pinned = load_bench_report(str(SEED)).scenario(name)["schedule_hash"]
+    assert combined_schedule_hash(hashes) == pinned
 
 
 def _run_faulted_fleet(use_reference: bool):

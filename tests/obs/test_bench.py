@@ -1,5 +1,5 @@
-"""Bench-suite tests: report schema round-trip, the regression gate,
-and a tiny injected scenario table so nothing here costs real time."""
+"""Bench-suite tests: report schema round-trip, the drift gate, and a
+tiny injected scenario table so nothing here costs real time."""
 
 import json
 
@@ -13,10 +13,10 @@ from repro.obs import (
     BenchScenario,
     SCENARIOS,
     compare_reports,
-    default_bench_filename,
     load_bench_report,
     run_bench,
 )
+from repro.obs import bench as bench_mod
 
 
 def _tiny_scenario(scale):
@@ -32,9 +32,12 @@ def _tiny_scenario(scale):
     return {"invocations": len(result.invocations)}
 
 
-TINY = {
-    "tiny": BenchScenario("tiny", _tiny_scenario, "one solo VA[trivial]"),
-}
+@pytest.fixture
+def tiny(monkeypatch):
+    """Swap the suite for one microscopic scenario."""
+    monkeypatch.setattr(bench_mod, "SCENARIOS", {
+        "tiny": BenchScenario("tiny", _tiny_scenario, "one solo VA[trivial]"),
+    })
 
 
 def _report(**overrides):
@@ -42,9 +45,6 @@ def _report(**overrides):
     base = {
         "schema": BENCH_SCHEMA,
         "budget": "small",
-        "created": "2026-08-08T00:00:00",
-        "git_sha": "abc1234",
-        "python": "3.11.7",
         "scenarios": [
             {
                 "name": "s1", "events": 1000, "wall_s": 1.0,
@@ -65,7 +65,7 @@ def _report(**overrides):
 
 
 def _scaled(report, factor):
-    """The same report with every gated rate scaled by ``factor``."""
+    """The same report with every rate scaled by ``factor``."""
     data = report.as_dict()
     for s in data["scenarios"]:
         s["events_per_sec"] *= factor
@@ -77,40 +77,61 @@ def _scaled(report, factor):
 # runner
 # ---------------------------------------------------------------------------
 class TestRunBench:
-    def test_tiny_suite_produces_engine_numbers(self):
-        report = run_bench(budget="small", scenarios=TINY)
+    def test_tiny_suite_produces_engine_numbers(self, tiny):
+        report = run_bench(budget="small")
         row = report.scenario("tiny")
         assert row["events"] > 0
         assert row["events_per_sec"] > 0
         assert row["sim_us_per_wall_s"] > 0
         assert row["extras"] == {"invocations": 1}
-        assert row["profile"]["task_pulls"] > 0
 
-    def test_event_counts_are_deterministic(self):
-        a = run_bench(budget="small", scenarios=TINY)
-        b = run_bench(budget="small", scenarios=TINY)
+    def test_event_counts_are_deterministic(self, tiny):
+        a = run_bench(budget="small")
+        b = run_bench(budget="small")
         assert (
             a.scenario("tiny")["events"] == b.scenario("tiny")["events"]
         )
 
-    def test_schedule_hash_is_recorded_and_deterministic(self):
-        a = run_bench(budget="small", scenarios=TINY)
-        b = run_bench(budget="small", scenarios=TINY)
+    def test_schedule_hash_is_recorded_and_deterministic(self, tiny):
+        a = run_bench(budget="small")
+        b = run_bench(budget="small")
         h = a.scenario("tiny")["schedule_hash"]
         assert isinstance(h, str) and len(h) == 8
         int(h, 16)  # crc32 hexdigest
         assert h == b.scenario("tiny")["schedule_hash"]
 
-    def test_unknown_budget_and_scenario_rejected(self):
-        with pytest.raises(ObservabilityError, match="unknown budget"):
-            run_bench(budget="huge", scenarios=TINY)
-        with pytest.raises(ObservabilityError, match="unknown scenarios"):
-            run_bench(budget="small", only=["nope"], scenarios=TINY)
+    def test_warm_up_and_timed_run_must_agree(self, monkeypatch):
+        """The untimed warm-up run doubles as a reproducibility check: a
+        scenario whose second run schedules differently fails."""
+        from repro.core.flep import FlepSystem
+        from repro.runtime.engine import RuntimeConfig
 
-    def test_progress_callback_sees_each_row(self):
+        kernels = iter(["VA", "SPMV"])
+
+        def drifting(scale):
+            system = FlepSystem(
+                policy="hpf", config=RuntimeConfig(oracle_model=True)
+            )
+            system.submit_at(0.0, "solo", next(kernels), "trivial")
+            system.run()
+            return {}
+
+        monkeypatch.setattr(bench_mod, "SCENARIOS", {
+            "drifting": BenchScenario("drifting", drifting, "two kernels"),
+        })
+        with pytest.raises(ObservabilityError, match="not reproducible"):
+            run_bench(budget="small")
+
+    def test_unknown_budget_and_scenario_rejected(self, tiny):
+        with pytest.raises(ObservabilityError, match="unknown budget"):
+            run_bench(budget="huge")
+        with pytest.raises(ObservabilityError, match="unknown scenarios"):
+            run_bench(budget="small", only=["nope"])
+
+    def test_progress_callback_sees_each_row(self, tiny):
         seen = []
         run_bench(
-            budget="small", scenarios=TINY,
+            budget="small",
             on_progress=lambda name, row: seen.append(name),
         )
         assert seen == ["tiny"]
@@ -127,8 +148,8 @@ class TestRunBench:
 # report schema
 # ---------------------------------------------------------------------------
 class TestReportSchema:
-    def test_round_trip_through_json_file(self, tmp_path):
-        report = run_bench(budget="small", scenarios=TINY)
+    def test_round_trip_through_json_file(self, tiny, tmp_path):
+        report = run_bench(budget="small")
         path = tmp_path / "BENCH_test.json"
         report.write(str(path))
         loaded = load_bench_report(str(path))
@@ -151,10 +172,6 @@ class TestReportSchema:
         with pytest.raises(ObservabilityError, match="flep-bench/1"):
             load_bench_report(str(path))
 
-    def test_default_filename_embeds_date_and_sha(self):
-        report = _report()
-        assert default_bench_filename(report) == "BENCH_20260808_abc1234.json"
-
     def test_missing_scenario_lookup_raises(self):
         with pytest.raises(ObservabilityError, match="no scenario"):
             _report().scenario("nope")
@@ -165,67 +182,38 @@ class TestReportSchema:
 
 
 # ---------------------------------------------------------------------------
-# the regression gate
+# the drift gate
 # ---------------------------------------------------------------------------
 class TestCompare:
-    def test_twenty_percent_slowdown_is_a_regression(self):
-        old = _report()
-        cmp = compare_reports(old, _scaled(old, 0.8))
-        assert not cmp.ok
-        assert {r["scenario"] for r in cmp.regressions} == {"s1", "s2"}
-        assert "REGRESSION" in cmp.format()
-
-    def test_ten_percent_slowdown_passes_default_threshold(self):
-        old = _report()
-        cmp = compare_reports(old, _scaled(old, 0.9))
-        assert cmp.ok
-        assert all(r["status"] == "ok" for r in cmp.rows)
-
-    def test_speedup_is_flagged_improved_not_regression(self):
-        old = _report()
-        cmp = compare_reports(old, _scaled(old, 1.5))
-        assert cmp.ok
-        assert any(r["status"] == "improved" for r in cmp.rows)
-
-    def test_threshold_is_tunable(self):
-        old = _report()
-        assert not compare_reports(old, _scaled(old, 0.9), threshold=0.05).ok
-        assert compare_reports(old, _scaled(old, 0.8), threshold=0.25).ok
-        with pytest.raises(ObservabilityError):
-            compare_reports(old, old, threshold=0.0)
-
     def test_schedule_hash_mismatch_is_drift(self):
         old = _report()
         data = old.as_dict()
         data["scenarios"][0]["schedule_hash"] = "deadbeef"
         cmp = compare_reports(old, BenchReport.from_dict(data))
-        assert cmp.ok  # drift is an identity break, not a perf regression
-        drift = [r for r in cmp.rows if r["status"] == "drift"]
-        assert len(drift) == 1
-        assert drift[0]["scenario"] == "s1"
-        assert drift[0]["metric"] == "schedule_hash"
-        # the drifts property is what `flep bench --compare` gates on
-        assert cmp.drifts == drift
+        assert len(cmp.drifts) == 1
+        assert cmp.drifts[0]["scenario"] == "s1"
+        assert [r["status"] for r in cmp.rows] == ["drift", "ok"]
         assert "deadbeef" in cmp.format()
 
     def test_event_count_change_is_informational_not_drift(self):
-        """Macro fast-forward legitimately collapses event counts; only
-        the kernel-level timeline (the hash) is gated."""
+        """Macro fast-forward legitimately collapses event counts, so
+        the report shows them but only the kernel-level timeline (the
+        hash) is compared."""
         old = _report()
         data = old.as_dict()
         data["scenarios"][0]["events"] = 999
         cmp = compare_reports(old, BenchReport.from_dict(data))
-        assert cmp.ok
         assert cmp.drifts == []
-        changed = {r["metric"] for r in cmp.rows if r["status"] == "changed"}
-        assert changed == {"events"}
-        # events_per_sec is reported, never compared: an event count
-        # change makes it measure a different workload decomposition
-        assert "events_per_sec" not in {r["metric"] for r in cmp.rows}
+        assert all(r["status"] == "ok" for r in cmp.rows)
 
     def test_no_drift_on_identical_counts(self):
+        """Speed is host noise here: halving or doubling every rate
+        changes no row."""
         old = _report()
-        assert compare_reports(old, _scaled(old, 1.2)).drifts == []
+        for factor in (0.5, 2.0):
+            cmp = compare_reports(old, _scaled(old, factor))
+            assert cmp.drifts == []
+            assert all(r["status"] == "ok" for r in cmp.rows)
 
     def test_scenario_missing_in_new_is_reported(self):
         old = _report()
@@ -234,13 +222,4 @@ class TestCompare:
         cmp = compare_reports(old, BenchReport.from_dict(data))
         statuses = {r["status"] for r in cmp.rows}
         assert "missing-in-new" in statuses
-        assert cmp.ok  # informational, not a perf regression
-
-    def test_zero_baseline_is_not_divided_by(self):
-        old = _report()
-        data = old.as_dict()
-        for s in data["scenarios"]:
-            s["sim_us_per_wall_s"] = 0.0
-        cmp = compare_reports(BenchReport.from_dict(data), old)
-        assert any(r["status"] == "no-baseline" for r in cmp.rows)
-        assert cmp.ok
+        assert cmp.drifts == []  # a --scenario subset is not drift

@@ -248,13 +248,6 @@ class TestCounters:
 
     def test_snapshot_and_summary(self, run):
         hub, window, _ = run
-        block = hub.profile_block()
-        assert set(block) == {
-            "events_by_kind", "task_pulls", "flag_polls", "cta_admissions",
-            "preempt_requested", "preempt_latency_us",
-        }
-        assert block["task_pulls"] == hub.task_pulls
-        assert "temporal" in block["preempt_latency_us"]
         text = hub.format_profile(window)
         assert "simulator self-profile" in text
         assert "preempt[temporal]" in text

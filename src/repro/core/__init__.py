@@ -1,5 +1,5 @@
 """FLEP's core: the runtime-facing facade, Figure 5's interception state
-machine, preemption planning, and the scheduling policies."""
+machine, and the scheduling policies."""
 
 from .flep import CoRunResult, FlepSystem
 from .interception import CPUState, InterceptedProcess
@@ -10,12 +10,6 @@ from .policies import (
     POLICIES,
     ReorderPolicy,
     SchedulingPolicy,
-)
-from .preemption import (
-    PreemptionMode,
-    PreemptionPlan,
-    guest_sms_required,
-    plan_preemption,
 )
 
 __all__ = [
@@ -29,8 +23,4 @@ __all__ = [
     "POLICIES",
     "ReorderPolicy",
     "SchedulingPolicy",
-    "PreemptionMode",
-    "PreemptionPlan",
-    "guest_sms_required",
-    "plan_preemption",
 ]

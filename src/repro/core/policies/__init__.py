@@ -1,6 +1,8 @@
 """FLEP scheduling policies: HPF and FFS (the paper's two), EDF-within-
-priority (the serving layer's deadline-aware policy), plus FIFO and
-kernel-reordering controls used by the evaluation."""
+priority (the serving layer's deadline-aware policy, an HPF subclass),
+FIFO (Figure 14's no-preemption reference and the temporal oracle's
+policy), and a kernel-reordering policy that only the fuzzer draws
+(Figure 12's reordering baseline is ``baselines/reordering.py``)."""
 
 from .base import SchedulingPolicy
 from .edf import EDFPolicy

@@ -1,14 +1,14 @@
 """Earliest-deadline-first within priority levels (the serving layer's
 policy).
 
-Across priorities this behaves exactly like HPF — a higher-priority
-arrival always preempts the running lower-priority kernel, spatially
-when the arrival cannot fill the GPU — but *within* a priority level,
-deadline urgency (the absolute ``deadline_us`` the serving layer stamps
-on each invocation from the tenant's SLO) decides who runs, not arrival
-order or remaining time. Invocations without a deadline sort last and
-fall back to FIFO among themselves, so batch work never starves a
-deadline just by arriving first.
+Across priorities this is HPF — a higher-priority arrival always
+preempts the running lower-priority kernel, spatially when the arrival
+cannot fill the GPU — but *within* a priority level, deadline urgency
+(the absolute ``deadline_us`` the serving layer stamps on each
+invocation from the tenant's SLO) decides who runs, not arrival order or
+remaining time. Invocations without a deadline sort last and fall back
+to FIFO among themselves, so batch work never starves a deadline just by
+arriving first.
 
 A same-priority preemption is only issued when it can pay off: the
 candidate's deadline must be strictly earlier than the running
@@ -19,10 +19,9 @@ preemption overhead — otherwise letting it drain naturally is cheaper.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
-from ...errors import RuntimeEngineError
-from .base import SchedulingPolicy
+from .hpf import HPFPolicy
 
 
 def deadline_key(inv) -> Tuple[float, float]:
@@ -32,116 +31,14 @@ def deadline_key(inv) -> Tuple[float, float]:
     return (deadline, inv.record.arrived_at)
 
 
-class EDFPolicy(SchedulingPolicy):
+class EDFPolicy(HPFPolicy):
     """HPF across priorities, earliest-deadline-first within one."""
 
     name = "edf"
+    order_key = staticmethod(deadline_key)
 
-    def __init__(self):
-        super().__init__()
-        self._queues: Dict[int, List] = {}
-
-    # ------------------------------------------------------------------
-    # queue bank (deadline-ordered, one queue per priority)
-    # ------------------------------------------------------------------
-    def _enqueue(self, inv) -> None:
-        q = self._queues.setdefault(inv.priority, [])
-        if inv in q:
-            raise RuntimeEngineError(f"{inv} is already enqueued")
-        q.append(inv)
-        q.sort(key=deadline_key)
-
-    def _remove(self, inv) -> None:
-        q = self._queues.get(inv.priority)
-        if not q or inv not in q:
-            raise RuntimeEngineError(f"{inv} is not enqueued")
-        q.remove(inv)
-        if not q:
-            del self._queues[inv.priority]
-
-    def _head(self, priority: int):
-        q = self._queues.get(priority)
-        return q[0] if q else None
-
-    def _highest_nonempty(self) -> Optional[int]:
-        return max(self._queues) if self._queues else None
-
-    def waiting_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
-    # ------------------------------------------------------------------
-    # event handlers
-    # ------------------------------------------------------------------
-    def on_kernel_arrival(self, kn) -> None:
-        rt = self.rt
-        kr = rt.running
-        if kr is not None:
-            if kr.priority < kn.priority:
-                self._preempt_for(kr, kn)
-            elif kr.priority > kn.priority:
-                self._enqueue(kn)
-            else:
-                self._enqueue(kn)
-                self.schedule_for_queue(kn.priority)
-        else:
-            self._enqueue(kn)
-            self.schedule_for_queue(kn.priority)
-
-    def on_kernel_finished(self, inv) -> None:
-        if inv in self._queues.get(inv.priority, []):
-            # a temporally-preempted victim whose yield boundary lands on
-            # its last task completes *during* the drain, while it still
-            # sits in the wait queue — it must not be re-dispatched
-            self._remove(inv)
-        hp = self._highest_nonempty()
-        if hp is not None:
-            self.schedule_for_queue(hp)
-
-    # ------------------------------------------------------------------
-    def schedule_for_queue(self, priority: int) -> None:
-        rt = self.rt
-        ks = self._head(priority)
-        if ks is None:
-            return
-        kr = rt.running
-        if kr is None:
-            self._remove(ks)
-            rt.schedule_to_gpu(ks)
-            return
-        if kr.priority > priority:
-            return  # a higher-priority kernel owns the GPU
-        if kr.priority < priority:
-            # With three or more priority levels, guest promotion after a
-            # completion can hand the GPU to a lower-priority co-runner
-            # while higher-priority work waits. Respond exactly as if the
-            # waiting head had just arrived: preempt the host for it.
-            self._remove(ks)
-            self._preempt_for(kr, ks)
-            return
-        # same priority: preempt only for a strictly earlier deadline,
-        # and only when the victim's remaining work exceeds the overhead
-        overhead = rt.preemption_overhead_us(kr)
-        if (
+    def pays_to_preempt(self, kr, ks) -> bool:
+        return (
             deadline_key(ks) < deadline_key(kr)
-            and kr.record.remaining_us > overhead
-        ):
-            rt.preempt(kr)
-            self._enqueue(kr)
-            self._remove(ks)
-            rt.schedule_to_gpu(ks)
-
-    # ------------------------------------------------------------------
-    def _preempt_for(self, kr, kn) -> None:
-        """A strictly-higher-priority kernel arrived while ``kr`` runs."""
-        rt = self.rt
-        num_sms = rt.device.num_sms
-        width = num_sms
-        if rt.config.spatial_enabled:
-            width = kr.yielded_sms + rt.spatial_width_for(kn)
-        if width < num_sms:
-            rt.preempt(kr, width)      # spatial: victim keeps the rest
-            rt.schedule_to_gpu(kn)     # guest fills the freed SMs
-        else:
-            rt.preempt(kr)             # temporal: victim drains fully
-            self._enqueue(kr)
-            rt.schedule_to_gpu(kn)     # CTAs fill SMs as they free
+            and kr.record.remaining_us > self.rt.preemption_overhead_us(kr)
+        )

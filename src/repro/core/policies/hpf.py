@@ -8,6 +8,10 @@ minimization (§5.2.1, Figure 6).
   2-competitive for average stretch (Muthukrishnan et al.). The running
   kernel is preempted only if its remaining time exceeds the candidate's
   remaining time plus the preemption overhead.
+
+Subclasses (EDF) replace only the within-priority order,
+:meth:`HPFPolicy.order_key`, and the same-priority preemption test,
+:meth:`HPFPolicy.pays_to_preempt`.
 """
 
 from __future__ import annotations
@@ -21,28 +25,31 @@ class HPFPolicy(SchedulingPolicy):
 
     name = "hpf"
 
-    def __init__(self, srt_within_priority: bool = True):
+    def __init__(self):
         super().__init__()
-        self.queues = PriorityQueues()
-        #: disable to fall back to FIFO within a priority level (ablation)
-        self.srt_within_priority = srt_within_priority
+        self.queues = PriorityQueues(self.order_key)
+
+    @staticmethod
+    def order_key(inv):
+        """Within-priority order: shortest predicted remaining time."""
+        return inv.record.remaining_us
+
+    def pays_to_preempt(self, kr, ks) -> bool:
+        """Same priority: preempt running ``kr`` for waiting ``ks`` only
+        if it pays off net of overhead (Figure 6, line 30)."""
+        overhead = self.rt.preemption_overhead_us(kr)
+        return kr.record.remaining_us > ks.record.remaining_us + overhead
 
     # ------------------------------------------------------------------
     # event handlers (Figure 6, lines 0-20)
     # ------------------------------------------------------------------
     def on_kernel_arrival(self, kn) -> None:
-        rt = self.rt
-        kr = rt.running
-        if kr is not None:
-            if kr.priority < kn.priority:
-                self._preempt_for(kr, kn)
-            elif kr.priority > kn.priority:
-                self.queues.enqueue(kn)
-            else:
-                self.queues.enqueue(kn)
-                self.schedule_for_queue(kn.priority)
-        else:
-            self.queues.enqueue(kn)
+        kr = self.rt.running
+        if kr is not None and kr.priority < kn.priority:
+            self._preempt_for(kr, kn)
+            return
+        self.queues.enqueue(kn)
+        if kr is None or kr.priority == kn.priority:
             self.schedule_for_queue(kn.priority)
 
     def on_kernel_finished(self, inv) -> None:
@@ -67,9 +74,6 @@ class HPFPolicy(SchedulingPolicy):
         ks = self.queues.head(priority)
         if ks is None:
             return
-        if not self.srt_within_priority:
-            ks = min(self.queues.at_priority(priority),
-                     key=lambda i: i.record.arrived_at)
         kr = rt.running
         if kr is None:
             self.queues.remove(ks)
@@ -85,9 +89,7 @@ class HPFPolicy(SchedulingPolicy):
             self.queues.remove(ks)
             self._preempt_for(kr, ks)
             return
-        # same priority: preempt only if it pays off net of overhead
-        overhead = rt.preemption_overhead_us(kr)
-        if kr.record.remaining_us > ks.record.remaining_us + overhead:
+        if self.pays_to_preempt(kr, ks):
             rt.preempt(kr)
             self.queues.enqueue(kr)
             self.queues.remove(ks)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..gpu.device import GPUDeviceSpec
-from .harness import CoRunHarness, Scenario
+from .harness import LAUNCH_FOLLOW_US, CoRunHarness, Scenario
 from .report import ExperimentReport
 
 #: Representative pairs (high, low); one per low-priority benchmark.
@@ -43,7 +43,7 @@ def run(
     for high, low in pairs:
         low_solo = harness.solo_us(low, "large")
         for frac in fractions:
-            delay = max(10.0, frac * low_solo)
+            delay = max(LAUNCH_FOLLOW_US, frac * low_solo)
             scenario = Scenario.pair(low=low, high=high, delay_us=delay)
             mps = harness.run_mps(scenario)
             flep = harness.run_flep(scenario, policy="hpf")

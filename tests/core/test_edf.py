@@ -13,12 +13,12 @@ from repro.core.policies.edf import EDFPolicy, deadline_key
 from repro.runtime.engine import RuntimeConfig
 
 
-def edf_system(suite, **cfg):
+def edf_system(suite):
     return FlepSystem(
         policy="edf",
         device=suite.device,
         suite=suite,
-        config=RuntimeConfig(oracle_model=True, **cfg),
+        config=RuntimeConfig(oracle_model=True),
     )
 
 
@@ -127,16 +127,6 @@ class TestAcrossPriorities:
         high = result.by_process("high")[0]
         assert low.record.preemptions == 1
         assert high.record.finished_at < low.record.finished_at
-
-    def test_spatial_path_for_trivial_guest(self, suite):
-        system = edf_system(suite, spatial_enabled=True)
-        system.submit_at(0.0, "victim", "CFD", "large", priority=0)
-        system.submit_at(500.0, "guest", "NN", "trivial", priority=1,
-                         deadline_us=5_000.0)
-        result = system.run()
-        victim = result.by_process("victim")[0]
-        assert victim.record.preemptions == 0   # kept its other SMs
-        assert result.all_finished
 
     def test_lower_priority_arrival_queued(self, suite):
         system = edf_system(suite)

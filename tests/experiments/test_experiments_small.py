@@ -21,6 +21,7 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.pairs import CoRunPair
+from repro.obs import EngineWindow
 
 SMALL_PAIRS = [CoRunPair("SPMV", "NN"), CoRunPair("MM", "CFD")]
 
@@ -68,6 +69,18 @@ class TestShapes:
         speedups = [r["speedup"] for r in report.rows]
         assert speedups[0] > speedups[1] > speedups[2]
         assert speedups[2] == pytest.approx(1.0, abs=0.15)
+
+    @pytest.mark.parametrize(
+        "pair", fig9.DEFAULT_PAIRS, ids=lambda p: "_".join(p)
+    )
+    def test_fig9_zero_delay_point_drains_running_ctas(self, harness, pair):
+        """The sweep's first point lands after the low kernel's launch,
+        so its temporal preemption drains real work."""
+        with EngineWindow(hub=True) as window:
+            fig9.run(harness=harness, pairs=[pair], fractions=(0.0,))
+        drains = window.hub.stall_latency()["temporal"]
+        assert drains["count"] == 1
+        assert drains["min_us"] > 0.0
 
     def test_fig10_antt_improves(self, harness):
         report = fig10.run(harness=harness)

@@ -360,8 +360,9 @@ class TestDrainCompletionRegression:
     def test_edf_drops_finished_victim_from_queue(self):
         policy = EDFPolicy()
         inv = self._Inv(priority=1)
-        policy._enqueue(inv)
+        policy.queues.enqueue(inv)
         policy.on_kernel_finished(inv)
+        assert inv not in policy.queues
         assert policy.waiting_count() == 0
 
     def test_fuzz_seed_42_replays_clean(self):

@@ -1,11 +1,13 @@
 """Conformance-monitor overhead.
 
 The contract is that an unmonitored run pays *zero* cost: nothing hooks
-``Simulator.set_trace`` unless ``install_monitors`` is called, so the
-engine's per-event cost is the single ``if self._trace is not None``
-guard it always had. This bench verifies the uninstalled path stays
-hook-free, times the guard directly, and records the monitored run's
-cost for the report."""
+``Simulator.set_trace`` or joins ``SimulatedGPU.listeners`` unless
+``install_monitors`` is called, so the engine's per-event cost is the
+single ``if self._trace is not None`` guard it always had, and the
+device's is one empty-list guard per placement, retire, launch and
+terminal. This bench verifies the uninstalled path stays hook-free,
+times the guard directly, and records the monitored run's cost for the
+report."""
 
 import statistics
 import time
@@ -47,8 +49,10 @@ def test_uninstalled_monitors_leave_no_trace_hook(benchmark):
     system = benchmark.pedantic(
         _run_pair, rounds=3, iterations=1, warmup_rounds=1
     )
-    # zero-cost contract: the engine never saw a hook
+    # zero-cost contract: the engine never saw a hook, the device no
+    # listener
     assert system.sim._trace is None
+    assert system.gpu.listeners == []
 
     t0 = time.perf_counter()
     _run_pair()
@@ -73,17 +77,19 @@ def _median_wall_s(run, rounds: int = 5) -> float:
 
 
 def test_monitored_run_cost_is_bounded(benchmark):
-    """Full monitor stack on the same co-run. Each monitor re-checks
-    only what an event can change (the pools of queued grids, the CTAs
-    of grids whose flag is raised, one screen over the SM bank), so the
-    monitored run stays within a small multiple of the bare one: over
-    five runs each, the median monitored run takes under 3x the median
-    bare run."""
+    """Full monitor stack on the same co-run. Each device monitor
+    checks only what changed (the SM a placement or retire touched, the
+    contexts a flag write demands) and the per-event pool check reads
+    only the pools of queued grids, so the monitored run stays within a
+    small multiple of the bare one: over five runs each, the median
+    monitored run takes under 3x the median bare run."""
     system = benchmark.pedantic(
         lambda: _run_pair(monitored=True),
         rounds=3, iterations=1, warmup_rounds=1,
     )
-    assert system.sim._trace is None  # uninstall restored the bare hook
+    # uninstall restored the bare hook and emptied the listener list
+    assert system.sim._trace is None
+    assert system.gpu.listeners == []
     bare_s = _median_wall_s(_run_pair)
     monitored_s = _median_wall_s(lambda: _run_pair(monitored=True))
     assert monitored_s < 3 * bare_s, (

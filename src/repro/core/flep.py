@@ -78,7 +78,7 @@ class FlepSystem:
             from ..gpu.trace import Timeline
 
             self.timeline = Timeline()
-            self.gpu.tracer = self.timeline
+            self.gpu.listeners.append(self.timeline)
         self.obs = adopt_hub(observability, lambda: self.sim.now)
         if self.obs.enabled:
             self.sim.obs = self.obs

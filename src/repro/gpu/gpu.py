@@ -46,9 +46,11 @@ class SimulatedGPU:
         self._dispatching = False
         self._dispatch_again = False
         self.launch_count = 0
-        #: optional Timeline recorder (repro.gpu.trace); a window opened
-        #: with ``timelines=True`` attaches one (golden-trace tests)
-        self.tracer = None
+        #: Timelines (repro.gpu.trace) and device monitors: each gets
+        #: context_placed(ctx, grid), context_retired(ctx, now), and
+        #: grid_launched/grid_terminal(grid) as a grid enters and leaves
+        #: the hardware queue (a terminal precedes its last retire)
+        self.listeners: list = []
         #: always-on O(1)-memory schedule digest (identity contract)
         self.sched = ScheduleHash()
         self._obs: Observability = NULL_OBS
@@ -157,6 +159,9 @@ class SimulatedGPU:
         self._queue.append(grid)
         if self._obs.enabled:
             self._obs.hw_queue_depth(len(self._queue))
+        if self.listeners:
+            for listener in self.listeners:
+                listener.grid_launched(grid)
         self._dispatch()
 
     def _pick_order(self, grid: Grid, n: int) -> List[SM]:
@@ -227,13 +232,14 @@ class SimulatedGPU:
         if not sms:
             return
         fp = grid._footprint
-        tracer = self.tracer
+        listeners = self.listeners
         grid.begin_pass()
         for sm in sms:
             ctx = grid.place_context(sm)
             sm.admit_fp(ctx, *fp)
-            if tracer is not None:
-                tracer.context_placed(ctx, grid)
+            if listeners:
+                for listener in listeners:
+                    listener.context_placed(ctx, grid)
             ctx.start()
             # each claim shrinks the pool, which may cap the CTAs left
             if grid._terminal or grid.unplaced_contexts <= 0:
@@ -278,8 +284,9 @@ class SimulatedGPU:
             self.sched.fold(
                 ctx.grid.kernel.name, ctx.sm.sm_id, ctx.started_at, now
             )
-            if self.tracer is not None:
-                self.tracer.context_retired(ctx, now)
+            if self.listeners:
+                for listener in self.listeners:
+                    listener.context_retired(ctx, now)
         self._dispatch()
 
     def on_grid_terminal(self, grid: Grid) -> None:
@@ -287,6 +294,9 @@ class SimulatedGPU:
             self._queue.remove(grid)
             if self._obs.enabled:
                 self._obs.hw_queue_depth(len(self._queue))
+            if self.listeners:
+                for listener in self.listeners:
+                    listener.grid_terminal(grid)
         self._dispatch()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,9 +1,10 @@
 """Execution timelines: who occupied which SM, when.
 
-A :class:`Timeline` attached to a :class:`~repro.gpu.gpu.SimulatedGPU`
-records one interval per hosted CTA context (SM id, start, end, kernel,
-tags). From those intervals it derives per-SM occupancy series and an
-ASCII Gantt rendering — which is how `experiments/fig2.py` regenerates
+A :class:`Timeline` on a :class:`~repro.gpu.gpu.SimulatedGPU`'s
+``listeners`` list records one interval per hosted CTA context (SM id,
+start, end, kernel, tags). From those intervals it derives per-SM
+occupancy series and an ASCII Gantt rendering — which is how
+`experiments/fig2.py` regenerates
 the paper's Figure-2 illustration of temporal vs spatial preemption.
 
 Two lighter companions serve the schedule-identity contract
@@ -78,8 +79,8 @@ class Interval:
 class Timeline:
     """Recorder for CTA residency intervals.
 
-    Attach with ``gpu.tracer = Timeline()`` *before* launching work;
-    the device reports every context retirement.
+    Append one to ``gpu.listeners`` *before* launching work; the device
+    reports every context placement and retirement.
     """
 
     intervals: List[Interval] = field(default_factory=list)
@@ -99,6 +100,12 @@ class Timeline:
             return
         sm_id, start, label, tag = info
         self.intervals.append(Interval(sm_id, start, now, label, tag))
+
+    def grid_launched(self, grid) -> None:
+        pass
+
+    def grid_terminal(self, grid) -> None:
+        pass
 
     def close_open(self, now: float) -> None:
         """Close any still-resident contexts at time ``now`` (end of an

@@ -752,8 +752,9 @@ def register_device(gpu) -> None:
     if window.timelines is not None:
         from ..gpu.trace import Timeline
 
-        gpu.tracer = Timeline()
-        window.timelines.append(gpu.tracer)
+        timeline = Timeline()
+        gpu.listeners.append(timeline)
+        window.timelines.append(timeline)
 
 
 def get_global() -> Optional[Observability]:

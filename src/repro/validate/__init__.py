@@ -5,10 +5,13 @@ Three layers, each usable on its own:
 * **Online invariant monitors** (:mod:`.monitors`) — attachable to any
   :class:`~repro.gpu.sim.Simulator` / :class:`~repro.gpu.gpu.SimulatedGPU`
   / :class:`~repro.runtime.engine.FlepRuntime` /
-  :class:`~repro.core.flep.FlepSystem` through the existing ``set_trace``
-  hook. They re-check SM resource budgets, task conservation, event-time
-  monotonicity, spatial ``%smid`` partitioning and the HPF/FFS policy
-  contracts after every simulated event, raising
+  :class:`~repro.core.flep.FlepSystem`. The device monitors join the
+  device's ``listeners`` list and check what changed: SM resource
+  budgets at each placement and retire, spatial ``%smid`` partitioning
+  from each flag write, the task pools of launched grids. Event-time
+  monotonicity, task conservation on the live pools and the HPF
+  contract ride the simulator's ``set_trace`` hook, once per event; the
+  FFS contract is checked at finalize. Each raises
   :class:`~repro.errors.InvariantViolation` the moment a state is illegal.
   Nothing is installed by default: an unmonitored run pays zero cost.
 

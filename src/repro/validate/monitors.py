@@ -1,42 +1,37 @@
 """Online invariant monitors.
 
-A :class:`Monitor` checks one class of invariant after every simulated
-event; a :class:`MonitorSet` owns a group of monitors and splices them
-into a :class:`~repro.gpu.sim.Simulator` through the existing
-``set_trace`` hook (chaining with any trace function already installed,
-so monitors compose with user tracing). Monitors are **zero-cost when
-not installed**: no hot path in the simulator, device or runtime knows
-this module exists.
-
-Each monitor's per-event cost tracks what an event can change, not
-everything the run ever created; ``finalize`` re-checks what the
-per-event pass may have skipped. The invariant catalogue:
+A :class:`MonitorSet` splices a group of :class:`Monitor` s into a
+:class:`~repro.gpu.sim.Simulator`'s ``set_trace`` hook (chaining any
+trace function already installed) and into each device monitor's
+``SimulatedGPU.listeners``. Monitors are **zero-cost when not
+installed**: no hot path knows this module exists. Device monitors
+check what changed; only the checks that are per event by nature run
+before every event, and ``finalize`` re-checks what they cannot see:
 
 ================  =====================================================
-Monitor           Invariant (per event / at finalize)
+Monitor           Invariant (when it is checked)
 ================  =====================================================
 resource-budget   No SM ever exceeds its CTA-slot / thread / warp /
                   register / shared-memory budget; accounting never
-                  goes negative. Per event: one ``max``/``min`` screen
-                  over the device's SM bank, a per-SM scan only on a
-                  miss.
+                  goes negative. At each placement and retire: the
+                  touched SM.
 work-conservation Every task pool satisfies
                   ``done + outstanding + remaining == total`` and
                   ``done`` is monotone (a task commits exactly once).
-                  Per event: the pools of queued grids, newly tracked
-                  pools, and pools whose grids just left the queue.
-                  Finalize: every pool ever tracked, then every pool
-                  must have drained (``outstanding == 0``).
+                  Per event: the pools of queued grids, registered at
+                  launch; a final check when a pool's last live grid
+                  goes terminal. Finalize: every pool ever tracked,
+                  then every pool must have drained
+                  (``outstanding == 0``).
 monotonic-time    Event timestamps never decrease, and never lag the
                   simulated clock.
 spatial-partition A persistent CTA resident on SM ``s`` while the
                   device-visible flag demands ``s < spa_P`` must leave
                   within one poll period (``L`` tasks + one pinned
                   read) — the ``%smid`` partition of Figure 4 (c).
-                  Per event: queued grids with a raised flag, each
-                  rescanned only when its contexts or flag change or a
-                  deadline passes. Finalize: overdue CTAs still
-                  resident.
+                  At each flag write: arm the demanded contexts'
+                  deadlines; at each retire: check its deadline.
+                  Finalize: overdue CTAs still resident.
 hpf-contract      While a lower-priority kernel runs, no
                   higher-priority invocation stays in the wait queues
                   beyond the preemption-latency bound (Figure 6). Per
@@ -73,9 +68,14 @@ __all__ = [
 
 
 class Monitor:
-    """One online invariant: re-checked after every simulated event."""
+    """One online invariant. :meth:`on_event` runs before every simulated
+    event; a monitor with a ``gpu`` joins that device's ``listeners``
+    while installed and checks what each placement, retire, launch and
+    terminal changed."""
 
     name = "abstract"
+    #: the device whose listener list the monitor joins, if any
+    gpu = None
 
     def on_event(self, ev) -> None:
         """Called (via the simulator trace hook) just before each event
@@ -84,12 +84,44 @@ class Monitor:
     def finalize(self, now: float) -> None:
         """End-of-run checks (quiescence, completeness, share errors)."""
 
+    # device listener callbacks (see SimulatedGPU.listeners)
+    def context_placed(self, ctx, grid) -> None:
+        pass
+
+    def context_retired(self, ctx, now: float) -> None:
+        pass
+
+    def grid_launched(self, grid) -> None:
+        pass
+
+    def grid_terminal(self, grid) -> None:
+        pass
+
+    def attach(self) -> None:
+        """Join the device's listener list, replaying the grids already
+        queued and their resident contexts as if launched and placed
+        now."""
+        gpu = self.gpu
+        if gpu is None:
+            return
+        gpu.listeners.append(self)
+        for grid in gpu._queue:
+            self.grid_launched(grid)
+            for ctx in sorted(grid.contexts, key=lambda c: c.ctx_id):
+                self.context_placed(ctx, grid)
+
+    def detach(self) -> None:
+        """Leave the device's listener list."""
+        if self.gpu is not None:
+            self.gpu.listeners.remove(self)
+
     def fail(self, message: str, **context) -> None:
         raise InvariantViolation(message, monitor=self.name, **context)
 
 
 class MonitorSet:
-    """A group of monitors spliced into one simulator's trace hook."""
+    """A group of monitors spliced into one simulator's trace hook and
+    their devices' listener lists."""
 
     def __init__(self, sim: Simulator, monitors: List[Monitor]):
         self.sim = sim
@@ -98,7 +130,8 @@ class MonitorSet:
         self._previous: Optional[Callable] = None
 
     def install(self) -> "MonitorSet":
-        """Attach to the simulator, chaining any existing trace hook."""
+        """Attach to the simulator, chaining any existing trace hook, and
+        to each device monitor's listener list."""
         if self._installed:
             raise ValidationError("monitor set already installed")
         self._previous = self.sim._trace
@@ -112,12 +145,16 @@ class MonitorSet:
                 previous(ev)
 
         self.sim.set_trace(run_monitors)
+        for m in self.monitors:
+            m.attach()
         self._installed = True
         return self
 
     def uninstall(self) -> None:
         if self._installed:
             self.sim.set_trace(self._previous)
+            for m in self.monitors:
+                m.detach()
             self._previous = None
             self._installed = False
 
@@ -161,11 +198,10 @@ def off_by_one_spec(spec):
 class ResourceBudgetMonitor(Monitor):
     """Per-SM budgets are never exceeded; accounting never goes negative.
 
-    Per event, one C-level ``max``/``min`` over each of the device's
-    :class:`~repro.gpu.sm.SMBank` lists (and over the resident-set
-    sizes) screens every SM at once; only when the screen misses does
-    the per-SM scan run, so the error names the SM. ``spec`` defaults to
-    the device's own spec; passing a different one (e.g.
+    Only a placement or a retire changes an SM's accounting, so the
+    monitor checks the touched SM at each: a violation fails at the
+    placement that causes it, naming the SM. ``spec`` defaults to the
+    device's own spec; passing a different one (e.g.
     :func:`off_by_one_spec`) plants a violation for self-tests.
     """
 
@@ -174,58 +210,35 @@ class ResourceBudgetMonitor(Monitor):
     def __init__(self, gpu, spec=None):
         self.gpu = gpu
         self.spec = spec if spec is not None else gpu.spec
-        self._residents = [sm.resident for sm in gpu.sms]
 
-    def on_event(self, ev) -> None:
+    def context_placed(self, ctx, grid) -> None:
+        self._check(ctx.sm)
+
+    def context_retired(self, ctx, now: float) -> None:
+        self._check(ctx.sm)
+
+    def _check(self, sm) -> None:
         spec = self.spec
-        bank = self.gpu.bank
-        if (
-            max(map(len, self._residents)) <= spec.max_ctas_per_sm
-            and max(bank.threads) <= spec.max_threads_per_sm
-            and max(bank.warps) <= spec.max_warps_per_sm
-            and max(bank.regs) <= spec.registers_per_sm
-            and max(bank.smem) <= spec.shared_mem_per_sm
-            and min(min(bank.threads), min(bank.warps),
-                    min(bank.regs), min(bank.smem)) >= 0
+        bank = sm.bank
+        i = sm.sm_id
+        used = (bank.threads[i], bank.warps[i], bank.regs[i], bank.smem[i])
+        for what, value, budget in (
+            ("CTA-slot", len(sm.resident), spec.max_ctas_per_sm),
+            ("thread", used[0], spec.max_threads_per_sm),
+            ("warp", used[1], spec.max_warps_per_sm),
+            ("register", used[2], spec.registers_per_sm),
+            ("shared-memory", used[3], spec.shared_mem_per_sm),
         ):
-            return
-        self._scan()
-
-    def _scan(self) -> None:
-        spec = self.spec
-        for sm in self.gpu.sms:
-            if len(sm.resident) > spec.max_ctas_per_sm:
+            if value > budget:
                 self.fail(
-                    "SM CTA-slot budget exceeded", sm=sm.sm_id,
-                    resident=len(sm.resident), budget=spec.max_ctas_per_sm,
+                    f"SM {what} budget exceeded", sm=i,
+                    used=value, budget=budget,
                 )
-            if sm.used_threads > spec.max_threads_per_sm:
-                self.fail(
-                    "SM thread budget exceeded", sm=sm.sm_id,
-                    used=sm.used_threads, budget=spec.max_threads_per_sm,
-                )
-            if sm.used_warps > spec.max_warps_per_sm:
-                self.fail(
-                    "SM warp budget exceeded", sm=sm.sm_id,
-                    used=sm.used_warps, budget=spec.max_warps_per_sm,
-                )
-            if sm.used_regs > spec.registers_per_sm:
-                self.fail(
-                    "SM register budget exceeded", sm=sm.sm_id,
-                    used=sm.used_regs, budget=spec.registers_per_sm,
-                )
-            if sm.used_smem > spec.shared_mem_per_sm:
-                self.fail(
-                    "SM shared-memory budget exceeded", sm=sm.sm_id,
-                    used=sm.used_smem, budget=spec.shared_mem_per_sm,
-                )
-            if min(sm.used_threads, sm.used_warps,
-                   sm.used_regs, sm.used_smem) < 0:
-                self.fail(
-                    "SM resource accounting went negative", sm=sm.sm_id,
-                    threads=sm.used_threads, warps=sm.used_warps,
-                    regs=sm.used_regs, smem=sm.used_smem,
-                )
+        if min(used) < 0:
+            self.fail(
+                "SM resource accounting went negative", sm=i,
+                threads=used[0], warps=used[1], regs=used[2], smem=used[3],
+            )
 
 
 class WorkConservationMonitor(Monitor):
@@ -237,26 +250,18 @@ class WorkConservationMonitor(Monitor):
     (re-execution after preemption returns tasks to ``remaining`` — it
     never double-commits).
 
-    Only the CTA contexts of a grid in the device queue mutate a pool
-    (the batch loop of :mod:`repro.gpu.cta`, the cohort commits of
-    :mod:`repro.gpu.macro`, and the ``TaskPool.take``/``finish``/
-    ``give_back`` calls they make). A grid leaves the queue only when it
-    is terminal, and ``Grid._check_terminal`` requires its context set
-    to be empty. So per event the check runs on just:
-
-    * the pools of grids in ``gpu._queue`` (*live*);
-    * pools tracked since the last event — new runtime invocations,
-      found through a cursor over that append-only list, and
-      :meth:`track` calls;
-    * pools live at the last event but not now: their final check, after
-      which they retire. A resumed grid sharing a retired pool brings it
-      back to life.
-
-    Per-event cost follows the queue, not the number of pools ever
-    created, and each check reads the pool once (:meth:`TaskPool.counts`).
-    :meth:`finalize` re-runs the full check on every pool ever tracked,
-    which catches a mutation of a retired pool, then demands that every
-    pool be quiescent (``outstanding == 0``) and, when
+    Only the CTA contexts of a queued grid mutate a pool (the batch loop
+    of :mod:`repro.gpu.cta`, the cohort commits of :mod:`repro.gpu.macro`,
+    and the ``TaskPool.take``/``finish``/``give_back`` calls they make).
+    So a pool is *live* from its first grid's launch until its last live
+    grid goes terminal, when it gets a final check and leaves; a resumed
+    grid sharing the pool makes it live again. Per event the check runs
+    on the live pools only, so its cost follows the queue, not the
+    number of pools ever created, and each check reads the pool once
+    (:meth:`TaskPool.counts`). :meth:`finalize` tracks every runtime
+    invocation's pool, re-runs the full check on every pool ever
+    tracked, which catches a mutation of a retired pool, then demands
+    that every pool be quiescent (``outstanding == 0``) and, when
     ``require_complete``, fully committed (``done == total``).
     """
 
@@ -268,46 +273,36 @@ class WorkConservationMonitor(Monitor):
         self.require_complete = require_complete
         #: id(pool) -> [pool, label, highest done seen], tracking order
         self._pools: Dict[int, list] = {}
-        #: pools tracked since the last event
-        self._fresh: Dict[int, list] = {}
-        #: pools live at the last event
+        #: id(pool) -> [its _pools entry, live grids drawing on it]
         self._live: Dict[int, list] = {}
-        #: cursor into runtime.invocations
-        self._invs_seen = 0
 
     def track(self, pool, label: str = "") -> list:
         key = id(pool)
         entry = self._pools.get(key)
         if entry is None:
-            entry = [pool, label or repr(pool), pool.done]
-            self._pools[key] = self._fresh[key] = entry
+            entry = self._pools[key] = [pool, label or repr(pool), pool.done]
         return entry
 
-    def _discover(self) -> Dict[int, list]:
-        """Track every pool created since the last call; return the live
-        ones (the pools of queued grids).
+    def grid_launched(self, grid) -> None:
+        key = id(grid.pool)
+        live = self._live.get(key)
+        if live is not None:
+            live[1] += 1
+            return
+        inv = grid.tag.get("inv")
+        name = grid.kernel.name
+        entry = self.track(
+            grid.pool, name if inv is None else f"inv#{inv}:{name}"
+        )
+        self._live[key] = [entry, 1]
 
-        A grid that owns its pool (no invocation does) is found in the
-        queue: hooks run before each event, and a grid cannot enter and
-        leave the queue within one event — its pool drains only through
-        later batch-completion, yield or flag-write events — so every
-        such grid is queued when some event's check runs. (A grid that
-        finished before the monitor was installed is not seen.)"""
-        live: Dict[int, list] = {}
-        if self.gpu is not None:
-            pools = self._pools
-            for grid in self.gpu._queue:
-                pool = grid.pool
-                key = id(pool)
-                live[key] = pools.get(key) or self.track(
-                    pool, grid.kernel.name
-                )
-        if self.runtime is not None:
-            invocations = self.runtime.invocations
-            for inv in invocations[self._invs_seen:]:
-                self.track(inv.pool, f"inv#{inv.inv_id}:{inv.kspec.name}")
-            self._invs_seen = len(invocations)
-        return live
+    def grid_terminal(self, grid) -> None:
+        key = id(grid.pool)
+        live = self._live[key]
+        live[1] -= 1
+        if not live[1]:
+            del self._live[key]
+            self._check(live[0])
 
     def _check(self, entry: list) -> None:
         """One pool's conservation check; advances its ``done``."""
@@ -332,17 +327,13 @@ class WorkConservationMonitor(Monitor):
         entry[2] = done
 
     def on_event(self, ev) -> None:
-        live = self._discover()
-        due = self._fresh
-        due.update(live)
-        due.update(self._live)  # retiring: final check
-        self._fresh = {}
-        self._live = live
-        for entry in due.values():
+        for entry, _ in self._live.values():
             self._check(entry)
 
     def finalize(self, now: float) -> None:
-        self._discover()
+        if self.runtime is not None:
+            for inv in self.runtime.invocations:
+                self.track(inv.pool, f"inv#{inv.inv_id}:{inv.kspec.name}")
         for entry in self._pools.values():
             self._check(entry)
         for pool, label, _ in self._pools.values():
@@ -385,26 +376,20 @@ class MonotonicTimeMonitor(Monitor):
 class SpatialPartitionMonitor(Monitor):
     """Spatial preemption's ``%smid`` partition (Figure 4 (c)).
 
-    When the device-visible flag value ``v`` of a persistent grid
-    demands that SM ``s`` yield (``s < v``, or any ``v > 0`` for
-    temporal-only kernels), every CTA of that grid still resident on
-    ``s`` must leave within one poll period — ``L`` tasks plus the
-    pinned reads — of the demand becoming visible. A CTA overstaying
-    that bound is a stuck worker the runtime would wait on forever.
+    When the flag value ``v`` of a persistent grid demands that SM ``s``
+    yield (``s < v``, or any ``v > 0`` for temporal-only kernels), every
+    CTA of that grid resident on ``s`` must leave within one poll period
+    — ``L`` tasks plus the pinned reads — of the demand becoming
+    visible; an overstaying CTA is a stuck worker.
 
-    A context's deadline is set at the first event where both the host
-    value and the device-visible value demand its yield: ``L·per_task +
-    2·poll + signal + slack`` later. Only a queued persistent grid whose
-    host flag value is non-zero (*raised*) can demand anything, and the
-    set of demanding contexts changes only when the grid's context set
-    changes, its flag is written, or a pending write becomes visible.
-    So per event the monitor walks the queue for raised grids and keeps
-    each one's deadlines with a key over (flag writes, placements,
-    retirements), the next pending write's visibility time and the
-    earliest deadline. A raised grid whose key is unchanged, with no
-    write turning visible and no deadline passed, costs O(1); otherwise
-    its contexts are rescanned. :meth:`finalize` fails for a context
-    past its deadline that is still resident.
+    The monitor watches each queued persistent grid's flag. A non-zero
+    write arms each newly demanded resident context's deadline,
+    ``L·per_task + 2·poll + signal + slack`` after the write's
+    ``visible_at``; a clear or narrower write disarms what it no longer
+    demands. A context placed on a demanded SM is armed from its
+    placement. A context that retires after its deadline fails, and so,
+    at :meth:`finalize`, does one still resident past it. No simulator
+    event is scheduled.
     """
 
     name = "spatial-partition"
@@ -412,92 +397,84 @@ class SpatialPartitionMonitor(Monitor):
     def __init__(self, gpu, slack_us: float = 2.0):
         self.gpu = gpu
         self.slack_us = slack_us
-        #: raised grid -> (key, next visibility time, earliest deadline,
-        #: {demanding ctx: time by which it must have left its SM})
-        self._raised: Dict[object, tuple] = {}
+        #: watched grid -> its flag-watch callback
+        self._watches: Dict[object, Callable[[float, int], None]] = {}
+        #: demanded context -> (time by which it must have left its SM,
+        #: the flag value that demanded it)
+        self._deadlines: Dict[object, Tuple[float, int]] = {}
 
-    def on_event(self, ev) -> None:
-        now = self.gpu.sim.now
-        previous = self._raised
-        raised = {}
-        late: Dict[object, float] = {}
-        for grid in self.gpu._queue:
-            flag = grid.flag
-            if flag is None or not grid._persistent:
-                continue
-            history = flag._history
-            if history[-1][1] <= 0:
-                continue  # host value 0: no context can demand a yield
-            key = (len(history), grid._placed, grid.finished_contexts,
-                   grid.yielded_contexts)
-            state = previous.get(grid)
-            if (
-                state is None or state[0] != key or now >= state[1]
-                or now > state[2] + 1e-9
-            ):
-                state = self._scan(grid, key, now, state, late)
-            raised[grid] = state
-        self._raised = raised
-        if late:
-            ctx = min(late, key=lambda c: (c.sm.sm_id, c.ctx_id))
+    def grid_launched(self, grid) -> None:
+        if not grid._persistent:
+            return
+
+        def on_write(visible_at: float, value: int) -> None:
+            self._flag_written(grid, visible_at, value)
+
+        grid.flag.watch(on_write)
+        self._watches[grid] = on_write
+
+    def grid_terminal(self, grid) -> None:
+        on_write = self._watches.pop(grid, None)
+        if on_write is not None:
+            grid.flag.unwatch(on_write)
+
+    def detach(self) -> None:
+        super().detach()
+        for grid, on_write in self._watches.items():
+            grid.flag.unwatch(on_write)
+        self._watches.clear()
+
+    def _deadline(self, ctx, start: float) -> float:
+        # one full poll period: L tasks (at this context's jittered
+        # rate) + the reads around the boundary
+        return (
+            start + ctx._amortize * ctx._per_task + 2.0 * ctx._poll_cost
+            + self.gpu.spec.costs.preempt_signal_us + self.slack_us
+        )
+
+    def _flag_written(self, grid, visible_at: float, value: int) -> None:
+        deadlines = self._deadlines
+        # a demand covers the SMs below a bound, all of them for
+        # temporal-only kernels; a clear demands none
+        if value <= 0:
+            bound = 0
+        elif grid.kernel.supports_spatial:
+            bound = value
+        else:
+            bound = float("inf")
+        for ctx in grid.contexts:
+            if ctx.sm.sm_id >= bound:
+                deadlines.pop(ctx, None)
+            elif ctx not in deadlines:
+                deadlines[ctx] = (self._deadline(ctx, visible_at), value)
+
+    def context_placed(self, ctx, grid) -> None:
+        if not grid._persistent:
+            return
+        visible_at, value = grid.flag._history[-1]
+        if value > 0 and (
+            ctx.sm.sm_id < value or not grid.kernel.supports_spatial
+        ):
+            start = max(visible_at, self.gpu.sim.now)
+            self._deadlines[ctx] = (self._deadline(ctx, start), value)
+
+    def context_retired(self, ctx, now: float) -> None:
+        armed = self._deadlines.pop(ctx, None)
+        if armed is not None and now > armed[0] + 1e-9:
             self.fail(
                 "CTA overstayed on a yielding SM",
                 kernel=ctx.grid.kernel.name, sm=ctx.sm.sm_id,
-                ctx=ctx.ctx_id, deadline=late[ctx], now=now,
-                flag=ctx.grid.flag.last_written,
+                ctx=ctx.ctx_id, deadline=armed[0], now=now, flag=armed[1],
             )
 
-    def _scan(self, grid, key, now: float, state, late: dict) -> tuple:
-        """Recompute ``grid``'s demanding contexts, keeping the deadline
-        of each one that already demanded; overdue ones go to ``late``."""
-        flag = grid.flag
-        visible = flag.device_read(now)
-        next_visible = float("inf")
-        for at, _ in reversed(flag._history):
-            if at <= now:
-                break
-            next_visible = at
-        # should_yield() of both values for every SM at once (the host
-        # value, non-zero here, keeps a clear in flight from counting):
-        # a demand covers the SMs below a bound, all of them for
-        # temporal-only kernels
-        if visible <= 0:
-            bound = 0
-        elif grid.kernel.supports_spatial:
-            bound = min(visible, flag.last_written)
-        else:
-            bound = float("inf")
-        known = state[3] if state is not None else {}
-        deadlines = {}
-        for ctx in grid.contexts:
-            if ctx.sm.sm_id >= bound:
-                continue
-            deadline = known.get(ctx)
-            if deadline is None:
-                # one full poll period: L tasks (at this context's
-                # jittered rate) + the reads around the boundary
-                period = (
-                    ctx._amortize * ctx._per_task
-                    + 2.0 * ctx._poll_cost
-                    + self.gpu.spec.costs.preempt_signal_us
-                    + self.slack_us
-                )
-                deadline = now + period
-            elif now > deadline + 1e-9:
-                late[ctx] = deadline
-            deadlines[ctx] = deadline
-        earliest = min(deadlines.values(), default=float("inf"))
-        return key, next_visible, earliest, deadlines
-
     def finalize(self, now: float) -> None:
-        for _, _, _, deadlines in self._raised.values():
-            for ctx, deadline in deadlines.items():
-                if now > deadline + 1e-9 and ctx in ctx.sm.resident:
-                    self.fail(
-                        "CTA still resident on a yielding SM at end of run",
-                        kernel=ctx.grid.kernel.name, sm=ctx.sm.sm_id,
-                        ctx=ctx.ctx_id, deadline=deadline, now=now,
-                    )
+        for ctx, (deadline, value) in self._deadlines.items():
+            if now > deadline + 1e-9 and ctx in ctx.sm.resident:
+                self.fail(
+                    "CTA still resident on a yielding SM at end of run",
+                    kernel=ctx.grid.kernel.name, sm=ctx.sm.sm_id,
+                    ctx=ctx.ctx_id, deadline=deadline, now=now, flag=value,
+                )
 
 
 # ---------------------------------------------------------------------------

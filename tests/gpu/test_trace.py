@@ -53,7 +53,7 @@ class TestTimelineRecording:
         sim = Simulator()
         gpu = SimulatedGPU(sim, small_test_gpu())
         tracer = Timeline()
-        gpu.tracer = tracer
+        gpu.listeners.append(tracer)
         k = make_kernel(task_us=10.0)
         gpu.launch(k, LaunchConfig.original(tasks))
         sim.run()
@@ -85,7 +85,7 @@ class TestTimelineRecording:
         sim = Simulator()
         gpu = SimulatedGPU(sim, small_test_gpu())
         tracer = Timeline()
-        gpu.tracer = tracer
+        gpu.listeners.append(tracer)
         k = make_kernel(mode="persistent", task_us=10.0)
         gpu.launch(k, LaunchConfig.persistent(1000, 4), pool=TaskPool(1000),
                    flag=gpu.new_flag())

@@ -41,7 +41,7 @@ class TestTracedSystem:
     def test_untraced_system_has_no_timeline(self, suite):
         system = FlepSystem(policy="hpf", device=suite.device, suite=suite)
         assert system.timeline is None
-        assert system.gpu.tracer is None
+        assert system.gpu.listeners == []
 
 
 class TestTraceCLI:

@@ -135,18 +135,35 @@ class TestSharedCounter:
         devices = [system.gpu, corun.gpu]
         assert window.scheds == [gpu.sched for gpu in devices]
         assert window.sims == [system.sim, corun.sim]
-        assert window.timelines == [gpu.tracer for gpu in devices]
+        assert [gpu.listeners for gpu in devices] == [
+            [tl] for tl in window.timelines
+        ]
         assert all(isinstance(tl, Timeline) for tl in window.timelines)
         assert window.timelines[0].schedule_hash() == system.gpu.sched.hexdigest
         assert window.schedule_hash() == combined_schedule_hash(
             [gpu.sched.hexdigest for gpu in devices]
         )
 
+    def test_traced_system_inside_a_timeline_window_fills_both(self):
+        """A traced system's own timeline and the window's are two
+        listeners on one device: each records every interval."""
+        with EngineWindow(timelines=True) as window:
+            system = FlepSystem(
+                policy="hpf", config=RuntimeConfig(oracle_model=True),
+                trace=True,
+            )
+            system.submit_at(0.0, "batch", "NN", "large", priority=0)
+            system.submit_at(200.0, "rt", "SPMV", "trivial", priority=1)
+            system.run()
+        (timeline,) = window.timelines
+        assert len(system.timeline.intervals) > 0
+        assert timeline.intervals == system.timeline.intervals
+
     def test_window_without_timelines_attaches_none(self):
         with EngineWindow() as window:
             gpu = SimulatedGPU(Simulator())
         assert window.scheds == [gpu.sched]
-        assert gpu.tracer is None and window.timelines is None
+        assert gpu.listeners == [] and window.timelines is None
 
     def test_outer_window_sees_nothing_from_an_inner_one(self):
         with EngineWindow() as outer:

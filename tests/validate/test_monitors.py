@@ -4,6 +4,8 @@ The acceptance case for the whole layer is the *planted* defect: run a
 correct workload against a spec whose budgets are one unit too small and
 the resource monitor must fire at the first over-full event."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.flep import FlepSystem
@@ -20,6 +22,8 @@ from repro.gpu.kernel import (
     TaskModel,
     TaskPool,
 )
+from repro.gpu.memory import PinnedFlag
+from repro.gpu.sm import SM
 from repro.runtime.engine import RuntimeConfig
 from repro.serving import PoissonLoadGen, Tenant
 from repro.validate import (
@@ -47,9 +51,10 @@ class EventCounter(Monitor):
         self.count += 1
 
 
-def monitored_fleet(suite, duration_ms):
+def monitored_fleet(suite, duration_ms, web=True):
     """A three-node fleet (spatial, temporal, MPS) under a steady
-    Poisson load: its live queues stay the same size as it runs."""
+    Poisson load: its live queues stay the same size as it runs. Without
+    the high-priority ``web`` tenant nothing is preempted."""
     fleet = FleetSystem(
         [Tenant("web", priority=1, slo_us=3_000.0),
          Tenant("batch", priority=0)],
@@ -59,11 +64,12 @@ def monitored_fleet(suite, duration_ms):
         ),
         device=suite.device, suite=suite,
     )
-    fleet.add_generator(PoissonLoadGen(
-        tenant="web", kernels=("SPMV", "MM", "PL"), rate_per_ms=1.0,
-        duration_ms=duration_ms, seed=5, input_names=("trivial",),
-        priority=1,
-    ))
+    if web:
+        fleet.add_generator(PoissonLoadGen(
+            tenant="web", kernels=("SPMV", "MM", "PL"), rate_per_ms=1.0,
+            duration_ms=duration_ms, seed=5, input_names=("trivial",),
+            priority=1,
+        ))
     fleet.add_generator(PoissonLoadGen(
         tenant="batch", kernels=("SPMV", "MM"), rate_per_ms=0.5,
         duration_ms=duration_ms, seed=6, input_names=("small",),
@@ -231,6 +237,47 @@ class TestWorkConservation:
 
         short, long = checks_per_event(20.0), checks_per_event(80.0)
         assert long / short <= 1.5, (short, long)
+
+
+    def test_device_checks_follow_changes_not_events(
+        self, suite, monkeypatch
+    ):
+        """The resource-budget monitor checks one SM per placement and
+        per retire; the spatial monitor arms deadlines only at a
+        non-zero flag write, so a run with none arms no deadline."""
+        counts = Counter()
+
+        def count(cls, name, key, when=lambda *args: True):
+            original = getattr(cls, name)
+
+            def counted(*args):
+                if when(*args):
+                    counts[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        count(SM, "admit_fp", "placed")
+        count(SM, "release_fp", "retired")
+        count(ResourceBudgetMonitor, "_check", "checks")
+        count(SpatialPartitionMonitor, "_deadline", "armed")
+        count(PinnedFlag, "host_write", "writes",
+              when=lambda flag, value: value > 0)
+
+        def changes(web):
+            counts.clear()
+            fleet = monitored_fleet(suite, 20.0, web=web)
+            bundle = install_monitors(fleet, require_complete=True)
+            fleet.run()
+            bundle.finalize()
+            return counts.copy()
+
+        busy = changes(web=True)
+        assert busy["checks"] == busy["placed"] + busy["retired"] > 0
+        assert busy["writes"] > 0 and busy["armed"] > 0
+        quiet = changes(web=False)
+        assert quiet["checks"] == quiet["placed"] + quiet["retired"] > 0
+        assert quiet["writes"] == 0 and quiet["armed"] == 0
 
 
 class TestSpatialPartition:

@@ -1,13 +1,17 @@
 """Observability overhead: the disabled (null-recorder) hot path.
 
 The instrumentation contract is that an unobserved system pays only one
-guard check (``if obs.enabled:``) per hook site: the simulator event
-loop, SM admit/release, the CTA batch completion and the macro cohort
-sync each check exactly one hub. This bench times the guard directly,
-counts how often the hot sites actually fire in a representative
-co-run, and asserts the extrapolated guard cost stays under 2 % of the
-co-run's wall time. A second bench records the cost of running fully
-observed, for the report.
+guard check per hook site: the simulator event loop, the CTA batch
+completion and the macro cohort sync each check one hub
+(``if obs.enabled:``), and CTA placement and retire each check the
+device's listener list (``if listeners:``), which a hub joins only when
+it is given the device. This bench times the guard directly, counts how
+often the hot sites actually fire in a representative co-run, and
+asserts the extrapolated guard cost stays under 2 % of the co-run's
+wall time. Both sides take the same statistic — the minimum over
+alternating repeated rounds — so a host slowdown during one
+measurement cannot inflate one side only. A second bench records the
+cost of running fully observed, for the report.
 """
 
 import time
@@ -16,6 +20,8 @@ import timeit
 from repro.core.flep import FlepSystem
 from repro.obs import NULL_OBS
 from repro.runtime.engine import RuntimeConfig
+
+ROUNDS = 5
 
 
 def _run_pair(**kwargs):
@@ -30,7 +36,8 @@ def _run_pair(**kwargs):
 
 
 def _guard_cost_us() -> float:
-    """Measured cost of one ``obs.enabled`` guard check (µs)."""
+    """Measured cost of one ``obs.enabled`` guard check (µs), averaged
+    over one timeit batch."""
 
     class HotObject:
         obs = NULL_OBS
@@ -45,7 +52,8 @@ def _guarded_sites_fired(system) -> float:
     """How many guard checks the null path would have evaluated, counted
     from a fully-observed run of the same scenario: one per simulator
     event, one per completed batch (CTA hot loop), two per CTA context
-    (admit + release), plus a handful of engine-side lifecycle hooks."""
+    (the listener-list checks at placement and retire), plus a handful
+    of engine-side lifecycle hooks."""
     m = system.obs
     batches = m.m_sim_events.value(kind="batch")
     return (
@@ -59,17 +67,22 @@ def _guarded_sites_fired(system) -> float:
 
 def test_null_hub_guard_overhead_under_2_percent(benchmark):
     """No hub installed: the extrapolated cost of the one guard per hot
-    site must stay under 2 % of the co-run (the true figure is ~0.5 %;
-    the timeit'd guard cost inflates on a loaded machine)."""
+    site must stay under 2 % of the co-run. Guard cost and co-run wall
+    time are each the minimum over ``ROUNDS`` alternating rounds:
+    best-of-N strips scheduler noise from both sides alike."""
     benchmark.pedantic(_run_pair, rounds=3, iterations=1, warmup_rounds=1)
-    t0 = time.perf_counter()
-    system = _run_pair()
-    null_wall_us = (time.perf_counter() - t0) * 1e6
+    guard_us = null_wall_us = float("inf")
+    for _ in range(ROUNDS):
+        guard_us = min(guard_us, _guard_cost_us())
+        t0 = time.perf_counter()
+        system = _run_pair()
+        null_wall_us = min(null_wall_us, (time.perf_counter() - t0) * 1e6)
     assert system.obs is NULL_OBS and system.gpu.prof is NULL_OBS
+    assert not system.gpu.listeners
 
     observed = _run_pair(observability=True)
     sites = _guarded_sites_fired(observed)
-    guard_total_us = sites * _guard_cost_us()
+    guard_total_us = sites * guard_us
 
     overhead = guard_total_us / null_wall_us
     assert overhead < 0.02, (

@@ -78,7 +78,7 @@ class MPSCoRun:
         self.sim = Simulator()
         self.gpu = SimulatedGPU(self.sim, self.device, seed=seed)
         # only an open window's hub observes baseline co-runs
-        hub = adopt_hub(None, lambda: self.sim.now)
+        hub = adopt_hub(None)
         if hub.enabled:
             self.sim.obs = hub
             self.gpu.obs = hub

@@ -79,7 +79,7 @@ class FlepSystem:
 
             self.timeline = Timeline()
             self.gpu.listeners.append(self.timeline)
-        self.obs = adopt_hub(observability, lambda: self.sim.now)
+        self.obs = adopt_hub(observability)
         if self.obs.enabled:
             self.sim.obs = self.obs
             self.gpu.obs = self.obs
@@ -141,7 +141,7 @@ class FlepSystem:
         if self.timeline is not None:
             self.timeline.close_open(self.sim.now)
         if self.obs.enabled:
-            self.obs.finalize()
+            self.obs.finalize(self.sim.now)
         return CoRunResult(
             invocations=list(self.runtime.invocations),
             makespan_us=self.sim.now,

@@ -240,7 +240,7 @@ class FleetSystem(TraceIntake):
         self.config = config or FleetConfig()
         #: fleet time: the last control point every node was advanced to
         self._now = 0.0
-        self.obs = adopt_hub(observability, lambda: self._now)
+        self.obs = adopt_hub(observability)
         # The reference device + calibrated suite: routing and admission
         # budget every request against this one predictor, whatever
         # hardware the request lands on (a fleet-canonical cost).
@@ -562,7 +562,7 @@ class FleetSystem(TraceIntake):
         if self.obs.enabled:
             if report.fleet_attainment is not None:
                 self._m_attain.set(report.fleet_attainment)
-            self.obs.finalize()
+            self.obs.finalize(self._now)
         return report
 
     # ------------------------------------------------------------------

@@ -274,7 +274,7 @@ def build_report(fleet) -> FleetReport:
 def export_to_tracer(fleet) -> None:
     """Emit per-node Chrome-trace processes into the fleet's obs hub.
 
-    Retrospective (`tracer.complete` / `counter_at`): the per-node
+    Retrospective (`tracer.complete` / `counter`): the per-node
     simulators have already drained, so every span is closed and every
     counter sample carries its original timestamp.
     """
@@ -293,7 +293,7 @@ def export_to_tracer(fleet) -> None:
             steals=req.steals,
         )
     for t_us, node, queue_len, load_us in fleet.load_samples:
-        tracer.counter_at(
+        tracer.counter(
             "fleet_queue", t_us, process=f"node:{node}",
             queued=queue_len, load_us=load_us,
         )

@@ -46,43 +46,37 @@ class SimulatedGPU:
         self._dispatching = False
         self._dispatch_again = False
         self.launch_count = 0
-        #: Timelines (repro.gpu.trace) and device monitors: each gets
-        #: context_placed(ctx, grid), context_retired(ctx, now), and
-        #: grid_launched/grid_terminal(grid) as a grid enters and leaves
-        #: the hardware queue (a terminal precedes its last retire)
+        #: Timelines (repro.gpu.trace), device monitors and the
+        #: observability hub: each gets context_placed(ctx, grid),
+        #: context_retired(ctx, now), and grid_launched/grid_terminal(grid)
+        #: as a grid enters and leaves the hardware queue (a terminal
+        #: precedes its last retire)
         self.listeners: list = []
         #: always-on O(1)-memory schedule digest (identity contract)
         self.sched = ScheduleHash()
         self._obs: Observability = NULL_OBS
-        self._prof = NULL_OBS
+        #: where the CTA contexts and macro cohorts of this device send
+        #: their hot counting hooks, ``on_batch`` and ``on_macro_collapse``,
+        #: behind one ``enabled`` guard. The hub by default; any object
+        #: with those two methods and an ``enabled`` flag can count them
+        #: alone. Contexts and cohorts read it when they are created.
+        self.prof = NULL_OBS
         register_device(self)
 
     @property
     def obs(self) -> Observability:
-        """Observability hub; assigning one also makes it :attr:`prof`."""
+        """Observability hub: it counts launches; assigning an enabled
+        one also makes it :attr:`prof` and adds it to :attr:`listeners`
+        (once), where it samples this device's CTA placements and
+        retires and its hardware queue."""
         return self._obs
 
     @obs.setter
     def obs(self, hub: Observability) -> None:
         self._obs = hub
         self.prof = hub
-
-    @property
-    def prof(self):
-        """Where the device's hot counting hooks go — ``on_batch``,
-        ``on_macro_collapse``, ``on_sm_admit`` and ``on_sm_release``,
-        called by SMs, CTA contexts and macro cohorts behind one
-        ``enabled`` guard. The hub by default; any object with those
-        four methods and an ``enabled`` flag can count them alone.
-        Assigning one propagates to the SMs; contexts and cohorts read it
-        when they are created."""
-        return self._prof
-
-    @prof.setter
-    def prof(self, sink) -> None:
-        self._prof = sink
-        for sm in self.sms:
-            sm.obs = sink
+        if hub.enabled:
+            hub.attach(self)
 
     # ------------------------------------------------------------------
     # public API
@@ -157,8 +151,6 @@ class SimulatedGPU:
         if grid.is_terminal:
             return
         self._queue.append(grid)
-        if self._obs.enabled:
-            self._obs.hw_queue_depth(len(self._queue))
         if self.listeners:
             for listener in self.listeners:
                 listener.grid_launched(grid)
@@ -292,8 +284,6 @@ class SimulatedGPU:
     def on_grid_terminal(self, grid: Grid) -> None:
         if grid in self._queue:
             self._queue.remove(grid)
-            if self._obs.enabled:
-                self._obs.hw_queue_depth(len(self._queue))
             if self.listeners:
                 for listener in self.listeners:
                     listener.grid_terminal(grid)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import List, Set
 
 from ..errors import ResourceError
-from ..obs.recorder import NULL_OBS
 from .device import GPUDeviceSpec
 __all__ = ["SM", "SMBank"]
 
@@ -58,7 +57,7 @@ class SM:
     """One streaming multiprocessor: its resident set plus a view into
     the device's :class:`SMBank` slot."""
 
-    __slots__ = ("sm_id", "spec", "resident", "bank", "obs")
+    __slots__ = ("sm_id", "spec", "resident", "bank")
 
     def __init__(
         self, sm_id: int, spec: GPUDeviceSpec, bank: SMBank = None
@@ -70,8 +69,6 @@ class SM:
         #: tests) gets a private single-entry bank, indexed by sm_id = 0
         #: — device-built SMs are indexed by their sm_id
         self.bank = bank if bank is not None else SMBank(spec, sm_id + 1)
-        #: counting-hook sink; set by the owning device (its ``prof``)
-        self.obs = NULL_OBS
 
     # -- bank views (diagnostics/monitors; the hot path reads the bank) --
     @property
@@ -107,9 +104,6 @@ class SM:
         bank.warps[i] += warps
         bank.regs[i] += regs
         bank.smem[i] += smem
-        obs = self.obs
-        if obs.enabled:
-            obs.on_sm_admit(self.sm_id, len(resident))
 
     def release_fp(
         self, context, threads: int, warps: int, regs: int, smem: int
@@ -130,9 +124,6 @@ class SM:
             raise ResourceError(
                 f"SM {self.sm_id} resource accounting went negative"
             )
-        obs = self.obs
-        if obs.enabled:
-            obs.on_sm_release(self.sm_id, len(resident))
 
     @property
     def idle(self) -> bool:

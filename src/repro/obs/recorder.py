@@ -1,7 +1,7 @@
 """The observability hub: one facade the instrumented layers talk to.
 
-Instrumentation sites (simulator, device, SMs, CTA contexts, macro
-cohorts, runtime engine) never touch metric families or spans directly —
+Instrumentation sites (simulator, device, CTA contexts, macro cohorts,
+runtime engine) never touch metric families or spans directly —
 they call the typed hooks on an :class:`Observability` hub, which
 maintains the metrics catalog, the span model, the scheduler decision
 log (:mod:`repro.obs.decisions`) and the simulator's self-profile in one
@@ -22,9 +22,10 @@ through the harness, and how ``flep run/serve/fleet`` read their
 ``engine`` block and ``schedule_hash``.
 
 Hot hooks (one per simulator event, per retired batch, per CTA
-admission) bump plain ints and a raw-label dict; the registry families
-they feed (``flep_sim_events_total``, ``flep_task_pulls_total``, ...)
-are built from those counters when read. The self-profile answers "how
+placement and retire) bump plain ints and a raw-label dict; the
+registry families they feed (``flep_sim_events_total``,
+``flep_task_pulls_total``, ...) are built from those counters when
+read. The self-profile answers "how
 fast is the simulator itself?": events by kind, batches collapsed by
 macro cohorts, and two bounded timelines — event-queue depth and per-SM
 residency — that :meth:`Observability.export_to_tracer` renders next to
@@ -35,11 +36,13 @@ simulators.
 Each observed fact has one record. A preemption stall is its
 ``drain`` / ``spatial_yield`` span, and closing the span observes its
 duration once into ``flep_preempt_stall_us{kind}``, which ``flep stats
---profile`` reads. Invocation records
-(spans, instants, decisions) and queue samples carry the time of their
-own simulator, so the nodes of a fleet sharing one hub each keep their
-own clock. SM samples and ``flep_sm_resident_ctas{sm}`` still read the
-hub clock and are keyed by SM id only: the device hooks carry no node.
+--profile`` reads. The hub keeps no clock: every record carries the
+time of the simulator that made it, so the nodes of a fleet sharing one
+hub each keep their own clock. A device given the hub (``gpu.obs =
+hub``) joins its listener list; the hub numbers devices in attach order
+and keys CTA admissions, SM residency (``sm_samples``,
+``flep_sm_resident_ctas{device,sm}``) and the hardware and policy queue
+depths by that number.
 
 Span model (exported via ``tracer.chrome_trace()``):
 
@@ -51,14 +54,16 @@ Span model (exported via ``tracer.chrome_trace()``):
   the drain completing, nested inside the running segment;
 * a ``spatial_yield`` sub-span while the victim cedes SMs to a guest;
 * instant markers for preemption requests and counter tracks for the
-  hardware and policy queue depths.
+  hardware and policy queue depths, one ``device:<n>`` and one
+  ``scheduler:<n>`` process per device.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .decisions import DecisionEvent, DecisionKind
 from .metrics import MetricsRegistry
@@ -113,9 +118,9 @@ class Observability:
     #: ``dropped_samples``, so truncation is never silent.
     max_samples = 20_000
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
+    def __init__(self):
         self._metrics = MetricsRegistry()
-        self.tracer = SpanTracer(clock if clock is not None else lambda: 0.0)
+        self.tracer = SpanTracer()
         self._register_catalog()
         #: per-invocation open spans: inv_id -> {"inv": .., "seg": ..,
         #: "drain": .., "spatial": ..}
@@ -125,27 +130,23 @@ class Observability:
         # hot counters: plain ints and a raw-label dict, folded into their
         # registry families on read (_sync)
         self._by_label: Dict[str, int] = {}
-        self._sm_resident: Dict[int, int] = {}
+        #: (device, sm) -> resident CTA contexts
+        self._sm_resident: Dict[Tuple[int, int], int] = {}
         self.task_pulls = 0
         self.flag_polls = 0
         self.cta_admissions = 0
         #: batches retired inside macro cohorts (no per-batch event fired
         #: for them); surfaced as the ``macro-batch`` kind
         self.batches_collapsed = 0
-        # bounded timelines: (t, depth) and (t, sm, resident)
+        # bounded timelines: (t, depth) and (t, device, sm, resident)
         self._since_sample = 0
         self.queue_samples: List[Tuple[float, int]] = []
-        self.sm_samples: List[Tuple[float, int, int]] = []
+        self.sm_samples: List[Tuple[float, int, int, int]] = []
         self.dropped_samples = 0
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Point the span tracer at a (new) simulation clock.
-
-        A window's hub, built before any system exists, starts on a
-        zero clock; each system that adopts it re-binds the tracer to
-        its own simulator, which the counter tracks, the SM samples and
-        ``finalize`` read (spans carry their own simulator's time)."""
-        self.tracer._clock = clock
+        #: attached device -> its number, in attach order (weak: a hub
+        #: held open keeps no finished device alive)
+        self._devices = weakref.WeakKeyDictionary()
+        self._attached = 0
 
     # ------------------------------------------------------------------
     # catalog
@@ -174,12 +175,13 @@ class Observability:
         )
         self._m_sm_resident = m.gauge(
             "flep_sm_resident_ctas",
-            "CTA contexts currently resident, per SM",
-            ("sm",),
+            "CTA contexts currently resident, per device and SM",
+            ("device", "sm"),
         )
         self.m_hw_queue = m.gauge(
             "flep_hw_queue_depth",
-            "grids in the device-wide hardware FIFO",
+            "grids in the device-wide hardware FIFO, per device",
+            ("device",),
         )
         self._m_task_pulls = m.counter(
             "flep_task_pulls_total",
@@ -228,8 +230,9 @@ class Observability:
         )
         self.m_queue_depth = m.gauge(
             "flep_queue_depth",
-            "invocations waiting in the scheduling policy's queues",
-            ("policy",),
+            "invocations waiting in the scheduling policy's queues, per "
+            "device",
+            ("device", "policy"),
         )
         self.m_wait = m.histogram(
             "flep_invocation_wait_us",
@@ -259,7 +262,8 @@ class Observability:
             kinds[key] = kinds.get(key, 0.0) + n
         self._m_sim_events._values = kinds
         self._m_sm_resident._values = {
-            (str(sm),): float(n) for sm, n in self._sm_resident.items()
+            (str(device), str(sm)): float(n)
+            for (device, sm), n in self._sm_resident.items()
         }
         for fam, n in (
             (self._m_cta_admissions, self.cta_admissions),
@@ -295,17 +299,6 @@ class Observability:
         were charged through :meth:`on_batch`."""
         self.batches_collapsed += batches
 
-    def on_sm_admit(self, sm_id: int, resident: int) -> None:
-        """A CTA context was admitted onto ``sm_id``."""
-        self.cta_admissions += 1
-        self._sm_resident[sm_id] = resident
-        self._sample(self.sm_samples, (self.tracer.now, sm_id, resident))
-
-    def on_sm_release(self, sm_id: int, resident: int) -> None:
-        """A CTA context left ``sm_id``."""
-        self._sm_resident[sm_id] = resident
-        self._sample(self.sm_samples, (self.tracer.now, sm_id, resident))
-
     def _sample(self, timeline: list, sample: tuple) -> None:
         if len(timeline) < self.max_samples:
             timeline.append(sample)
@@ -318,9 +311,44 @@ class Observability:
     def kernel_relaunched(self, reason: str) -> None:
         self.m_relaunches.inc(reason=reason)
 
-    def hw_queue_depth(self, depth: int) -> None:
-        self.m_hw_queue.set(depth)
-        self.tracer.counter("hw_queue_depth", process="device", grids=depth)
+    # ------------------------------------------------------------------
+    # device listener (``SimulatedGPU.listeners``): each sample is keyed
+    # by its device and stamped with that device's simulator time
+    # ------------------------------------------------------------------
+    def attach(self, gpu) -> None:
+        """Join ``gpu``'s listener list, once; devices are numbered in
+        the order they attach."""
+        if gpu not in self._devices:
+            self._devices[gpu] = self._attached
+            self._attached += 1
+            gpu.listeners.append(self)
+
+    def context_placed(self, ctx, grid) -> None:
+        self.cta_admissions += 1
+        gpu = grid.device
+        self._sm_sample(gpu, ctx.sm, gpu.sim.now)
+
+    def context_retired(self, ctx, now: float) -> None:
+        self._sm_sample(ctx.grid.device, ctx.sm, now)
+
+    def _sm_sample(self, gpu, sm, now: float) -> None:
+        device = self._devices[gpu]
+        resident = len(sm.resident)
+        self._sm_resident[(device, sm.sm_id)] = resident
+        self._sample(self.sm_samples, (now, device, sm.sm_id, resident))
+
+    def grid_launched(self, grid) -> None:
+        gpu = grid.device
+        device = self._devices[gpu]
+        depth = len(gpu._queue)
+        self.m_hw_queue.set(depth, device=device)
+        self.tracer.counter(
+            "hw_queue_depth", gpu.sim.now, process=f"device:{device}",
+            grids=depth,
+        )
+
+    #: a grid leaving the hardware queue is sampled the same way
+    grid_terminal = grid_launched
 
     # ------------------------------------------------------------------
     # runtime-engine hooks (invocation lifecycle -> spans + metrics)
@@ -341,8 +369,7 @@ class Observability:
         ))
 
     # Every invocation record is stamped with the invocation's own
-    # simulator (``inv.engine.sim.now``): fleet nodes share one hub,
-    # whose clock is bound to the last node built.
+    # simulator (``inv.engine.sim.now``): fleet nodes share one hub.
     def inv_arrived(self, inv) -> None:
         detail = f"prio={inv.priority}, T_e={inv.record.predicted_us:.0f}us"
         if inv.deadline_us is not None:
@@ -442,10 +469,16 @@ class Observability:
                 predictor_abs_error_us=err,
             )
 
-    def queue_depth(self, policy_name: str, depth: int) -> None:
-        self.m_queue_depth.set(depth, policy=policy_name)
+    def queue_depth(
+        self, gpu, policy_name: str, depth: int, at_us: float
+    ) -> None:
+        """``depth`` invocations wait in the queues of the policy that
+        schedules ``gpu``, at ``at_us`` on its runtime's clock."""
+        device = self._devices[gpu]
+        self.m_queue_depth.set(depth, device=device, policy=policy_name)
         self.tracer.counter(
-            "policy_queue_depth", process="scheduler", waiting=depth
+            "policy_queue_depth", at_us, process=f"scheduler:{device}",
+            waiting=depth,
         )
 
     def _close_stall(
@@ -465,10 +498,11 @@ class Observability:
             self.tracer.end(seg, at_us)
 
     # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Close any spans left open (end of a run / horizon cut)."""
+    def finalize(self, end_us: float) -> None:
+        """Close any spans left open at ``end_us``, the caller's end of
+        run (or horizon cut)."""
         self._inv_spans.clear()
-        self.tracer.close_open()
+        self.tracer.close_open(end_us)
 
     # ------------------------------------------------------------------
     # self-profile readings
@@ -558,16 +592,17 @@ class Observability:
 
     def export_to_tracer(self, tracer: SpanTracer) -> int:
         """Render the self-profile timelines into ``tracer`` as counter
-        tracks of a ``profiler`` process: event-queue depth and per-SM
-        residency. Returns the number of trace records added (stalls
-        already are the ``drain`` / ``spatial_yield`` spans)."""
+        tracks: event-queue depth in a ``profiler`` process and per-SM
+        residency in one ``profiler:<device>`` process per device.
+        Returns the number of trace records added (stalls already are the
+        ``drain`` / ``spatial_yield`` spans)."""
         for at_us, depth in self.queue_samples:
-            tracer.counter_at(
+            tracer.counter(
                 "event_queue_depth", at_us, process="profiler", depth=depth
             )
-        for at_us, sm_id, resident in self.sm_samples:
-            tracer.counter_at(
-                f"sm{sm_id}_resident", at_us, process="profiler",
+        for at_us, device, sm_id, resident in self.sm_samples:
+            tracer.counter(
+                f"sm{sm_id}_resident", at_us, process=f"profiler:{device}",
                 ctas=resident,
             )
         return len(self.queue_samples) + len(self.sm_samples)
@@ -591,19 +626,10 @@ class NullObservability(Observability):
     def on_macro_collapse(self, batches):
         pass
 
-    def on_sm_admit(self, sm_id, resident):
-        pass
-
-    def on_sm_release(self, sm_id, resident):
-        pass
-
     def kernel_launched(self, kernel_name):
         pass
 
     def kernel_relaunched(self, reason):
-        pass
-
-    def hw_queue_depth(self, depth):
         pass
 
     def inv_arrived(self, inv):
@@ -624,13 +650,10 @@ class NullObservability(Observability):
     def inv_finished(self, inv):
         pass
 
-    def queue_depth(self, policy_name, depth):
+    def queue_depth(self, gpu, policy_name, depth, at_us):
         pass
 
-    def bind_clock(self, clock):
-        pass
-
-    def finalize(self):
+    def finalize(self, end_us):
         pass
 
 
@@ -764,21 +787,15 @@ def get_global() -> Optional[Observability]:
 
 def adopt_hub(
     observability: Union[bool, Observability, None],
-    clock: Callable[[], float],
 ) -> Observability:
     """The hub a system records into: an explicit instance wins;
     ``True`` builds a fresh hub; anything else picks up the innermost
-    open window's hub, else the null hub. An enabled hub is bound to
-    ``clock``."""
+    open window's hub, else the null hub."""
     if isinstance(observability, Observability):
-        hub = observability
-    elif observability:
-        hub = Observability(clock=clock)
-    else:
-        hub = get_global() or NULL_OBS
-    if hub.enabled:
-        hub.bind_clock(clock)
-    return hub
+        return observability
+    if observability:
+        return Observability()
+    return get_global() or NULL_OBS
 
 
 @contextmanager

@@ -1,4 +1,4 @@
-"""Clock-stamped span tracer with Chrome/Perfetto trace-event export.
+"""Time-stamped span tracer with Chrome/Perfetto trace-event export.
 
 The tracer records what the hub's decision log
 (:mod:`repro.obs.decisions`) and the :class:`~repro.gpu.trace.Timeline`
@@ -6,7 +6,8 @@ each capture half of — nested, timed spans of the whole system: one
 outer span per kernel invocation (arrival to completion) with execute /
 preempt-drain / wait / resume segments inside it, plus instant markers
 (preemption requests) and counter tracks (queue depths, per-SM
-residency).
+residency). The tracer keeps no clock: every record carries the time its
+caller passes, read from the simulator that made it.
 
 Export is the Chrome ``trace_event`` JSON format, so a whole
 multi-program run opens directly in ``chrome://tracing`` or
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
 
@@ -74,27 +75,21 @@ class CounterSample:
 class SpanTracer:
     """Recorder of nested spans, instants and counter samples.
 
-    Spans and instants are stamped with the explicit time the caller
-    passes, read from the clock of the simulator that owns the record (a
-    fleet's nodes share one tracer). ``clock`` supplies the current
-    (simulated) time in microseconds for :meth:`counter` and
-    :meth:`close_open`; the tracer never advances time itself. ``track``
-    is a stable integer lane within a process — the engine uses the
-    invocation id, so every invocation renders as its own named row.
+    Every record is stamped with the explicit time (simulated µs) the
+    caller passes, read from the clock of the simulator that owns the
+    record: a fleet's nodes share one tracer, each on its own clock.
+    ``track`` is a stable integer lane within a process — the engine
+    uses the invocation id, so every invocation renders as its own named
+    row.
     """
 
-    def __init__(self, clock: Callable[[], float]):
-        self._clock = clock
+    def __init__(self):
         self.spans: List[Span] = []
         self.instants: List[InstantEvent] = []
         self.counters: List[CounterSample] = []
         self._track_names: Dict[Tuple[str, int], str] = {}
 
     # -- recording ---------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._clock()
-
     def name_track(self, process: str, track: int, name: str) -> None:
         """Give a (process, track) lane a human-readable name."""
         self._track_names[(process, track)] = name
@@ -166,16 +161,11 @@ class SpanTracer:
             )
         )
 
-    def counter(self, name: str, process: str = "flep", **values) -> None:
-        """Sample a counter track (renders as a stacked area chart)."""
-        self.counter_at(name, self.now, process=process, **values)
-
-    def counter_at(
+    def counter(
         self, name: str, at_us: float, process: str = "flep", **values
     ) -> None:
-        """Record a counter sample at an explicit (past) timestamp —
-        retrospective instrumentation, e.g. the self-profiler exporting
-        its decimated timelines after a run."""
+        """Sample a counter track at ``at_us`` (renders as a stacked area
+        chart)."""
         if not values:
             raise ObservabilityError("counter sample needs at least one value")
         self.counters.append(
@@ -191,13 +181,13 @@ class SpanTracer:
     def open_spans(self) -> List[Span]:
         return [s for s in self.spans if s.open]
 
-    def close_open(self, at_us: Optional[float] = None) -> int:
-        """Close every still-open span (end of run); returns how many."""
-        at = self.now if at_us is None else at_us
+    def close_open(self, at_us: float) -> int:
+        """Close every still-open span at ``at_us`` (end of run); returns
+        how many."""
         n = 0
         for span in self.spans:
             if span.open:
-                span.end_us = max(at, span.start_us)
+                span.end_us = max(at_us, span.start_us)
                 span.args.setdefault("truncated", True)
                 n += 1
         return n

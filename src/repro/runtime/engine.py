@@ -204,7 +204,10 @@ class FlepRuntime:
             self.obs.inv_arrived(inv)
         self.policy.on_kernel_arrival(inv)
         if self.obs.enabled:
-            self.obs.queue_depth(self.policy.name, self.policy.waiting_count())
+            self.obs.queue_depth(
+                self.gpu, self.policy.name, self.policy.waiting_count(),
+                self.sim.now,
+            )
         return inv
 
     # ------------------------------------------------------------------
@@ -328,7 +331,10 @@ class FlepRuntime:
         # and possibly re-invoke (loop_forever programs)
         self.policy.on_kernel_finished(inv)
         if self.obs.enabled:
-            self.obs.queue_depth(self.policy.name, self.policy.waiting_count())
+            self.obs.queue_depth(
+                self.gpu, self.policy.name, self.policy.waiting_count(),
+                self.sim.now,
+            )
         # fires once; a finished invocation keeps no front-end closure
         on_finished, inv.on_finished = inv.on_finished, None
         if on_finished:

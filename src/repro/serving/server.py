@@ -202,7 +202,7 @@ class ServingSystem(TraceIntake):
             self.obs = self.system.obs
         else:
             self.system = None
-            self.obs = adopt_hub(observability, lambda: self.sim.now)
+            self.obs = adopt_hub(observability)
         self._models = None  # MPS only: built lazily if admission needs it
         self.admission = AdmissionController()
         self.tracker = SLOTracker(self.tenants, obs=self.obs)
@@ -320,5 +320,5 @@ class ServingSystem(TraceIntake):
             )
         self.result = self.backend.run(until=until)
         if self.obs.enabled:
-            self.obs.finalize()
+            self.obs.finalize(self.sim.now)
         return self.tracker.report(horizon_us=self.sim.now)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.flep import FlepSystem
+from repro.fleet import FleetConfig, FleetSystem
 from repro.obs import NULL_OBS, EngineWindow, Observability
 from repro.runtime.engine import RuntimeConfig
+from repro.serving import PoissonLoadGen, Tenant
 
 
 def run_temporal_pair(suite, **kwargs):
@@ -28,12 +30,14 @@ class TestSystemWiring:
 
     def test_true_builds_hub_on_sim_clock(self, suite):
         system, result = run_temporal_pair(suite, observability=True)
-        assert system.obs.enabled
-        assert system.sim.obs is system.obs
-        assert system.gpu.obs is system.obs
-        for sm in system.gpu.sms:
-            assert sm.obs is system.obs
-        assert system.obs.tracer.now == result.makespan_us
+        hub = system.obs
+        assert hub.enabled
+        assert system.sim.obs is hub
+        assert system.gpu.obs is hub and system.gpu.prof is hub
+        assert system.gpu.listeners == [hub]
+        # every record is stamped by the run's one simulator, up to its end
+        assert max(s.end_us for s in hub.tracer.spans) == result.makespan_us
+        assert hub.sm_samples[-1][0] == result.makespan_us
 
     def test_explicit_instance_used_directly(self, suite):
         hub = Observability()
@@ -139,3 +143,81 @@ class TestSpatialRun:
         (span,) = m.tracer.spans_named("spatial_yield")
         assert not span.open
         assert span.args["yield_sms"] == 5
+
+
+class DeviceProbe:
+    """What the hub must record for one device, read at each listener
+    event and policy queue change from that device's own simulator."""
+
+    def __init__(self, node):
+        self.gpu = gpu = node.system.gpu
+        self.sm, self.hw, self.policy = [], [], []
+        gpu.listeners.append(self)
+        policy = node.system.runtime.policy
+        waiting_count = policy.waiting_count
+
+        def spy():
+            depth = waiting_count()
+            self.policy.append((gpu.sim.now, float(depth)))
+            return depth
+
+        policy.waiting_count = spy
+
+    def context_placed(self, ctx, grid):
+        sm = ctx.sm
+        self.sm.append((self.gpu.sim.now, sm.sm_id, len(sm.resident)))
+
+    def context_retired(self, ctx, now):
+        self.context_placed(ctx, ctx.grid)
+
+    def grid_launched(self, grid):
+        self.hw.append((self.gpu.sim.now, float(len(self.gpu._queue))))
+
+    grid_terminal = grid_launched
+
+
+class TestFleetUnderOneHub:
+    def test_samples_carry_their_own_device_clock_and_key(self, suite):
+        """Four FLEP nodes share one window hub: every SM, hardware-queue
+        and policy-queue sample carries its own node's simulator time and
+        sits under that node's device key (numbered in build order)."""
+        with EngineWindow(hub=True) as window:
+            fleet = FleetSystem(
+                [Tenant("web", priority=1), Tenant("batch", priority=0)],
+                FleetConfig(
+                    node_modes=("flep-spatial",) * 4, routing="round-robin",
+                    seed=5, oracle_model=True,
+                ),
+                device=suite.device, suite=suite,
+            )
+            fleet.add_generator(PoissonLoadGen(
+                tenant="web", kernels=("SPMV", "MM"), rate_per_ms=1.0,
+                duration_ms=20.0, seed=5, input_names=("small",), priority=1,
+            ))
+            fleet.add_generator(PoissonLoadGen(
+                tenant="batch", kernels=("VA", "NN"), rate_per_ms=0.2,
+                duration_ms=20.0, seed=5, input_names=("large",), priority=0,
+            ))
+            probes = [DeviceProbe(node) for node in fleet.nodes]
+            fleet.run()
+        hub = window.hub
+        assert hub.dropped_samples == 0
+
+        def counters(name, process):
+            return [
+                (c.at_us, c.values[0][1]) for c in hub.tracer.counters
+                if c.name == name and c.process == process
+            ]
+
+        assert {d for _, d, _, _ in hub.sm_samples} == {0, 1, 2, 3}
+        for device, probe in enumerate(probes):
+            assert probe.sm and probe.hw and probe.policy
+            assert [
+                (t, sm, n) for t, d, sm, n in hub.sm_samples if d == device
+            ] == probe.sm
+            assert counters("hw_queue_depth", f"device:{device}") == probe.hw
+            assert counters(
+                "policy_queue_depth", f"scheduler:{device}"
+            ) == probe.policy
+        assert len(hub.sm_samples) == sum(len(p.sm) for p in probes)
+        assert hub.m_sm_resident.value(device="3", sm="0") == 0

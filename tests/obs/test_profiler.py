@@ -59,7 +59,6 @@ class TestNullProfiler:
     def test_null_hooks_record_nothing(self):
         null = NullObservability()
         null.on_event("x/batch", 3, 0.0)
-        null.on_sm_admit(0, 1)
         null.on_batch(100, 5)
         null.on_macro_collapse(7)
         assert null.events_by_kind == {}
@@ -244,7 +243,7 @@ class TestCounters:
         hub, _, _ = run
         assert hub.queue_samples, "event-queue timeline is empty"
         assert hub.sm_samples, "SM occupancy timeline is empty"
-        assert all(r >= 0 for _, _, r in hub.sm_samples)
+        assert all(r >= 0 for _, _, _, r in hub.sm_samples)
 
     def test_rates_need_a_wall_window(self, run):
         _, window, _ = run
@@ -272,7 +271,7 @@ class TestCounters:
 
     def test_export_to_tracer(self, run):
         hub, _, _ = run
-        tracer = SpanTracer(clock=lambda: 0.0)
+        tracer = SpanTracer()
         n = hub.export_to_tracer(tracer)
         assert n == len(hub.queue_samples) + len(hub.sm_samples)
         assert len(tracer.counters) == n
@@ -280,7 +279,7 @@ class TestCounters:
         assert tracer.spans == []
         tracks = {c.name for c in tracer.counters}
         assert "event_queue_depth" in tracks
-        assert {f"sm{sm}_resident" for _, sm, _ in hub.sm_samples} <= tracks
+        assert {f"sm{sm}_resident" for _, _, sm, _ in hub.sm_samples} <= tracks
 
     def test_counters_do_not_grow_with_cta_admissions(self, run):
         """SM residency is recorded once, in the capped timeline: the

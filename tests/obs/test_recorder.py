@@ -4,6 +4,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.gpu.gpu import SimulatedGPU
+from repro.gpu.kernel import LaunchConfig
+from repro.gpu.sim import Simulator
 from repro.obs import (
     NULL_OBS,
     DecisionKind,
@@ -54,17 +57,36 @@ class TestDeviceHooks:
         assert c.value(kind="launch") == 1
         assert c.value(kind="unlabelled") == 1
 
-    def test_sm_residency_tracks_gauge_and_counter(self):
-        """Residency has one record, the capped per-SM timeline; no
-        tracer counter sample is written per admission or release."""
+    def test_sm_residency_tracks_gauge_and_counter(
+        self, make_kernel, tiny_gpu_spec
+    ):
+        """Residency has one record, the capped per-SM timeline, fed by
+        the device's listener list and stamped with its simulator's
+        time; no tracer counter sample is written per admission or
+        release, only one hardware-queue sample per launch and terminal."""
         hub = Observability()
-        hub.on_sm_admit(0, 1)
-        hub.on_sm_admit(0, 2)
-        hub.on_sm_release(0, 1)
-        assert hub.m_cta_admissions.total == 2
-        assert hub.m_sm_resident.value(sm="0") == 1
-        assert [r for _, _, r in hub.sm_samples] == [1, 2, 1]
-        assert hub.tracer.counters == []
+        sim = Simulator()
+        gpu = SimulatedGPU(sim, tiny_gpu_spec)
+        gpu.obs = hub
+        gpu.obs = hub
+        assert gpu.listeners == [hub]  # joined once
+        gpu.launch(make_kernel(task_us=10.0), LaunchConfig.original(3))
+        sim.run()
+        placed = gpu.spec.costs.kernel_launch_us
+        assert hub.m_cta_admissions.total == 3
+        assert hub.m_sm_resident.value(device="0", sm="0") == 0
+        assert hub.sm_samples == [
+            (placed, 0, 0, 1), (placed, 0, 1, 1), (placed, 0, 0, 2),
+            (placed + 10.0, 0, 0, 1), (placed + 10.0, 0, 1, 0),
+            (placed + 10.0, 0, 0, 0),
+        ]
+        assert [
+            (c.name, c.process, c.at_us, c.values)
+            for c in hub.tracer.counters
+        ] == [
+            ("hw_queue_depth", "device:0", placed, (("grids", 1.0),)),
+            ("hw_queue_depth", "device:0", placed + 10.0, (("grids", 0.0),)),
+        ]
 
     def test_task_pulls_and_polls_batched(self):
         hub = Observability()
@@ -93,7 +115,7 @@ class TestDeviceHooks:
 class TestInvocationLifecycle:
     def test_temporal_story_produces_spans_and_metrics(self):
         inv = FakeInv()
-        # the hub clock stays at 0: every record reads the invocation's
+        # the hub keeps no clock: every record reads the invocation's
         # own simulator
         hub = Observability()
 
@@ -194,13 +216,9 @@ class TestInvocationLifecycle:
         hub = Observability()
         hub.inv_arrived(FakeInv())
         assert hub.tracer.open_spans()
-        hub.finalize()
+        hub.finalize(42.0)
         assert not hub.tracer.open_spans()
-
-    def test_bind_clock_rebinds_tracer(self):
-        hub = Observability()
-        hub.bind_clock(lambda: 42.0)
-        assert hub.tracer.now == 42.0
+        assert {s.end_us for s in hub.tracer.spans} == {42.0}
 
 
 class TestNullRecorder:
@@ -210,7 +228,6 @@ class TestNullRecorder:
         inv = FakeInv()
         null.on_event("x", 0, 0.0)
         null.kernel_launched("k")
-        null.on_sm_admit(0, 1)
         null.on_batch(10, 1)
         null.on_macro_collapse(2)
         null.inv_arrived(inv)
@@ -219,9 +236,8 @@ class TestNullRecorder:
         null.inv_drained(inv)
         null.inv_topped_up(inv, ctas=40)
         null.inv_finished(inv)
-        null.queue_depth("hpf", 3)
-        null.bind_clock(lambda: 1.0)
-        null.finalize()
+        null.queue_depth(None, "hpf", 3, 0.0)
+        null.finalize(0.0)
         assert null.m_sim_events.total == 0
         assert len(null.tracer) == 0
         assert null.decisions == []

@@ -8,29 +8,15 @@ from repro.errors import ObservabilityError
 from repro.obs.tracer import SpanTracer
 
 
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = t
-
-    def __call__(self):
-        return self.t
-
-
 @pytest.fixture
-def clock():
-    return FakeClock()
-
-
-@pytest.fixture
-def tracer(clock):
-    return SpanTracer(clock)
+def tracer():
+    return SpanTracer()
 
 
 class TestSpans:
-    def test_begin_end_stamps_clock(self, tracer, clock):
-        """Spans carry the caller's time, not the tracer's clock (a
+    def test_begin_end_stamps_clock(self, tracer):
+        """Spans carry the caller's time: the tracer keeps no clock (a
         fleet's nodes share one tracer, each on its own clock)."""
-        clock.t = 99.0
         span = tracer.begin("exec", 10.0, process="p", track=1, kernel="NN")
         assert span.open
         tracer.end(span, 42.0, done=True)
@@ -45,7 +31,7 @@ class TestSpans:
         with pytest.raises(ObservabilityError):
             tracer.end(span, 2.0)
 
-    def test_backwards_end_rejected(self, tracer, clock):
+    def test_backwards_end_rejected(self, tracer):
         span = tracer.begin("s", 100.0)
         with pytest.raises(ObservabilityError):
             tracer.end(span, 50.0)
@@ -62,17 +48,16 @@ class TestSpans:
         with pytest.raises(ObservabilityError):
             tracer.complete("bad", 9.0, 5.0)
 
-    def test_close_open_truncates(self, tracer, clock):
+    def test_close_open_truncates(self, tracer):
         a = tracer.begin("a", 1.0)
         b = tracer.begin("b", 1.0)
         tracer.end(b, 1.0)
-        clock.t = 7.0
-        assert tracer.close_open() == 1
+        assert tracer.close_open(7.0) == 1
         assert a.end_us == 7.0
         assert a.args["truncated"] is True
         assert tracer.open_spans() == []
 
-    def test_containment_query(self, tracer, clock):
+    def test_containment_query(self, tracer):
         outer = tracer.begin("inv", 0.0, track=3)
         inner = tracer.begin("drain", 2.0, track=3)
         other_lane = tracer.begin("drain", 2.0, track=4)
@@ -84,8 +69,7 @@ class TestSpans:
 
 
 class TestInstantsAndCounters:
-    def test_instant_recorded(self, tracer, clock):
-        clock.t = 99.0
+    def test_instant_recorded(self, tracer):
         tracer.instant("preempt_req", 3.0, kind="temporal")
         (inst,) = tracer.instants
         assert inst.at_us == 3.0
@@ -93,28 +77,27 @@ class TestInstantsAndCounters:
 
     def test_counter_needs_values(self, tracer):
         with pytest.raises(ObservabilityError):
-            tracer.counter("queue")
-        tracer.counter("queue", depth=2)
+            tracer.counter("queue", 1.0)
+        tracer.counter("queue", 1.0, depth=2)
+        assert tracer.counters[0].at_us == 1.0
         assert tracer.counters[0].values == (("depth", 2.0),)
 
     def test_len_counts_everything(self, tracer):
         tracer.begin("s", 0.0)
         tracer.instant("i", 0.0)
-        tracer.counter("c", v=1)
+        tracer.counter("c", 0.0, v=1)
         assert len(tracer) == 3
 
 
 class TestChromeExport:
     def _trace(self):
-        clock = FakeClock()
-        tracer = SpanTracer(clock)
+        tracer = SpanTracer()
         tracer.name_track("runtime", 1, "#1 NN")
         outer = tracer.begin("NN", 0.0, process="runtime", track=1)
         inner = tracer.begin("drain", 5.0, process="runtime", track=1)
         tracer.end(inner, 8.0)
         tracer.instant("resume", 8.0, process="runtime", track=1)
-        clock.t = 8.0
-        tracer.counter("queue_depth", process="runtime", waiting=2)
+        tracer.counter("queue_depth", 8.0, process="runtime", waiting=2)
         tracer.end(outer, 20.0)
         return tracer
 
@@ -148,7 +131,7 @@ class TestChromeExport:
         assert ts == sorted(ts)
 
     def test_open_spans_flagged_truncated(self):
-        tracer = SpanTracer(FakeClock(4.0))
+        tracer = SpanTracer()
         tracer.begin("hanging", 4.0)
         doc = tracer.chrome_trace()
         (ev,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
